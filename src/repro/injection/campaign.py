@@ -40,9 +40,9 @@ died out.  The paper's own data says this is the common case: most
 are masked quickly and the IR then tracks the Golden Run
 sample-for-sample.  With :attr:`CampaignConfig.fast_forward` enabled
 (the default), the Golden Run additionally records one complete-state
-digest per frame, and each IR maintains its divergence set against the
-Golden Run incrementally at write sites; once the set is empty (and
-the trap has fired), a digest match proves complete reconvergence and
+digest per frame, and each IR compares its traced-signal row with the
+Golden Run's once per frame; once the rows are equal (and the trap has
+fired), a digest match proves complete reconvergence and
 the rest of the run is spliced from the Golden-Run traces — still
 byte-for-byte identical to a full re-run (see
 :meth:`repro.simulation.runtime.SimulationRun.run_from`).  The

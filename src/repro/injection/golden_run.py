@@ -38,8 +38,8 @@ class GoldenRun:
     #: the verification track of reconvergence fast-forward (``None``
     #: when the campaign ran with fast-forward disabled).
     digests: FrameDigests | None = None
-    #: Declared initial signal values of the run's store (needed to
-    #: seed the Golden Run's per-frame change lists).
+    #: Declared initial signal values of the run's store; a GR recorded
+    #: without them (legacy construction) has no fast-forward reference.
     initials: Mapping[str, int] | None = None
 
     @property
@@ -60,7 +60,7 @@ class GoldenRun:
         digests when they were recorded, enabling reconvergence
         fast-forward, and without them still usable for reconstructing
         stripped checkpoint prefixes.  Cached: the reference's lazy
-        per-frame change lists are computed at most once per GR.
+        per-frame row hashes are computed at most once per GR.
         """
         if self.initials is None:
             return None

@@ -27,11 +27,11 @@ reference semantics exactly rather than approximating them:
   the store): one shared instance is stepped per frame and its writes
   are broadcast to every lane;
 * fast-forward retirement mirrors
-  :meth:`~repro.simulation.runtime.SimulationRun._execute_frames_ff`
-  per lane — the traced-signal divergence trigger, the digest-retry
-  backoff and the Golden-Run suffix splice all apply individually, so
-  a retired lane reports the same ``reconverged_at_ms`` and trace
-  bytes as its reference twin.
+  :meth:`~repro.simulation.runtime.SimulationRun._execute_frames`
+  per lane — the traced-signal row compare against the Golden Run,
+  the digest-retry backoff and the Golden-Run suffix splice all apply
+  individually, so a retired lane reports the same
+  ``reconverged_at_ms`` and trace bytes as its reference twin.
 
 Whole cases that fail the preconditions (data-driven slot selector,
 non-lane-invariant environment, missing Golden-Run reference) and
@@ -361,7 +361,7 @@ def _run_batch(
                 (point.module, point.signal), []
             ).append((lane, mask))
 
-    # --- fast-forward retirement state (mirrors _execute_frames_ff) ---
+    # --- fast-forward retirement state (mirrors _execute_frames) ---
     retire = golden.digests is not None
     golden_matrix = plan.golden_matrix
     alive = np.ones(n_lanes, dtype=bool)

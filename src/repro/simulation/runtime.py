@@ -22,15 +22,21 @@ the end of each millisecond into a :class:`~repro.simulation.traces.TraceSet`.
 Implementation note: campaigns execute tens of thousands of runs of
 several thousand milliseconds each, so the frame loop is written for
 speed — per-slot dispatch lists, per-module input tuples and per-signal
-width masks are precomputed, and hot paths bypass the checked
-:class:`SignalStore` accessors (which remain the public interface).
+width masks are precomputed, hot paths bypass the checked
+:class:`SignalStore` accessors (which remain the public interface),
+hooks that have fired are no longer called, and the traced signals are
+read, recorded and compared against the Golden Run as one row per frame.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import struct
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -59,10 +65,41 @@ __all__ = [
     "SimulationRun",
 ]
 
-#: Frames between repeated reconvergence digest checks while the signal
-#: divergence set stays empty but hidden (module/plant) state still
-#: differs — one 7 ms scheduling cycle of the paper's target.
+#: Frames between repeated reconvergence digest checks while the traced
+#: row stays equal to the Golden Run's but hidden (module/plant) state
+#: still differs — one 7 ms scheduling cycle of the paper's target.
 _DIGEST_RETRY_FRAMES = 7
+
+#: Recorded rows held before they are transposed into the per-signal
+#: trace arrays, so a run's pending rows stay a few hundred KiB.
+_FLUSH_ROWS = 512
+
+
+def _row_getter(signals: Sequence[str]) -> Any:
+    """``values -> row`` for the traced signals, one C-level call.
+
+    A row is the tuple of the signals' values — or the bare value when
+    exactly one signal is traced, as :func:`operator.itemgetter` returns
+    it.  :meth:`GoldenReference.row` builds rows of the same shape.
+    """
+    if not signals:
+        return lambda values: ()
+    return itemgetter(*signals)
+
+
+def _flush_rows(sinks: Sequence[array], rows: list) -> None:
+    """Transpose recorded rows onto the per-signal sinks and clear them.
+
+    Each column is packed to native int64 bytes in one call, which is
+    several times faster than extending an ``array('q')`` item by item.
+    """
+    pack = struct.Struct(f"{len(rows)}q").pack
+    if len(sinks) == 1:
+        sinks[0].frombytes(pack(*rows))
+    elif sinks:
+        for sink, column in zip(sinks, zip(*rows)):
+            sink.frombytes(pack(*column))
+    rows.clear()
 
 
 class SignalStore:
@@ -128,30 +165,6 @@ class SignalStore:
         return tuple(self._values)
 
 
-class _WriteTrackingDict(dict):
-    """A signal-values dict recording every key assigned this frame.
-
-    Swapped into :attr:`SignalStore._values` while a fast-forward run
-    executes: every write site in the runtime (module outputs,
-    ``SignalStore.write`` from environments and mutators) goes through
-    Python-level ``__setitem__``, so the divergence set can be updated
-    incrementally from ``written`` instead of scanning the whole store
-    each frame.  C-level bulk operations (``dict.update``/``clear`` as
-    used by checkpoint restore) bypass the tracking on purpose —
-    restores rebuild state wholesale, outside any fast-forward frame.
-    """
-
-    __slots__ = ("written",)
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.written: set[str] = set()
-
-    def __setitem__(self, key: str, value: int) -> None:
-        dict.__setitem__(self, key, value)
-        self.written.add(key)
-
-
 class GoldenReference:
     """A Golden Run prepared for reconvergence fast-forward.
 
@@ -195,7 +208,8 @@ class GoldenReference:
                 f"golden run records {len(digests)} frame digests for a "
                 f"{duration_ms} ms run"
             )
-        self._changes: dict[int, tuple[str, ...]] | None = None
+        self._columns = tuple(self.samples[signal] for signal in self.signals)
+        self._row_hashes: array | None = None
 
     @classmethod
     def from_result(
@@ -215,28 +229,28 @@ class GoldenReference:
             telemetry=result.telemetry,
         )
 
-    def frame_changes(self) -> dict[int, tuple[str, ...]]:
-        """Signals whose Golden-Run value changed at each frame.
+    def row(self, frame: int) -> Any:
+        """The traced-signal row at ``frame``, shaped like the runtime's rows."""
+        values = tuple(column[frame] for column in self._columns)
+        return values[0] if len(values) == 1 else values
 
-        ``frame_changes()[t]`` lists the signals with
-        ``GR[t] != GR[t-1]`` (frame 0 compares against the declared
-        initial values).  Combined with the injection run's per-frame
-        write set, these are the only signals whose divergence status
-        can have changed in frame ``t`` — everything else is equal on
-        both sides by induction.  Computed once, lazily.
+    def row_hashes(self) -> array:
+        """``hash(row(t))`` for every frame: 8 bytes each, computed once.
+
+        The frame loop compares a run's row against the Golden Run's
+        through this hash first and confirms a match exactly with
+        :meth:`row`, so no per-frame row tuples are kept.
         """
-        if self._changes is None:
-            changes: dict[int, list[str]] = {}
-            for signal in self.signals:
-                samples = self.samples[signal]
-                prev = self.initials[signal]
-                for t in range(self.duration_ms):
-                    value = samples[t]
-                    if value != prev:
-                        changes.setdefault(t, []).append(signal)
-                        prev = value
-            self._changes = {t: tuple(names) for t, names in changes.items()}
-        return self._changes
+        if self._row_hashes is None:
+            columns = self._columns
+            if len(columns) == 1:
+                rows: Any = columns[0]
+            elif columns:
+                rows = zip(*columns)
+            else:
+                rows = repeat((), self.duration_ms)
+            self._row_hashes = array("q", map(hash, rows))
+        return self._row_hashes
 
     def suffix_bytes(self, signal: str, start_frame: int) -> memoryview:
         """Byte view of a signal's samples from ``start_frame`` on."""
@@ -272,14 +286,25 @@ class Environment(Protocol):
 
 
 class ReadInterceptor(Protocol):
-    """Hook seeing every module input read; may replace the value."""
+    """Hook seeing every module input read; may replace the value.
+
+    A hook may expose a ``fired`` attribute.  Once it reads true the
+    hook must be inert — return every value unchanged from then on —
+    because the runtime stops calling it from the next frame on and may
+    splice the rest of the run from the Golden Run.  A hook without
+    ``fired`` is called on every read and keeps fast-forward disarmed.
+    """
 
     def on_read(self, module: str, signal: str, value: int, now_ms: int) -> int:
         """Return the value the module should observe."""
 
 
 class StoreMutator(Protocol):
-    """Hook run at the start of each millisecond; may rewrite the store."""
+    """Hook run at the start of each millisecond; may rewrite the store.
+
+    The same ``fired`` contract as :class:`ReadInterceptor` applies: a
+    fired mutator must leave the store alone, and is no longer called.
+    """
 
     def apply(self, store: SignalStore, now_ms: int) -> None:
         """Mutate stored signals in place."""
@@ -412,6 +437,10 @@ class SimulationRun:
         self._clock = SimClock()
         self._read_interceptors: list[ReadInterceptor] = []
         self._store_mutators: list[StoreMutator] = []
+        #: The installed hooks :meth:`step_ms` still calls: the frame
+        #: loop drops each one as it fires.
+        self._live_interceptors: list[ReadInterceptor] = []
+        self._live_mutators: list[StoreMutator] = []
         #: Optional metrics registry timing checkpoint save/restore
         #: (set via :meth:`set_metrics`; ``None`` means no overhead).
         self._metrics = None
@@ -419,26 +448,26 @@ class SimulationRun:
         #: (checkpoints capture their prefix).
         self._live_samples: list[tuple[str, array]] | None = None
         # --- precomputed dispatch tables (hot loop) -------------------
-        #: Per-slot dispatch: list of (module instance, activate bound
-        #: method, inputs tuple, allowed outputs, masks).
-        self._contexts: dict[str, tuple] = {}
-        for name, module in self._modules.items():
-            spec = module.spec
-            masks = {
-                signal: (1 << system.signal(signal).width) - 1
-                for signal in spec.outputs
-            }
-            self._contexts[name] = (
+        #: Per-slot dispatch: (name, module instance, inputs tuple,
+        #: width mask per declared output) for each activation.
+        contexts = {
+            name: (
                 name,
                 module,
-                spec.inputs,
-                frozenset(spec.outputs),
-                masks,
+                module.spec.inputs,
+                {
+                    signal: (1 << system.signal(signal).width) - 1
+                    for signal in module.spec.outputs
+                },
             )
+            for name, module in self._modules.items()
+        }
         self._dispatch: tuple[tuple, ...] = tuple(
-            tuple(self._contexts[name] for name in schedule.dispatch_order(slot))
+            tuple(contexts[name] for name in schedule.dispatch_order(slot))
             for slot in range(schedule.n_slots)
         )
+        self._n_slots = schedule.n_slots
+        self._row_of = _row_getter(self._trace_signals)
 
     # ------------------------------------------------------------------
     # Hook registration
@@ -481,15 +510,19 @@ class SimulationRun:
     def add_read_interceptor(self, interceptor: ReadInterceptor) -> None:
         """Install a consumer-scoped trap on module input reads."""
         self._read_interceptors.append(interceptor)
+        self._live_interceptors.append(interceptor)
 
     def add_store_mutator(self, mutator: StoreMutator) -> None:
         """Install a producer-scoped trap on the signal store."""
         self._store_mutators.append(mutator)
+        self._live_mutators.append(mutator)
 
     def clear_hooks(self) -> None:
         """Remove all installed traps (between campaign runs)."""
         self._read_interceptors.clear()
         self._store_mutators.clear()
+        self._live_interceptors = []
+        self._live_mutators = []
 
     def set_metrics(self, registry) -> None:
         """Attach a metrics registry timing checkpoint save/restore.
@@ -523,40 +556,34 @@ class SimulationRun:
         for module in self._modules.values():
             module.reset()
 
-    def _activate_context(self, context: tuple, now_ms: int) -> None:
-        """Execute one module activation (hot path)."""
-        name, module, input_names, allowed_outputs, masks = context
-        values = self._store._values
-        if self._read_interceptors:
-            inputs = {}
-            for signal in input_names:
-                value = values[signal]
-                for interceptor in self._read_interceptors:
-                    value = interceptor.on_read(name, signal, value, now_ms)
-                inputs[signal] = value
-        else:
-            inputs = {signal: values[signal] for signal in input_names}
-        outputs = module.activate(inputs, now_ms)
-        for signal, value in outputs.items():
-            if signal not in allowed_outputs:
-                raise SimulationError(
-                    f"module {name!r} wrote undeclared output {signal!r}"
-                )
-            values[signal] = value & masks[signal]
-
     def step_ms(self) -> None:
         """Execute one millisecond frame."""
         now_ms = self._clock.now_ms
-        self._environment.before_software(now_ms, self._store)
-        for mutator in self._store_mutators:
-            mutator.apply(self._store, now_ms)
-        if self._slot_signal is not None:
-            slot = self._store._values[self._slot_signal]
-        else:
-            slot = now_ms
-        for context in self._dispatch[slot % self._schedule.n_slots]:
-            self._activate_context(context, now_ms)
-        self._environment.after_software(now_ms, self._store)
+        store = self._store
+        values = store._values
+        self._environment.before_software(now_ms, store)
+        for mutator in self._live_mutators:
+            mutator.apply(store, now_ms)
+        slot = now_ms if self._slot_signal is None else values[self._slot_signal]
+        interceptors = self._live_interceptors
+        for name, module, input_names, masks in self._dispatch[slot % self._n_slots]:
+            if interceptors:
+                inputs = {}
+                for signal in input_names:
+                    value = values[signal]
+                    for interceptor in interceptors:
+                        value = interceptor.on_read(name, signal, value, now_ms)
+                    inputs[signal] = value
+            else:
+                inputs = {signal: values[signal] for signal in input_names}
+            for signal, value in module.activate(inputs, now_ms).items():
+                try:
+                    values[signal] = value & masks[signal]
+                except KeyError:
+                    raise SimulationError(
+                        f"module {name!r} wrote undeclared output {signal!r}"
+                    ) from None
+        self._environment.after_software(now_ms, store)
         self._clock.advance_ms(1)
 
     def run(
@@ -575,19 +602,8 @@ class SimulationRun:
         if duration_ms < 1:
             raise SimulationError(f"duration must be >= 1 ms, got {duration_ms}")
         self.reset()
-        samples: list[tuple[str, array]] = [
-            (signal, array("q")) for signal in self._trace_signals
-        ]
-        if golden is not None and golden.digests is not None:
-            self._check_golden(golden, duration_ms)
-            reconverged_at, fast_forwarded = self._execute_frames_ff(
-                samples, 0, duration_ms, golden
-            )
-            return self._build_result(
-                duration_ms, samples, golden, reconverged_at, fast_forwarded
-            )
-        self._execute_frames(samples, duration_ms)
-        return self._build_result(duration_ms, samples)
+        samples = [(signal, array("q")) for signal in self._trace_signals]
+        return self._execute_frames(samples, 0, duration_ms, golden)
 
     def run_with_checkpoints(
         self,
@@ -616,39 +632,14 @@ class SimulationRun:
                 f"checkpoint times {wanted} must lie in [0, {duration_ms})"
             )
         self.reset()
-        samples: list[tuple[str, array]] = [
-            (signal, array("q")) for signal in self._trace_signals
-        ]
+        samples = [(signal, array("q")) for signal in self._trace_signals]
         checkpoints: dict[int, RunCheckpoint] = {}
-        digests: list[bytes] = []
-        self._live_samples = samples
-        try:
-            step = self.step_ms
-            values = self._store._values
-            pending = iter(wanted)
-            next_cp = next(pending, None)
-            if frame_digests:
-                digest = self._state_digest
-                for now_ms in range(duration_ms):
-                    if now_ms == next_cp:
-                        checkpoints[now_ms] = self.checkpoint()
-                        next_cp = next(pending, None)
-                    step()
-                    for signal, sink in samples:
-                        sink.append(values[signal])
-                    digests.append(digest())
-            else:
-                for now_ms in range(duration_ms):
-                    if now_ms == next_cp:
-                        checkpoints[now_ms] = self.checkpoint()
-                        next_cp = next(pending, None)
-                    step()
-                    for signal, sink in samples:
-                        sink.append(values[signal])
-        finally:
-            self._live_samples = None
-        result = self._build_result(duration_ms, samples)
-        if frame_digests:
+        digests: list[bytes] | None = [] if frame_digests else None
+        result = self._execute_frames(
+            samples, 0, duration_ms,
+            checkpoints=(wanted, checkpoints), digests=digests,
+        )
+        if digests is not None:
             return result, checkpoints, FrameDigests.join(digests)
         return result, checkpoints
 
@@ -666,14 +657,14 @@ class SimulationRun:
         full :meth:`run` of the same experiment.
 
         With a ``golden`` reference carrying frame digests, the suffix
-        itself may be cut short by reconvergence fast-forward: the
-        divergence set (signals differing from the Golden Run at the
-        same instant) is maintained incrementally at write sites, and
-        once it is empty after every installed trap has fired, the
-        complete runtime state is digested and compared against the
-        Golden Run's precomputed digest for that frame.  On a match the
-        remaining frames are *spliced* from the Golden-Run traces — the
-        result is still byte-for-byte identical to a full re-run, and
+        itself may be cut short by reconvergence fast-forward: each
+        frame's traced-signal row is compared against the Golden Run's
+        row at the same instant, and once the rows are equal after
+        every installed trap has fired, the complete runtime state is
+        digested and compared against the Golden Run's precomputed
+        digest for that frame.  On a match the remaining frames are
+        *spliced* from the Golden-Run traces — the result is still
+        byte-for-byte identical to a full re-run, and
         :attr:`RunResult.reconverged_at_ms` records the instant the
         injected error's effect set became empty (its lifetime).
 
@@ -714,31 +705,7 @@ class SimulationRun:
                 (signal, array("q", prefix)) for signal, prefix in cp.trace_prefix
             ]
         self.restore(cp)
-        if golden is not None and golden.digests is not None:
-            self._check_golden(golden, duration_ms)
-            reconverged_at, fast_forwarded = self._execute_frames_ff(
-                samples, cp.time_ms, duration_ms, golden
-            )
-            return self._build_result(
-                duration_ms, samples, golden, reconverged_at, fast_forwarded
-            )
-        self._execute_frames(samples, duration_ms - cp.time_ms)
-        return self._build_result(duration_ms, samples)
-
-    def _execute_frames(
-        self, samples: list[tuple[str, array]], n_frames: int
-    ) -> None:
-        """The sampling frame loop shared by all run entry points."""
-        self._live_samples = samples
-        try:
-            step = self.step_ms
-            values = self._store._values
-            for _ in range(n_frames):
-                step()
-                for signal, sink in samples:
-                    sink.append(values[signal])
-        finally:
-            self._live_samples = None
+        return self._execute_frames(samples, cp.time_ms, duration_ms, golden)
 
     def _check_golden(self, golden: GoldenReference, duration_ms: int) -> None:
         if golden.duration_ms != duration_ms:
@@ -752,93 +719,110 @@ class SimulationRun:
                 f"{golden.signals} vs {self._trace_signals}"
             )
 
-    def _execute_frames_ff(
+    def _retire_fired_hooks(self) -> bool:
+        """Stop calling hooks that have fired; whether any are still live."""
+        self._live_interceptors = [
+            hook for hook in self._read_interceptors
+            if not getattr(hook, "fired", False)
+        ]
+        self._live_mutators = [
+            hook for hook in self._store_mutators
+            if not getattr(hook, "fired", False)
+        ]
+        return bool(self._live_interceptors or self._live_mutators)
+
+    def _execute_frames(
         self,
         samples: list[tuple[str, array]],
         start_ms: int,
         duration_ms: int,
-        golden: GoldenReference,
-    ) -> tuple[int | None, int]:
-        """Frame loop with reconvergence fast-forward.
+        golden: GoldenReference | None = None,
+        checkpoints: tuple[Sequence[int], dict[int, RunCheckpoint]] | None = None,
+        digests: list[bytes] | None = None,
+    ) -> RunResult:
+        """The one frame loop behind every run entry point.
 
-        Simulates frames ``start_ms .. duration_ms-1`` like
-        :meth:`_execute_frames`, but maintains the *divergence set* —
-        the traced signals whose current value differs from the Golden
-        Run at the same instant — incrementally: only signals written
-        this frame or changed in the Golden Run this frame can have
-        flipped status (everything else is equal on both sides by
-        induction from an identical starting state).
+        Simulates frames ``start_ms .. duration_ms-1``, reading the
+        traced signals as one row per frame and appending the rows to
+        ``samples`` in blocks.  Hooks are dropped from the step as they
+        fire.  Three steps are optional:
 
-        The divergence set is a cheap trigger, not the proof: it cannot
-        see hidden module/plant state.  When it is empty at a frame
-        boundary (and every installed trap has fired, so no pending
-        injection can be skipped), the *complete* runtime state is
-        digested and compared to the Golden Run's precomputed digest
-        for that frame.  Only on a digest match are the remaining
-        frames spliced from the Golden-Run traces; a mismatch (hidden
-        state still diverged) backs off for ``_DIGEST_RETRY_FRAMES``
-        frames before re-checking.
-
-        Returns ``(reconverged_at_ms, frames_fast_forwarded)``.
+        * ``checkpoints=(times, into)`` captures a checkpoint before
+          each frame in ``times`` into the dict ``into``;
+        * ``digests`` receives one complete-state digest per frame;
+        * ``golden``, if it carries digests, enables reconvergence
+          fast-forward.  A run whose row equals the Golden Run's at
+          the same instant has an empty divergence set among the traced
+          signals.  That is a cheap trigger, not the proof: it cannot
+          see hidden module/plant state.  When the row is equal at a
+          frame boundary and every hook has fired (so no pending
+          injection can be skipped), the *complete* runtime state is
+          digested and compared to the Golden Run's digest for that
+          frame.  Only on a match are the remaining frames spliced
+          from the Golden-Run traces; a mismatch backs off for
+          ``_DIGEST_RETRY_FRAMES`` frames while the row stays equal.
         """
-        store = self._store
-        plain = store._values
-        tracker = _WriteTrackingDict(plain)
-        store._values = tracker
+        if golden is not None and golden.digests is None:
+            golden = None
+        if golden is not None:
+            self._check_golden(golden, duration_ms)
+            gr_hashes = golden.row_hashes()
+            gr_row = golden.row
+            gr_digests = golden.digests
+            assert gr_digests is not None
+        hooks_live = self._retire_fired_hooks()
+        values = self._store._values
+        row_of = self._row_of
+        sinks = [sink for _, sink in samples]
+        rows: list = []
+        wanted, captured = checkpoints if checkpoints is not None else ((), {})
+        pending = iter(wanted)
+        next_cp = next(pending, None)
+        # The starting state is the Golden Run's at start_ms, so the
+        # previous frame's rows count as equal.
+        equal = True
+        next_check = 0
+        step = self.step_ms
         self._live_samples = samples
         try:
-            step = self.step_ms
-            written = tracker.written
-            gr_samples = golden.samples
-            gr_changes = golden.frame_changes()
-            digests = golden.digests
-            assert digests is not None
-            hooks: tuple = tuple(self._read_interceptors) + tuple(
-                self._store_mutators
-            )
-            all_fired = not hooks
-            diverged: set[str] = set()
-            next_check = 0
             for now_ms in range(start_ms, duration_ms):
-                written.clear()
+                if now_ms == next_cp:
+                    _flush_rows(sinks, rows)
+                    captured[now_ms] = self.checkpoint()
+                    next_cp = next(pending, None)
                 step()
-                for signal, sink in samples:
-                    sink.append(tracker[signal])
-                was_empty = not diverged
-                candidates = written.union(gr_changes.get(now_ms, ()))
-                for signal in candidates:
-                    gr_trace = gr_samples.get(signal)
-                    if gr_trace is None:
-                        # Untraced signal: invisible to the trigger, but
-                        # still covered by the digest verification.
-                        continue
-                    if tracker[signal] != gr_trace[now_ms]:
-                        diverged.add(signal)
-                    else:
-                        diverged.discard(signal)
-                if diverged:
+                row = row_of(values)
+                rows.append(row)
+                if len(rows) == _FLUSH_ROWS:
+                    _flush_rows(sinks, rows)
+                if digests is not None:
+                    digests.append(self._state_digest())
+                if hooks_live:
+                    hooks_live = self._retire_fired_hooks()
+                if golden is None:
                     continue
-                if not all_fired:
-                    all_fired = all(
-                        getattr(hook, "fired", False) for hook in hooks
-                    )
-                    if not all_fired:
-                        continue
-                if was_empty and now_ms < next_check:
+                was_equal = equal
+                equal = hash(row) == gr_hashes[now_ms] and row == gr_row(now_ms)
+                if not equal or hooks_live:
                     continue
-                if self._state_digest() != digests.at(now_ms):
+                if was_equal and now_ms < next_check:
+                    continue
+                if self._state_digest() != gr_digests.at(now_ms):
                     # Hidden (module/plant) state still differs; one
                     # scheduling cycle may flush it through the signals.
                     next_check = now_ms + _DIGEST_RETRY_FRAMES
                     continue
+                _flush_rows(sinks, rows)
                 fast_forwarded = duration_ms - 1 - now_ms
                 for signal, sink in samples:
                     sink.frombytes(golden.suffix_bytes(signal, now_ms + 1))
                 self._clock.advance_ms(fast_forwarded)
-                return now_ms, fast_forwarded
-            return None, 0
+                return self._build_result(
+                    duration_ms, samples, golden, now_ms, fast_forwarded
+                )
+            _flush_rows(sinks, rows)
+            return self._build_result(duration_ms, samples)
         finally:
-            store._values = dict(tracker)
             self._live_samples = None
 
     def _state_digest(self) -> bytes:
@@ -895,29 +879,26 @@ class SimulationRun:
         run in progress; outside a run the prefix is empty.  Installed
         hooks are not captured.
         """
-        if self._metrics is not None:
-            with self._metrics.timer("checkpoint.save.seconds"):
-                return self._capture_checkpoint()
-        return self._capture_checkpoint()
-
-    def _capture_checkpoint(self) -> RunCheckpoint:
-        if self._live_samples is not None:
-            prefix = tuple(
-                (signal, sink[:]) for signal, sink in self._live_samples
+        with self._timer("checkpoint.save.seconds"):
+            if self._live_samples is not None:
+                prefix = tuple(
+                    (signal, sink[:]) for signal, sink in self._live_samples
+                )
+            else:
+                prefix = tuple(
+                    (signal, array("q")) for signal in self._trace_signals
+                )
+            return RunCheckpoint(
+                time_ms=self._clock.now_ms,
+                store=snapshot_state(self._store),
+                clock=snapshot_state(self._clock),
+                environment=snapshot_state(self._environment),
+                modules={
+                    name: snapshot_state(module)
+                    for name, module in self._modules.items()
+                },
+                trace_prefix=prefix,
             )
-        else:
-            prefix = tuple((signal, array("q")) for signal in self._trace_signals)
-        return RunCheckpoint(
-            time_ms=self._clock.now_ms,
-            store=snapshot_state(self._store),
-            clock=snapshot_state(self._clock),
-            environment=snapshot_state(self._environment),
-            modules={
-                name: snapshot_state(module)
-                for name, module in self._modules.items()
-            },
-            trace_prefix=prefix,
-        )
 
     def restore(self, cp: RunCheckpoint) -> None:
         """Load the state captured in ``cp`` (hooks are left untouched).
@@ -925,21 +906,19 @@ class SimulationRun:
         The checkpoint itself stays pristine: the same checkpoint can be
         restored any number of times (once per injection run).
         """
-        if self._metrics is not None:
-            with self._metrics.timer("checkpoint.restore.seconds"):
-                self._restore_checkpoint(cp)
-            return
-        self._restore_checkpoint(cp)
+        with self._timer("checkpoint.restore.seconds"):
+            if set(cp.modules) != set(self._modules):
+                raise SimulationError(
+                    "checkpoint module set does not match this run: "
+                    f"{sorted(cp.modules)} vs {sorted(self._modules)}"
+                )
+            restore_state(self._store, cp.store)
+            restore_state(self._clock, cp.clock)
+            restore_state(self._environment, cp.environment)
+            for name, module in self._modules.items():
+                restore_state(module, cp.modules[name])
+            self._live_samples = None
 
-    def _restore_checkpoint(self, cp: RunCheckpoint) -> None:
-        if set(cp.modules) != set(self._modules):
-            raise SimulationError(
-                "checkpoint module set does not match this run: "
-                f"{sorted(cp.modules)} vs {sorted(self._modules)}"
-            )
-        restore_state(self._store, cp.store)
-        restore_state(self._clock, cp.clock)
-        restore_state(self._environment, cp.environment)
-        for name, module in self._modules.items():
-            restore_state(module, cp.modules[name])
-        self._live_samples = None
+    def _timer(self, name: str) -> Any:
+        """The metrics registry's span ``name``, or a no-op without one."""
+        return nullcontext() if self._metrics is None else self._metrics.timer(name)

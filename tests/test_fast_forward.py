@@ -337,22 +337,6 @@ class TestRuntimeFastForward:
                 telemetry={},
             )
 
-    def test_frame_changes_seeded_from_initials(self):
-        """Frame 0 compares against the declared initial values."""
-        reference = GoldenReference(
-            signals=("a", "b"),
-            duration_ms=3,
-            samples={
-                "a": array("q", [0, 0, 5]),  # unchanged at 0 (initial 0)
-                "b": array("q", [1, 1, 1]),  # changed at 0 (initial 0)
-            },
-            digests=None,
-            initials={"a": 0, "b": 0},
-            final_signals={"a": 5, "b": 1},
-            telemetry={},
-        )
-        assert reference.frame_changes() == {0: ("b",), 2: ("a",)}
-
     def test_suffix_and_prefix_round_trip(self):
         samples = array("q", range(10))
         reference = GoldenReference(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.injection.error_models import BitFlip
+from repro.injection.traps import InputInjectionTrap, StoreInjectionTrap
 from repro.model.errors import SimulationError, UnknownSignalError
 from repro.simulation.runtime import SignalStore, SimulationRun
 from repro.simulation.scheduler import SlotSchedule
@@ -212,6 +214,86 @@ class TestHooks:
         result = toy_run.run(1)
         # src=3 -> filt=0; AMP reads (0+1)*2 = 2.
         assert result.traces["out"][0] == 2
+
+    def test_fired_input_trap_gets_no_further_calls(self, toy_run):
+        frames_called = []
+
+        class CountingTrap(InputInjectionTrap):
+            def on_read(self, module, signal, value, now_ms):
+                frames_called.append(now_ms)
+                return super().on_read(module, signal, value, now_ms)
+
+        trap = CountingTrap("AMP", "filt", 3, BitFlip(15))
+        toy_run.add_read_interceptor(trap)
+        toy_run.run(10)
+        assert trap.fired_at_ms == 3
+        # Called on every read up to the firing frame, never after it.
+        assert frames_called == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_fired_store_trap_gets_no_further_calls(self, toy_run):
+        frames_called = []
+
+        class CountingTrap(StoreInjectionTrap):
+            def apply(self, store, now_ms):
+                frames_called.append(now_ms)
+                super().apply(store, now_ms)
+
+        trap = CountingTrap("src", 2, BitFlip(15))
+        toy_run.add_store_mutator(trap)
+        result = toy_run.run(10)
+        assert trap.fired_at_ms == 2
+        assert frames_called == [0, 1, 2]
+        assert result.traces["src"][2] == (3 * 3) ^ 0x8000
+
+    def test_hook_without_fired_is_called_on_every_read(self, toy_run):
+        reads = []
+
+        class Logger:
+            def on_read(self, module, signal, value, now_ms):
+                reads.append((now_ms, module, signal))
+                return value
+
+        # A one-shot trap firing early must not take the logger with it.
+        toy_run.add_read_interceptor(InputInjectionTrap("AMP", "filt", 1, BitFlip(0)))
+        toy_run.add_read_interceptor(Logger())
+        toy_run.run(6)
+        assert reads == [
+            (t, module, signal)
+            for t in range(6)
+            for module, signal in (("FILT", "src"), ("AMP", "filt"))
+        ]
+
+    def test_unfired_interceptors_chain_in_order_around_a_fired_one(
+        self, toy_run
+    ):
+        class Add1:
+            def on_read(self, module, signal, value, now_ms):
+                return value + 1 if module == "AMP" else value
+
+        class Double:
+            def on_read(self, module, signal, value, now_ms):
+                return value * 2 if module == "AMP" else value
+
+        toy_run.add_read_interceptor(Add1())
+        toy_run.add_read_interceptor(InputInjectionTrap("AMP", "filt", 0, BitFlip(4)))
+        toy_run.add_read_interceptor(Double())
+        result = toy_run.run(3)
+        # src=3 -> filt=0 at frame 0: AMP reads ((0+1)^16)*2 = 34.
+        assert result.traces["out"][0] == 34
+        # Afterwards the fired trap is gone and the chain is (filt+1)*2.
+        filt = result.traces["filt"]
+        assert [result.traces["out"][t] for t in (1, 2)] == [
+            (filt[t] + 1) * 2 for t in (1, 2)
+        ]
+
+    def test_hooks_installed_until_cleared(self, toy_run):
+        trap = StoreInjectionTrap("src", 0, BitFlip(0))
+        toy_run.add_store_mutator(trap)
+        toy_run.run(3)
+        assert trap.fired
+        assert toy_run.hooks_installed
+        toy_run.clear_hooks()
+        assert not toy_run.hooks_installed
 
 
 class TestSlotSignalDispatch:
