@@ -767,7 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "parallel path (scales past the case count)")
     campaign.add_argument("--chunk-size", type=int, default=None, metavar="M",
                           help="injection targets per parallel work item "
-                          "(default: ~4 chunks per worker)")
+                          "(default: ~4 chunks per worker; --adaptive "
+                          "rounds always split their trials that way)")
     campaign.add_argument("--parallel", type=int, default=None, metavar="N",
                           action=_DeprecatedParallelAction,
                           help="deprecated alias for --workers "

@@ -62,6 +62,7 @@ views cached across chunks.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 import zlib
@@ -430,24 +431,23 @@ def _materialize_case(state: dict, case_id: str) -> dict:
     return entry
 
 
-def _run_shard(
-    task: tuple[str, tuple[tuple[str, str], ...]],
+def _run_in_worker(
+    case_id: str,
+    injections: Callable[["InjectionCampaign", dict], Iterator[tuple]],
 ) -> tuple[list[InjectionOutcome], dict | None, float]:
-    """Worker entry point: run one shard of the target grid.
+    """Shared body of the worker entry points.
 
     The campaign payload (system, config, Golden Runs, checkpoints) is
-    already worker-resident — a task is just ``(case_id, targets)``.
-    Returns the shard's outcome list (IR traces stay worker-local)
-    plus, when the parent campaign observes, the worker's observability
-    payload and the shard's wall-clock seconds.
+    already worker-resident.  Materialises the case on first use, runs
+    ``injections(campaign, entry)`` under a per-task campaign (and
+    worker observer when the parent observes), and returns the outcome
+    list (IR traces stay worker-local), the worker's observability
+    payload and the task's wall-clock seconds.
     """
-    case_id, targets = task
     started = time.perf_counter()
     state = _WORKER_STATE
     assert state is not None, "worker used before _worker_init ran"
-    entry = state["cases"].get(case_id)
-    if entry is None:
-        entry = _materialize_case(state, case_id)
+    entry = state["cases"].get(case_id) or _materialize_case(state, case_id)
     observer = None
     if state["observe"]:
         from repro.obs.observer import CampaignObserver
@@ -464,22 +464,30 @@ def _run_shard(
             state["config"],
             observer=observer,
         )
-        outcomes = [
-            outcome
-            for outcome, _ in campaign._case_injections(
-                runner, entry["golden"], targets, entry["checkpoints"]
-            )
-        ]
+        outcomes = [outcome for outcome, _ in injections(campaign, entry)]
     finally:
         runner.set_metrics(None)
     obs_payload = observer.worker_payload() if observer is not None else None
     return outcomes, obs_payload, time.perf_counter() - started
 
 
+def _run_shard(
+    task: tuple[str, tuple[tuple[str, str], ...]],
+) -> tuple[list[InjectionOutcome], dict | None, float]:
+    """Worker entry point: run one shard ``(case_id, targets)`` of the grid."""
+    case_id, targets = task
+    return _run_in_worker(
+        case_id,
+        lambda campaign, entry: campaign._case_injections(
+            entry["runner"], entry["golden"], targets, entry["checkpoints"]
+        ),
+    )
+
+
 def _run_adaptive_shard(
     task: tuple[str, tuple[tuple[str, str, int, int], ...]],
 ) -> tuple[list[InjectionOutcome], dict | None, float]:
-    """Worker entry point for one adaptive round's fresh trials of a case.
+    """Worker entry point for one slice of an adaptive round's trials.
 
     A task is ``(case_id, specs)`` where each spec is ``(module, signal,
     time_ms, model_index)`` — the parent's round scheduler decides the
@@ -487,51 +495,68 @@ def _run_adaptive_shard(
     return in spec order.
     """
     case_id, specs = task
-    started = time.perf_counter()
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _worker_init ran"
-    entry = state["cases"].get(case_id)
-    if entry is None:
-        entry = _materialize_case(state, case_id)
-    observer = None
-    if state["observe"]:
-        from repro.obs.observer import CampaignObserver
-
-        observer = CampaignObserver.for_worker(state["system"])
-    runner = entry["runner"]
-    if observer is not None and observer.metrics is not None:
-        runner.set_metrics(observer.metrics)
-    config = state["config"]
-    checkpoints = entry["checkpoints"]
-    try:
-        campaign = InjectionCampaign(
-            state["system"],
-            state["run_factory"],
-            {case_id: entry["case"]},
-            config,
-            observer=observer,
-        )
-        points = [
-            _InjectionPoint(
-                module,
-                signal,
-                time_ms,
-                config.error_models[model_index],
-                checkpoints.get(time_ms),
+    return _run_in_worker(
+        case_id,
+        lambda campaign, entry: campaign._exec_backend.case_injections(
+            _PointsContext(
+                campaign,
+                entry["runner"],
+                entry["golden"],
+                specs,
+                entry["checkpoints"],
             )
-            for module, signal, time_ms, model_index in specs
-        ]
-        context = _PointsContext(
-            campaign, runner, entry["golden"], points, checkpoints
-        )
-        outcomes = [
-            outcome
-            for outcome, _ in campaign._exec_backend.case_injections(context)
-        ]
-    finally:
-        runner.set_metrics(None)
-    obs_payload = observer.worker_payload() if observer is not None else None
-    return outcomes, obs_payload, time.perf_counter() - started
+        ),
+    )
+
+
+def _default_chunk_size(n_items: int, max_workers: int | None) -> int:
+    """Items per pool task so ``n_items`` split into ~4 tasks per worker.
+
+    The one split rule of both parallel paths: the exhaustive grid cuts
+    its targets with it, and each adaptive round each case's fresh
+    trials.  Several tasks per worker let stragglers rebalance; tasks are cheap
+    because the Golden Run is already worker-resident.
+    """
+    workers = max_workers or os.cpu_count() or 1
+    return max(1, -(-n_items // (4 * workers)))
+
+
+def _slices(items: Sequence, size: int) -> list[Sequence]:
+    """``items`` cut into contiguous slices of at most ``size``, in order."""
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
+def _observe_chunk(
+    obs: "CampaignObserver",
+    chunk_index: int,
+    case_id: str,
+    n_targets: int,
+    outcomes: list[InjectionOutcome],
+    obs_payload: dict | None,
+    elapsed_s: float,
+) -> None:
+    """Fold one finished pool task into the parent's observer."""
+    if obs_payload is not None:
+        obs.absorb_worker(obs_payload)
+    if obs.propagation is not None:
+        obs.propagation.record_all(outcomes)
+    obs.on_chunk_completed(
+        chunk_index=chunk_index,
+        case_id=case_id,
+        n_targets=n_targets,
+        n_runs=len(outcomes),
+        elapsed_s=elapsed_s,
+    )
+
+
+def _release_segments(segments: list) -> None:
+    """Close and unlink the parent's shared-memory segments."""
+    for segment in segments:
+        try:
+            segment.close()
+            segment.unlink()
+        except OSError:  # pragma: no cover - already gone
+            pass
 
 
 @dataclass(frozen=True)
@@ -643,7 +668,8 @@ class _CaseContext:
 
 
 class _PointsContext(_CaseContext):
-    """A case context over an explicit list of injection points.
+    """A case context over explicit ``(module, signal, time_ms,
+    model_index)`` specs.
 
     The adaptive round loop schedules arbitrary subsets of the
     exhaustive grid; wrapping them in a context keeps execution on the
@@ -657,11 +683,21 @@ class _PointsContext(_CaseContext):
         campaign: "InjectionCampaign",
         runner: SimulationRun,
         golden: GoldenRun,
-        points: Sequence[_InjectionPoint],
+        specs: Sequence[tuple[str, str, int, int]],
         checkpoints: Mapping[int, RunCheckpoint],
     ) -> None:
         super().__init__(campaign, runner, golden, (), checkpoints)
-        self._points = tuple(points)
+        models = campaign.config.error_models
+        self._points = tuple(
+            _InjectionPoint(
+                module,
+                signal,
+                time_ms,
+                models[model_index],
+                checkpoints.get(time_ms),
+            )
+            for module, signal, time_ms, model_index in specs
+        )
 
     def injection_points(self) -> Iterator[_InjectionPoint]:
         return iter(self._points)
@@ -1332,7 +1368,6 @@ class InjectionCampaign:
         inspector: "InspectorCallback | None",
     ) -> CampaignResult:
         """Adaptive rounds on the serial path (lazy Golden Runs per case)."""
-        config = self._config
         case_state: dict[str, tuple] = {}
 
         def run_batches(batches):
@@ -1346,18 +1381,8 @@ class InjectionCampaign:
                     self._golden_runs[case_id] = entry[1]
                     case_state[case_id] = entry
                 runner, golden, checkpoints = entry
-                points = [
-                    _InjectionPoint(
-                        module,
-                        signal,
-                        time_ms,
-                        config.error_models[model_index],
-                        checkpoints.get(time_ms),
-                    )
-                    for module, signal, time_ms, model_index in specs
-                ]
                 context = _PointsContext(
-                    self, runner, golden, points, checkpoints
+                    self, runner, golden, specs, checkpoints
                 )
                 outcomes = []
                 for outcome, injected in self._exec_backend.case_injections(
@@ -1383,108 +1408,124 @@ class InjectionCampaign:
 
         Golden Runs (and shared-memory blobs) are prepared only for the
         cases the store cannot fully answer; the pool stays up across
-        rounds so workers keep their per-case runtimes cached.
+        rounds so workers keep their per-case runtimes cached.  Each
+        round's fresh trials of a case are cut into contiguous slices
+        (:func:`_default_chunk_size`, the exhaustive path's rule) so
+        every worker has work even when the grid has one case.
         """
-        import concurrent.futures
-        from multiprocessing import shared_memory
-
         obs = self._observer
         segments: list = []
-        chunk_counter = [0]
+        chunk_index = itertools.count()
 
         def make(need_cases):
-            case_blobs = []
-            for case_id in need_cases:
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, self._test_cases[case_id]
-                )
-                self._golden_runs[case_id] = golden
-                signals, duration_ms, flat = pack_trace_samples(
-                    golden.result.traces
-                )
-                n_bytes = len(flat) * flat.itemsize
-                shm_name = None
-                raw = None
-                try:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=max(1, n_bytes)
-                    )
-                    segment.buf[:n_bytes] = memoryview(flat).cast("B")
-                    segments.append(segment)
-                    shm_name = segment.name
-                except OSError:
-                    raw = flat.tobytes()
-                case_blobs.append(
-                    {
-                        "case_id": case_id,
-                        "case": self._test_cases[case_id],
-                        "signals": signals,
-                        "duration_ms": duration_ms,
-                        "shm_name": shm_name,
-                        "raw": raw,
-                        "checkpoints": {
-                            time_ms: cp.without_trace_prefix()
-                            for time_ms, cp in checkpoints.items()
-                        },
-                        "digests": golden.digests,
-                        "initials": golden.initials,
-                        "final_signals": golden.result.final_signals,
-                        "telemetry": golden.result.telemetry,
-                    }
-                )
-            pool = None
-            if case_blobs:
-                payload = (
-                    self._system,
-                    self._run_factory,
-                    self._config,
-                    obs is not None,
-                    tuple(case_blobs),
-                )
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=max_workers,
-                    initializer=_worker_init,
-                    initargs=(payload,),
-                )
+            case_blobs = [
+                self._golden_blob(case_id, segments) for case_id in need_cases
+            ]
+            pool = (
+                self._worker_pool(max_workers, self._config, case_blobs)
+                if case_blobs
+                else None
+            )
 
             def run_batches(batches):
                 assert pool is not None, "fresh trials without worker blobs"
+                tasks = [
+                    (case_id, part)
+                    for case_id, specs in batches
+                    for part in _slices(
+                        specs, _default_chunk_size(len(specs), max_workers)
+                    )
+                ]
                 executed: dict[str, list[InjectionOutcome]] = {}
-                for index, (outcomes, obs_payload, elapsed_s) in enumerate(
-                    pool.map(_run_adaptive_shard, batches)
+                for (case_id, specs), (outcomes, obs_payload, elapsed_s) in zip(
+                    tasks, pool.map(_run_adaptive_shard, tasks)
                 ):
-                    case_id, specs = batches[index]
-                    executed[case_id] = outcomes
+                    executed.setdefault(case_id, []).extend(outcomes)
                     if obs is not None:
-                        if obs_payload is not None:
-                            obs.absorb_worker(obs_payload)
-                        if obs.propagation is not None:
-                            obs.propagation.record_all(outcomes)
-                        obs.on_chunk_completed(
-                            chunk_index=chunk_counter[0],
-                            case_id=case_id,
-                            n_targets=len(
-                                {(m, s) for m, s, _, _ in specs}
-                            ),
-                            n_runs=len(outcomes),
-                            elapsed_s=elapsed_s,
+                        _observe_chunk(
+                            obs,
+                            next(chunk_index),
+                            case_id,
+                            len({(m, s) for m, s, _, _ in specs}),
+                            outcomes,
+                            obs_payload,
+                            elapsed_s,
                         )
-                        chunk_counter[0] += 1
                 return executed
 
             def cleanup():
                 if pool is not None:
                     pool.shutdown()
-                for segment in segments:
-                    try:
-                        segment.close()
-                        segment.unlink()
-                    except OSError:  # pragma: no cover - already gone
-                        pass
+                _release_segments(segments)
 
             return run_batches, cleanup
 
         return self._execute_adaptive(progress, "parallel", make)
+
+    def _golden_blob(self, case_id: str, segments: list) -> dict:
+        """Record one case's Golden Run and pack it for the worker pool.
+
+        The traces go into a new shared-memory segment, appended to
+        ``segments`` for :func:`_release_segments`; when shared memory
+        is unavailable the packed bytes ride along in the blob instead.
+        Checkpoints travel stripped of their trace prefixes.
+        """
+        from multiprocessing import shared_memory
+
+        case = self._test_cases[case_id]
+        runner, golden, checkpoints = self._golden_for_case(case_id, case)
+        self._golden_runs[case_id] = golden
+        signals, duration_ms, flat = pack_trace_samples(golden.result.traces)
+        n_bytes = len(flat) * flat.itemsize
+        shm_name = None
+        raw = None
+        try:
+            segment = shared_memory.SharedMemory(
+                create=True, size=max(1, n_bytes)
+            )
+            segment.buf[:n_bytes] = memoryview(flat).cast("B")
+            segments.append(segment)
+            shm_name = segment.name
+        except OSError:
+            raw = flat.tobytes()
+        return {
+            "case_id": case_id,
+            "case": case,
+            "signals": signals,
+            "duration_ms": duration_ms,
+            "shm_name": shm_name,
+            "raw": raw,
+            "checkpoints": {
+                time_ms: cp.without_trace_prefix()
+                for time_ms, cp in checkpoints.items()
+            },
+            "digests": golden.digests,
+            "initials": golden.initials,
+            "final_signals": golden.result.final_signals,
+            "telemetry": golden.result.telemetry,
+        }
+
+    def _worker_pool(
+        self,
+        max_workers: int | None,
+        config: CampaignConfig,
+        case_blobs: Sequence[dict],
+    ):
+        """A process pool whose workers receive the campaign payload once."""
+        import concurrent.futures
+
+        payload = (
+            self._system,
+            self._run_factory,
+            config,
+            self._observer is not None,
+            tuple(case_blobs),
+        )
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_worker_init,
+            initargs=(payload,),
+        )
 
     # ------------------------------------------------------------------
     # Lint gate
@@ -1858,16 +1899,19 @@ class InjectionCampaign:
             *completed injection runs* after each finished chunk.
         chunk_size:
             Targets per work item.  Defaults to an even split aiming at
-            ~4 chunks per worker, so stragglers rebalance.  Chunks are
-            cheap (the Golden Run is already worker-resident), so
-            fine sharding costs little.
+            ~4 chunks per worker (:func:`_default_chunk_size`), so
+            stragglers rebalance.  Chunks are cheap (the Golden Run is
+            already worker-resident), so fine sharding costs little.
+            Adaptive campaigns (:attr:`CampaignConfig.adaptive`) validate
+            but do not use it: each round's fresh trials of a case are
+            cut into contiguous slices by the same ~4-per-worker rule,
+            counted in trials, and concatenated back in schedule order.
         """
+        if chunk_size is not None and chunk_size < 1:
+            raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
         if self._config.adaptive:
             return self._execute_adaptive_parallel(max_workers, progress)
-        import concurrent.futures
         import dataclasses
-        import os
-        from multiprocessing import shared_memory
 
         obs = self._observer
         started = time.perf_counter()
@@ -1882,11 +1926,9 @@ class InjectionCampaign:
         )
         total = self.total_runs()
         if chunk_size is None:
-            workers = max_workers or os.cpu_count() or 1
-            grid = len(self._test_cases) * len(live_targets)
-            chunk_size = max(1, -(-grid // (4 * workers)))
-        elif chunk_size < 1:
-            raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
+            chunk_size = _default_chunk_size(
+                len(self._test_cases) * len(live_targets), max_workers
+            )
 
         case_blobs = []
         segments: list = []
@@ -1924,61 +1966,14 @@ class InjectionCampaign:
                     if not case_targets:
                         # Fully reused: no Golden Run, no blob, no tasks.
                         continue
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, case
+                case_blobs.append(self._golden_blob(case_id, segments))
+                tasks.extend(
+                    (case_id, part)
+                    for part in _slices(case_targets, chunk_size)
                 )
-                self._golden_runs[case_id] = golden
-                signals, duration_ms, flat = pack_trace_samples(
-                    golden.result.traces
-                )
-                n_bytes = len(flat) * flat.itemsize
-                shm_name = None
-                raw = None
-                try:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=max(1, n_bytes)
-                    )
-                    segment.buf[:n_bytes] = memoryview(flat).cast("B")
-                    segments.append(segment)
-                    shm_name = segment.name
-                except OSError:
-                    raw = flat.tobytes()
-                case_blobs.append(
-                    {
-                        "case_id": case_id,
-                        "case": case,
-                        "signals": signals,
-                        "duration_ms": duration_ms,
-                        "shm_name": shm_name,
-                        "raw": raw,
-                        "checkpoints": {
-                            time_ms: cp.without_trace_prefix()
-                            for time_ms, cp in checkpoints.items()
-                        },
-                        "digests": golden.digests,
-                        "initials": golden.initials,
-                        "final_signals": golden.result.final_signals,
-                        "telemetry": golden.result.telemetry,
-                    }
-                )
-                for start in range(0, len(case_targets), chunk_size):
-                    tasks.append(
-                        (case_id, case_targets[start : start + chunk_size])
-                    )
 
             if tasks:
-                payload = (
-                    self._system,
-                    self._run_factory,
-                    config,
-                    obs is not None,
-                    tuple(case_blobs),
-                )
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=max_workers,
-                    initializer=_worker_init,
-                    initargs=(payload,),
-                ) as pool:
+                with self._worker_pool(max_workers, config, case_blobs) as pool:
                     for index, (outcomes, obs_payload, elapsed_s) in enumerate(
                         pool.map(_run_shard, tasks)
                     ):
@@ -1996,27 +1991,20 @@ class InjectionCampaign:
                             session[2].runs_executed += len(outcomes)
                         completed += len(outcomes)
                         if obs is not None:
-                            if obs_payload is not None:
-                                obs.absorb_worker(obs_payload)
-                            if obs.propagation is not None:
-                                obs.propagation.record_all(outcomes)
                             chunk_case, chunk_targets = tasks[index]
-                            obs.on_chunk_completed(
-                                chunk_index=index,
-                                case_id=chunk_case,
-                                n_targets=len(chunk_targets),
-                                n_runs=len(outcomes),
-                                elapsed_s=elapsed_s,
+                            _observe_chunk(
+                                obs,
+                                index,
+                                chunk_case,
+                                len(chunk_targets),
+                                outcomes,
+                                obs_payload,
+                                elapsed_s,
                             )
                         if progress is not None:
                             progress(completed, total)
         finally:
-            for segment in segments:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except OSError:  # pragma: no cover - already gone
-                    pass
+            _release_segments(segments)
         if session is not None:
             store, builder, stats = session
             for case_id in self._test_cases:

@@ -139,6 +139,62 @@ def test_adaptive_parallel_and_batched_match_serial():
     assert _rows(batched) == _rows(serial)
 
 
+@pytest.mark.parametrize("round_size", [None, 1])
+@pytest.mark.parametrize("backend", ["reference", "batched"])
+def test_adaptive_parallel_slices_are_byte_identical(backend, round_size):
+    # Rounds are cut into ~4 slices per worker; round_size=1 gives
+    # one-trial rounds, smaller than the pool, so all but one worker idle.
+    gen = generate_system(11)
+    kw = dict(**ADAPTIVE, backend=backend, round_size=round_size)
+    serial = _campaign(gen, **kw).execute()
+    for workers in (1, 2, 3):
+        parallel = _campaign(gen, **kw).execute_parallel(max_workers=workers)
+        assert _outs(parallel) == _outs(serial), workers
+        assert _rows(parallel) == _rows(serial), workers
+
+
+def _round_events(gen, tmp_path, name, run):
+    from repro.obs import CampaignObserver
+    from repro.obs.events import ChunkCompleted, RoundCompleted, read_events
+
+    events_path = tmp_path / f"{name}.jsonl"
+    observer = CampaignObserver.to_files(
+        events_path=str(events_path), with_metrics=False, system=gen.system
+    )
+    run(_campaign(gen, observer=observer, **ADAPTIVE))
+    observer.close()
+    rounds: list[tuple[int, list[int]]] = []
+    chunks: list[int] = []
+    for parsed in read_events(events_path):
+        if isinstance(parsed.event, ChunkCompleted):
+            chunks.append(parsed.event.n_runs)
+        elif isinstance(parsed.event, RoundCompleted):
+            rounds.append((parsed.event.n_trials, chunks))
+            chunks = []
+    return rounds
+
+
+def test_adaptive_rounds_fan_out_across_the_pool(tmp_path):
+    """Regression: a round used to be one pool task per case."""
+    gen = generate_system(11)
+    serial = _round_events(gen, tmp_path, "serial", lambda c: c.execute())
+    parallel = _round_events(
+        gen, tmp_path, "parallel", lambda c: c.execute_parallel(max_workers=2)
+    )
+    assert [n for n, _ in parallel] == [n for n, _ in serial]
+    assert any(n >= 2 for n, _ in parallel)
+    for n_trials, chunk_runs in parallel:
+        assert sum(chunk_runs) == n_trials
+        if n_trials >= 2:
+            assert len(chunk_runs) > 1, (n_trials, chunk_runs)
+
+
+def test_adaptive_parallel_rejects_chunk_size_below_one():
+    gen = generate_system(11)
+    with pytest.raises(CampaignError, match="chunk_size"):
+        _campaign(gen, **ADAPTIVE).execute_parallel(max_workers=2, chunk_size=0)
+
+
 def test_max_trials_per_target_caps_the_sample():
     gen = generate_system(11)
     result = _campaign(
