@@ -23,19 +23,21 @@ command.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import floor
 
 from repro.arrestment import constants
-from repro.simulation.registers import (
-    AdcRegister,
-    FreeRunningCounter,
-    InputCapture,
-    PulseAccumulator,
-)
+from repro.model.errors import UnknownSignalError
 from repro.simulation.runtime import SignalStore
 
 __all__ = ["PlantConfig", "ArrestmentPlant"]
+
+#: The input registers the plant drives, in the order it writes them.
+_INPUT_REGISTERS = ("PACNT", "TIC1", "TCNT", "ADC")
+#: Integration step [s]: the plant advances one 1 ms frame per call.
+_DT_S = 1.0e-3
+#: 16-bit register wrap (and the ADC's full-scale conversion result).
+_REGISTER_MASK = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class PlantConfig:
             raise ValueError("geometry parameters must be positive")
         if self.supply_pressure_pa <= 0 or self.valve_time_constant_s <= 0:
             raise ValueError("hydraulic parameters must be positive")
+        if self.ticks_per_ms < 1:
+            raise ValueError("ticks_per_ms must be >= 1")
 
 
 class ArrestmentPlant:
@@ -84,14 +88,29 @@ class ArrestmentPlant:
     Signal naming follows the paper's Fig. 8: the plant owns the
     hardware registers ``PACNT``, ``TIC1``, ``TCNT`` and ``ADC`` (the
     system inputs) and consumes ``TOC2`` (the system output).
+
+    The registers are plain 16-bit ``int`` fields with the semantics of
+    :mod:`repro.simulation.registers`: ``TCNT`` free-runs at
+    ``ticks_per_ms``, ``PACNT`` accumulates pulses, ``TIC1`` latches
+    ``TCNT`` at the last pulse edge and ``ADC`` quantises the pressure
+    with clipping.  Every instance attribute is plain data, so the
+    result store can fingerprint the plant exactly.
     """
 
     def __init__(self, config: PlantConfig) -> None:
         self._config = config
-        self._tcnt = FreeRunningCounter("TCNT", ticks_per_ms=config.ticks_per_ms)
-        self._pacnt = PulseAccumulator("PACNT")
-        self._tic1 = InputCapture("TIC1", counter=self._tcnt)
-        self._adc = AdcRegister("ADC", 0.0, config.supply_pressure_pa)
+        # Constants of the 1 ms step, read once.
+        self._step = (
+            _DT_S / config.valve_time_constant_s,
+            config.supply_pressure_pa,
+            config.brake_torque_per_pa,
+            config.n_drums,
+            config.drum_radius_m,
+            config.mass_kg,
+            config.rolling_decel_ms2,
+            config.pulses_per_metre,
+            config.ticks_per_ms,
+        )
         self.reset()
 
     # ------------------------------------------------------------------
@@ -100,19 +119,18 @@ class ArrestmentPlant:
 
     def reset(self) -> None:
         """Restore the physical state to the moment of cable engagement."""
-        config = self._config
         self._position_m = 0.0
-        self._velocity_ms = config.velocity_ms
+        self._velocity_ms = self._config.velocity_ms
         self._pressure_pa = 0.0
         self._valve_fraction = 0.0
         self._pulse_position = 0.0  # cable run-out in tooth-wheel pulses
         self._pulses_emitted = 0
         self._peak_decel_ms2 = 0.0
         self._stop_time_ms: int | None = None
-        self._tcnt.reset()
-        self._pacnt.reset()
-        self._tic1.reset()
-        self._adc.reset()
+        self._tcnt = 0
+        self._pacnt = 0
+        self._tic1 = 0
+        self._adc = 0
 
     def state_dict(self) -> dict:
         """Complete physical state, including the hardware registers."""
@@ -125,10 +143,10 @@ class ArrestmentPlant:
             "pulses_emitted": self._pulses_emitted,
             "peak_decel_ms2": self._peak_decel_ms2,
             "stop_time_ms": self._stop_time_ms,
-            "tcnt": self._tcnt.state_dict(),
-            "pacnt": self._pacnt.state_dict(),
-            "tic1": self._tic1.state_dict(),
-            "adc": self._adc.state_dict(),
+            "tcnt": {"value": self._tcnt},
+            "pacnt": {"value": self._pacnt},
+            "tic1": {"value": self._tic1},
+            "adc": {"value": self._adc},
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -141,22 +159,98 @@ class ArrestmentPlant:
         self._pulses_emitted = state["pulses_emitted"]
         self._peak_decel_ms2 = state["peak_decel_ms2"]
         self._stop_time_ms = state["stop_time_ms"]
-        self._tcnt.load_state_dict(state["tcnt"])
-        self._pacnt.load_state_dict(state["pacnt"])
-        self._tic1.load_state_dict(state["tic1"])
-        self._adc.load_state_dict(state["adc"])
+        self._tcnt = state["tcnt"]["value"]
+        self._pacnt = state["pacnt"]["value"]
+        self._tic1 = state["tic1"]["value"]
+        self._adc = state["adc"]["value"]
 
     def before_software(self, now_ms: int, store: SignalStore) -> None:
-        """Integrate 1 ms of physics and refresh the input registers."""
-        self._integrate_one_ms(now_ms)
-        store.write("PACNT", self._pacnt.read())
-        store.write("TIC1", self._tic1.read())
-        store.write("TCNT", self._tcnt.read())
-        store.write("ADC", self._adc.read())
+        """Integrate 1 ms of physics and refresh the input registers.
+
+        One flat step on locals.  Do not reorder a float expression:
+        that changes results in the last bits, and
+        ``tests/data/arrestment_golden_pins.json`` pins them exactly.
+        """
+        (
+            alpha,
+            supply_pa,
+            torque_per_pa,
+            n_drums,
+            drum_radius_m,
+            mass_kg,
+            rolling_decel,
+            pulses_per_metre,
+            ticks_per_ms,
+        ) = self._step
+
+        # Valve/line lag toward the commanded fraction of supply pressure.
+        pressure = self._pressure_pa
+        pressure += (supply_pa * self._valve_fraction - pressure) * alpha
+        self._pressure_pa = pressure
+
+        # Longitudinal dynamics under the brake force of every drum.
+        start_position = pulse_position = self._pulse_position
+        velocity = self._velocity_ms
+        if velocity > 0.0:
+            decel = (
+                n_drums * (torque_per_pa * pressure) / drum_radius_m / mass_kg
+                + rolling_decel
+            )
+            if decel > self._peak_decel_ms2:
+                self._peak_decel_ms2 = decel
+            new_velocity = velocity - decel * _DT_S
+            if new_velocity <= 0.0:
+                new_velocity = 0.0
+                if self._stop_time_ms is None:
+                    self._stop_time_ms = now_ms
+            # Trapezoidal position update for a smoother pulse train.
+            position = self._position_m + 0.5 * (velocity + new_velocity) * _DT_S
+            self._position_m = position
+            self._velocity_ms = new_velocity
+            self._pulse_position = pulse_position = position * pulses_per_metre
+
+        # Tooth-wheel pulse train into PACNT, edge capture of TCNT in TIC1.
+        tcnt = self._tcnt = (self._tcnt + ticks_per_ms) & _REGISTER_MASK
+        end_pulses = floor(pulse_position)
+        new_pulses = end_pulses - self._pulses_emitted
+        if new_pulses > 0:
+            self._pacnt = (self._pacnt + new_pulses) & _REGISTER_MASK
+            advance = pulse_position - start_position
+            if advance > 0.0:
+                # Fraction of the millisecond at which the last edge fell.
+                fraction = (end_pulses - start_position) / advance
+                fraction = fraction if fraction > 0.0 else 0.0
+                fraction = fraction if fraction < 1.0 else 1.0
+            else:  # pragma: no cover - defensive; advance>0 when pulses>0
+                fraction = 1.0
+            ticks_ago = round((1.0 - fraction) * ticks_per_ms)
+            self._tic1 = (tcnt - ticks_ago) & _REGISTER_MASK
+            self._pulses_emitted = end_pulses
+
+        # Pressure transducer: the converter spans 0 Pa to supply, clipped.
+        fraction = pressure / supply_pa
+        fraction = fraction if fraction > 0.0 else 0.0
+        fraction = fraction if fraction < 1.0 else 1.0
+        self._adc = round(fraction * _REGISTER_MASK) & _REGISTER_MASK
+
+        # Refresh the input registers, wrapped as SignalStore.write wraps.
+        values = store._values
+        masks = store._masks
+        try:
+            values["PACNT"] = self._pacnt & masks["PACNT"]
+            values["TIC1"] = self._tic1 & masks["TIC1"]
+            values["TCNT"] = tcnt & masks["TCNT"]
+            values["ADC"] = self._adc & masks["ADC"]
+        except KeyError:
+            missing = next(name for name in _INPUT_REGISTERS if name not in masks)
+            raise UnknownSignalError(missing) from None
 
     def after_software(self, now_ms: int, store: SignalStore) -> None:
         """Latch the valve command written to ``TOC2``."""
-        raw = store.read("TOC2")
+        try:
+            raw = store._values["TOC2"]
+        except KeyError:
+            raise UnknownSignalError("TOC2") from None
         self._valve_fraction = raw / 0xFFFF
 
     def telemetry(self) -> dict[str, float]:
@@ -174,7 +268,7 @@ class ArrestmentPlant:
         }
 
     # ------------------------------------------------------------------
-    # Physics
+    # Physical state
     # ------------------------------------------------------------------
 
     @property
@@ -200,53 +294,3 @@ class ArrestmentPlant:
     def is_stopped(self) -> bool:
         """Whether the aircraft has come to rest."""
         return self._velocity_ms <= 0.0
-
-    def _brake_force_n(self) -> float:
-        """Total retarding force on the aircraft at the current pressure."""
-        config = self._config
-        torque = config.brake_torque_per_pa * self._pressure_pa
-        return config.n_drums * torque / config.drum_radius_m
-
-    def _integrate_one_ms(self, now_ms: int) -> None:
-        config = self._config
-        dt = 1.0e-3
-
-        # Valve/line lag toward the commanded fraction of supply pressure.
-        target = config.supply_pressure_pa * self._valve_fraction
-        alpha = dt / config.valve_time_constant_s
-        self._pressure_pa += (target - self._pressure_pa) * alpha
-
-        # Longitudinal dynamics.
-        start_position = self._pulse_position
-        if self._velocity_ms > 0.0:
-            decel = self._brake_force_n() / config.mass_kg + config.rolling_decel_ms2
-            self._peak_decel_ms2 = max(self._peak_decel_ms2, decel)
-            new_velocity = self._velocity_ms - decel * dt
-            if new_velocity <= 0.0:
-                new_velocity = 0.0
-                if self._stop_time_ms is None:
-                    self._stop_time_ms = now_ms
-            # Trapezoidal position update for a smoother pulse train.
-            self._position_m += 0.5 * (self._velocity_ms + new_velocity) * dt
-            self._velocity_ms = new_velocity
-            self._pulse_position = self._position_m * config.pulses_per_metre
-
-        # Tooth-wheel pulse train and timer registers.
-        self._tcnt.advance_ms(1)
-        end_pulses = math.floor(self._pulse_position)
-        new_pulses = end_pulses - self._pulses_emitted
-        if new_pulses > 0:
-            self._pacnt.count(new_pulses)
-            advance = self._pulse_position - start_position
-            if advance > 0.0:
-                # Fraction of the millisecond at which the last edge fell.
-                last_edge_fraction = (end_pulses - start_position) / advance
-                last_edge_fraction = min(1.0, max(0.0, last_edge_fraction))
-            else:  # pragma: no cover - defensive; advance>0 when pulses>0
-                last_edge_fraction = 1.0
-            ticks_ago = round((1.0 - last_edge_fraction) * config.ticks_per_ms)
-            self._tic1.capture(ticks_ago=ticks_ago)
-            self._pulses_emitted = end_pulses
-
-        # Pressure transducer.
-        self._adc.convert(self._pressure_pa)

@@ -121,7 +121,7 @@ def _stable_value(
     exactly; ordinary objects are recursed through their ``__dict__``
     (tagged with the class qualname, cycle-guarded, depth-bounded) —
     that covers nested plain-state helpers like the arrestment plant's
-    hardware registers.  Anything else — a callable, an open handle, a
+    :class:`PlantConfig`.  Anything else — a callable, an open handle, a
     ``__slots__`` object — appends to ``poisoned`` and collapses to
     :data:`_OPAQUE`, rendering the enclosing unit uncacheable rather
     than under-fingerprinted.

@@ -7,6 +7,9 @@ import pytest
 from repro.arrestment.constants import PULSES_PER_METRE
 from repro.arrestment.plant import ArrestmentPlant, PlantConfig
 from repro.arrestment.system import build_arrestment_model
+from repro.model.errors import UnknownSignalError
+from repro.model.module import ModuleSpec
+from repro.model.system import SystemModel
 from repro.simulation.runtime import SignalStore
 
 
@@ -40,6 +43,10 @@ class TestPlantConfig:
     def test_invalid_hydraulics(self):
         with pytest.raises(ValueError):
             PlantConfig(valve_time_constant_s=0)
+
+    def test_invalid_tick_rate(self):
+        with pytest.raises(ValueError, match="ticks_per_ms"):
+            PlantConfig(ticks_per_ms=0)
 
 
 class TestFreeRoll:
@@ -133,6 +140,39 @@ class TestBraking:
             plant.before_software(t, store)
         assert plant.position_m == position
         assert plant.velocity_ms == 0.0
+
+
+def store_lacking(missing: str) -> SignalStore:
+    """A store over a system that declares every plant signal but one."""
+    inputs = tuple(
+        name for name in ("PACNT", "TIC1", "TCNT", "ADC") if name != missing
+    )
+    outputs = ("OUT",) if missing == "TOC2" else ("TOC2",)
+    system = SystemModel(
+        "partial",
+        [ModuleSpec("SW", inputs, outputs)],
+        system_inputs=inputs,
+        system_outputs=outputs,
+        validate=False,
+    )
+    return SignalStore(system)
+
+
+class TestUnknownSignals:
+    @pytest.mark.parametrize("missing", ["PACNT", "TIC1", "TCNT", "ADC"])
+    def test_missing_input_register_raises_from_before_software(self, missing):
+        plant = make_plant()
+        with pytest.raises(UnknownSignalError) as excinfo:
+            plant.before_software(0, store_lacking(missing))
+        assert excinfo.value.name == missing
+
+    def test_missing_toc2_raises_from_after_software(self):
+        plant = make_plant()
+        store = store_lacking("TOC2")
+        plant.before_software(0, store)
+        with pytest.raises(UnknownSignalError) as excinfo:
+            plant.after_software(0, store)
+        assert excinfo.value.name == "TOC2"
 
 
 class TestReset:

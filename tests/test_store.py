@@ -17,6 +17,8 @@ import time
 
 import pytest
 
+from repro.arrestment import build_arrestment_model, build_arrestment_run
+from repro.arrestment.testcases import reduced_test_cases
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
 from repro.injection.error_models import BitFlip, StuckAtZero, bit_flip_models
 from repro.injection.estimator import estimate_matrix
@@ -453,6 +455,48 @@ class TestFingerprints:
         assert digests_a == digests_b
         assert len(set(digests_a.values())) == len(targets)
         assert all(key.cacheable for key in keys_a.values())
+
+
+class TestArrestmentKeys:
+    """Arrestment rows must stay cacheable: the plant's state is plain
+    data, so it fingerprints exactly (a callable or store reference in
+    the plant would poison every unit)."""
+
+    CONFIG = CampaignConfig(
+        duration_ms=200, injection_times_ms=(30,),
+        error_models=(BitFlip(0),), seed=5,
+    )
+
+    def _keys(self, run_factory):
+        system = build_arrestment_model()
+        targets = tuple(
+            (name, signal)
+            for name in system.module_names()
+            for signal in system.module(name).inputs
+        )
+        case_id, case = next(iter(reduced_test_cases(1).items()))
+        keys = UnitKeyBuilder(system, run_factory, self.CONFIG).keys_for_case(
+            case_id, case, targets
+        )
+        return {target: key.digest for target, key in keys.items()}, keys
+
+    def test_keys_are_cacheable_and_match_across_builders(self):
+        digests_a, keys = self._keys(build_arrestment_run)
+        digests_b, _ = self._keys(build_arrestment_run)
+        assert all(key.cacheable for key in keys.values())
+        assert digests_a == digests_b
+
+    def test_plant_fingerprints_the_same_after_golden_run_and_reset(self):
+        def used_then_reset(case):
+            runner = build_arrestment_run(case)
+            runner.run(2000)
+            runner.reset()
+            return runner
+
+        fresh, _ = self._keys(build_arrestment_run)
+        reused, keys = self._keys(used_then_reset)
+        assert all(key.cacheable for key in keys.values())
+        assert reused == fresh
 
 
 class TestObservability:
