@@ -53,7 +53,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -247,11 +246,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         metrics=observer.metrics if observer is not None else None
     )
 
-    workers = args.workers if args.workers is not None else (args.parallel or 1)
+    workers = args.workers if args.workers is not None else 1
     if workers > 1:
-        result = campaign.execute_parallel(
-            max_workers=workers, progress=progress, chunk_size=args.chunk_size
-        )
+        result = campaign.execute_parallel(max_workers=workers, progress=progress)
     else:
         result = campaign.execute(progress=progress)
     print(f"done in {time.time() - started:.0f}s")
@@ -699,35 +696,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-class _WorkersAction(argparse.Action):
-    """``--workers``: reject combination with the ``--parallel`` alias."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, "parallel", None) is not None:
-            parser.error(
-                "--workers conflicts with the deprecated --parallel alias; "
-                "pass --workers only"
-            )
-        setattr(namespace, self.dest, values)
-
-
-class _DeprecatedParallelAction(argparse.Action):
-    """``--parallel``: warn about deprecation, reject ``--workers`` mix."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            "--parallel is deprecated; use --workers instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if getattr(namespace, "workers", None) is not None:
-            parser.error(
-                "--parallel is a deprecated alias of --workers; "
-                "pass --workers only"
-            )
-        setattr(namespace, self.dest, values)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -762,17 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--paper-grid", action="store_true",
                           help="use the paper's ten half-second instants")
     campaign.add_argument("--workers", type=int, default=None, metavar="N",
-                          action=_WorkersAction,
                           help="worker processes for the grid-sharded "
-                          "parallel path (scales past the case count)")
-    campaign.add_argument("--chunk-size", type=int, default=None, metavar="M",
-                          help="injection targets per parallel work item "
-                          "(default: ~4 chunks per worker; --adaptive "
-                          "rounds always split their trials that way)")
-    campaign.add_argument("--parallel", type=int, default=None, metavar="N",
-                          action=_DeprecatedParallelAction,
-                          help="deprecated alias for --workers "
-                          "(conflicts with it)")
+                          "parallel path (scales past the case count; "
+                          "~4 slices of trials per worker)")
     campaign.add_argument("--events", metavar="FILE", default=None,
                           help="record the structured campaign event "
                           "stream as JSONL (see docs/OBSERVABILITY.md)")

@@ -54,10 +54,30 @@ Zero-copy golden-run sharing
 :meth:`InjectionCampaign.execute_parallel` packs each Golden Run's
 trace set into one flat ``array('q')`` published through
 ``multiprocessing.shared_memory`` and ships system/config/checkpoints
-once per *worker* (pool initializer) instead of once per chunk;
+once per *worker* (pool initializer) instead of once per task;
 checkpoints travel without their trace prefixes (reconstructed from
 the shared Golden Run), and workers keep their runtime and Golden-Run
-views cached across chunks.
+views cached across tasks.
+
+Pipeline
+--------
+:meth:`~InjectionCampaign.execute` and
+:meth:`~InjectionCampaign.execute_parallel` run one driver,
+``InjectionCampaign._execute``, in four parts:
+
+* **plan** — start events, the lint gate, static pruning and one
+  result-store lookup over every (case, module, input) row;
+* **schedule** — rounds of ``{target: [(case_id, time_ms,
+  model_index)]}``: one round holding the whole grid
+  (``_ExhaustiveSchedule``), or confidence-driven rounds
+  (``_AdaptiveSchedule``, wrapping :class:`repro.adaptive.AdaptiveController`);
+* **executor** — runs each case's uncached trials and returns their
+  outcomes in spec order: in this process (``_InlineExecutor``, lazy
+  Golden Runs, ``inspector`` hook) or over a process pool
+  (``_PoolExecutor``, one worker entry :func:`_run_shard`);
+* **recompose** — folds cached and fresh outcomes into the result in
+  schedule order (canonical grid order for the exhaustive schedule)
+  and publishes each row to the store as soon as it is final.
 """
 
 from __future__ import annotations
@@ -66,6 +86,7 @@ import itertools
 import os
 import time
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -431,20 +452,22 @@ def _materialize_case(state: dict, case_id: str) -> dict:
     return entry
 
 
-def _run_in_worker(
-    case_id: str,
-    injections: Callable[["InjectionCampaign", dict], Iterator[tuple]],
+def _run_shard(
+    task: tuple[str, Sequence[tuple[str, str, int, int]]],
 ) -> tuple[list[InjectionOutcome], dict | None, float]:
-    """Shared body of the worker entry points.
+    """Worker entry point: run one slice ``(case_id, specs)`` of a round.
 
-    The campaign payload (system, config, Golden Runs, checkpoints) is
-    already worker-resident.  Materialises the case on first use, runs
-    ``injections(campaign, entry)`` under a per-task campaign (and
-    worker observer when the parent observes), and returns the outcome
-    list (IR traces stay worker-local), the worker's observability
-    payload and the task's wall-clock seconds.
+    Each spec is ``(module, signal, time_ms, model_index)``; the
+    parent's schedule decides the exact points, so no grid expansion
+    happens worker-side.  The campaign payload (system, config, Golden
+    Runs, checkpoints) is already worker-resident: the case is
+    materialised on first use and the slice runs under a per-task
+    campaign (and worker observer when the parent observes).  Returns
+    the outcomes in spec order (IR traces stay worker-local), the
+    worker's observability payload and the task's wall-clock seconds.
     """
     started = time.perf_counter()
+    case_id, specs = task
     state = _WORKER_STATE
     assert state is not None, "worker used before _worker_init ran"
     entry = state["cases"].get(case_id) or _materialize_case(state, case_id)
@@ -464,58 +487,31 @@ def _run_in_worker(
             state["config"],
             observer=observer,
         )
-        outcomes = [outcome for outcome, _ in injections(campaign, entry)]
+        context = _CaseContext(
+            campaign, runner, entry["golden"], specs, entry["checkpoints"]
+        )
+        outcomes = [
+            outcome
+            for outcome, _ in campaign._exec_backend.case_injections(context)
+        ]
     finally:
         runner.set_metrics(None)
     obs_payload = observer.worker_payload() if observer is not None else None
     return outcomes, obs_payload, time.perf_counter() - started
 
 
-def _run_shard(
-    task: tuple[str, tuple[tuple[str, str], ...]],
-) -> tuple[list[InjectionOutcome], dict | None, float]:
-    """Worker entry point: run one shard ``(case_id, targets)`` of the grid."""
-    case_id, targets = task
-    return _run_in_worker(
-        case_id,
-        lambda campaign, entry: campaign._case_injections(
-            entry["runner"], entry["golden"], targets, entry["checkpoints"]
-        ),
-    )
-
-
-def _run_adaptive_shard(
-    task: tuple[str, tuple[tuple[str, str, int, int], ...]],
-) -> tuple[list[InjectionOutcome], dict | None, float]:
-    """Worker entry point for one slice of an adaptive round's trials.
-
-    A task is ``(case_id, specs)`` where each spec is ``(module, signal,
-    time_ms, model_index)`` — the parent's round scheduler decides the
-    exact points, so no grid expansion happens worker-side.  Outcomes
-    return in spec order.
-    """
-    case_id, specs = task
-    return _run_in_worker(
-        case_id,
-        lambda campaign, entry: campaign._exec_backend.case_injections(
-            _PointsContext(
-                campaign,
-                entry["runner"],
-                entry["golden"],
-                specs,
-                entry["checkpoints"],
-            )
-        ),
-    )
+# perfbench/layers.py patches both ``_run_shard`` and this name at run
+# time, so the old adaptive entry point stays as an alias.
+_run_adaptive_shard = _run_shard
 
 
 def _default_chunk_size(n_items: int, max_workers: int | None) -> int:
     """Items per pool task so ``n_items`` split into ~4 tasks per worker.
 
-    The one split rule of both parallel paths: the exhaustive grid cuts
-    its targets with it, and each adaptive round each case's fresh
-    trials.  Several tasks per worker let stragglers rebalance; tasks are cheap
-    because the Golden Run is already worker-resident.
+    The one split rule of the pool executor, counted in trials: each
+    round cuts each case's fresh trials with it.  Several tasks per
+    worker let stragglers rebalance; tasks are cheap because the Golden
+    Run is already worker-resident.
     """
     workers = max_workers or os.cpu_count() or 1
     return max(1, -(-n_items // (4 * workers)))
@@ -524,39 +520,6 @@ def _default_chunk_size(n_items: int, max_workers: int | None) -> int:
 def _slices(items: Sequence, size: int) -> list[Sequence]:
     """``items`` cut into contiguous slices of at most ``size``, in order."""
     return [items[start : start + size] for start in range(0, len(items), size)]
-
-
-def _observe_chunk(
-    obs: "CampaignObserver",
-    chunk_index: int,
-    case_id: str,
-    n_targets: int,
-    outcomes: list[InjectionOutcome],
-    obs_payload: dict | None,
-    elapsed_s: float,
-) -> None:
-    """Fold one finished pool task into the parent's observer."""
-    if obs_payload is not None:
-        obs.absorb_worker(obs_payload)
-    if obs.propagation is not None:
-        obs.propagation.record_all(outcomes)
-    obs.on_chunk_completed(
-        chunk_index=chunk_index,
-        case_id=case_id,
-        n_targets=n_targets,
-        n_runs=len(outcomes),
-        elapsed_s=elapsed_s,
-    )
-
-
-def _release_segments(segments: list) -> None:
-    """Close and unlink the parent's shared-memory segments."""
-    for segment in segments:
-        try:
-            segment.close()
-            segment.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
 
 
 @dataclass(frozen=True)
@@ -573,9 +536,11 @@ class _InjectionPoint:
 class _CaseContext:
     """The campaign-side view a simulation backend works against.
 
-    Owns grid order, observer emission, Golden-Run comparison and
-    outcome records for one test case, so backends only decide *how*
-    runs execute (see :mod:`repro.simulation.backend`).
+    Built from explicit ``(module, signal, time_ms, model_index)``
+    specs — a whole case grid or any subset a schedule picked — and
+    owns observer emission, Golden-Run comparison and outcome records
+    for one test case, so backends only decide *how* runs execute (see
+    :mod:`repro.simulation.backend`).
     """
 
     def __init__(
@@ -583,7 +548,7 @@ class _CaseContext:
         campaign: "InjectionCampaign",
         runner: SimulationRun,
         golden: GoldenRun,
-        targets: Sequence[tuple[str, str]],
+        specs: Sequence[tuple[str, str, int, int]],
         checkpoints: Mapping[int, RunCheckpoint],
     ) -> None:
         self._campaign = campaign
@@ -591,8 +556,17 @@ class _CaseContext:
         self.golden = golden
         self.golden_ref = golden.reference
         self.config = campaign.config
-        self._targets = tuple(targets)
-        self._checkpoints = checkpoints
+        models = self.config.error_models
+        self._points = tuple(
+            _InjectionPoint(
+                module,
+                signal,
+                time_ms,
+                models[model_index],
+                checkpoints.get(time_ms),
+            )
+            for module, signal, time_ms, model_index in specs
+        )
 
     @property
     def metrics(self):
@@ -601,15 +575,8 @@ class _CaseContext:
         return None if obs is None else obs.metrics
 
     def injection_points(self) -> Iterator[_InjectionPoint]:
-        """The case's planned injections, in canonical grid order."""
-        config = self.config
-        for module, signal in self._targets:
-            for time_ms in config.injection_times_ms:
-                checkpoint = self._checkpoints.get(time_ms)
-                for model in config.error_models:
-                    yield _InjectionPoint(
-                        module, signal, time_ms, model, checkpoint
-                    )
+        """The case's planned injections, in spec order."""
+        return iter(self._points)
 
     def run_reference(
         self, point: _InjectionPoint
@@ -639,68 +606,359 @@ class _CaseContext:
         (``RunStarted``, ``CheckpointReused``, then the outcome chain),
         so event streams stay comparable across backends.
         """
-        campaign = self._campaign
-        obs = campaign.observer
-        case_id = self.golden.case_id
-        if obs is not None:
-            obs.on_run_started(
-                case_id,
-                kind="injection",
-                module=point.module,
-                signal=point.signal,
-                time_ms=point.time_ms,
-                error_model=point.model.name,
-            )
-            if point.checkpoint is not None:
-                obs.on_checkpoint_reused(
-                    case_id, point.time_ms, skipped_ms=point.checkpoint.time_ms
-                )
-        return campaign._finish_injection(
-            self.golden,
-            case_id,
-            point.module,
-            point.signal,
-            point.time_ms,
-            point.model,
-            injected,
-            fired_at_ms,
+        self._campaign._announce_injection(self.golden.case_id, point)
+        return self._campaign._finish_injection(
+            self.golden, point, injected, fired_at_ms
         )
 
 
-class _PointsContext(_CaseContext):
-    """A case context over explicit ``(module, signal, time_ms,
-    model_index)`` specs.
+#: One round of a schedule: target -> trials ``(case_id, time_ms,
+#: model_index)``, targets in canonical order.
+_Round = Mapping[tuple[str, str], Sequence[tuple[str, int, int]]]
 
-    The adaptive round loop schedules arbitrary subsets of the
-    exhaustive grid; wrapping them in a context keeps execution on the
-    normal backend path (:meth:`SimulationBackend.case_injections`), so
-    adaptive campaigns run under both the reference and the batched
-    backend without backend changes.
+
+class _ExhaustiveSchedule:
+    """The paper's full grid (Section 6) as one round.
+
+    The round holds every unpruned trial; each target's trials run case
+    by case, instant by instant, model by model, so regrouping the
+    round per case walks the canonical grid order.  Rows are final from
+    the start: each is published as soon as its case is recomposed.
+    """
+
+    row_kind = "unit"
+    rows_final = True
+
+    def __init__(
+        self,
+        campaign: "InjectionCampaign",
+        live_targets: Sequence[tuple[str, str]],
+        result: CampaignResult,
+    ) -> None:
+        self._round = dict.fromkeys(live_targets, campaign._grid_trials())
+        self.finished = not live_targets
+
+    def row_digest(self, base: str) -> str:
+        """Store key of a row: the unit key itself."""
+        return base
+
+    def next_round(self) -> _Round:
+        """The whole grid, once."""
+        self.finished = True
+        return self._round
+
+    def complete_round(
+        self, outcomes: Sequence[InjectionOutcome]
+    ) -> tuple[tuple[str, str], ...]:
+        """Nothing to measure; every row was final already."""
+        return ()
+
+
+class _AdaptiveSchedule:
+    """Confidence-driven rounds (:attr:`CampaignConfig.adaptive`).
+
+    Wraps :class:`repro.adaptive.AdaptiveController`: each target draws
+    ``(case_id, time_ms, model_index)`` trials from a seeded permutation
+    of its own exhaustive grid.  The schedule owns the Wilson
+    measurements between rounds, the :class:`AdaptiveRow` records and
+    the adaptive observer events.  A row becomes final when its target
+    retires.
+    """
+
+    row_kind = "adaptive-unit"
+    rows_final = False
+
+    def __init__(
+        self,
+        campaign: "InjectionCampaign",
+        live_targets: Sequence[tuple[str, str]],
+        result: CampaignResult,
+    ) -> None:
+        from repro.adaptive import AdaptiveController, get_policy
+        from repro.obs.propagation import PropagationObservations
+
+        config = campaign.config
+        self._system = campaign._system
+        self._obs = campaign.observer
+        self._result = result
+        # Resolved stopping parameters (store keys use the resolved
+        # values, so configs that only spell the defaults differently
+        # share adaptive rows).
+        self._z = z = 1.96
+        ci_width = config.ci_width if config.ci_width is not None else 0.05
+        round_size = (
+            config.round_size
+            if config.round_size is not None
+            else max(1, 2 * len(live_targets))
+        )
+        cap = config.max_trials_per_target
+        policy_name = (
+            config.budget_policy
+            if config.budget_policy is not None
+            else "widest-first"
+        )
+        pool = campaign._grid_trials()
+        self._n_pool = len(pool)
+        self._key_params = {
+            "ci_width": ci_width,
+            "round_size": round_size,
+            "max_trials_per_target": cap if cap is not None else len(pool),
+            "z": z,
+            "policy": policy_name,
+        }
+        self._controller: AdaptiveController[tuple[str, int, int]] = (
+            AdaptiveController(
+                {target: pool for target in live_targets},
+                ci_width=ci_width,
+                round_size=round_size,
+                max_trials_per_target=cap,
+                seed=config.seed,
+                z=z,
+                policy=get_policy(policy_name),
+            )
+        )
+        self._observations = PropagationObservations(self._system)
+
+    @property
+    def finished(self) -> bool:
+        """Whether every target has retired."""
+        return self._controller.finished
+
+    def row_digest(self, base: str) -> str:
+        """Store key of an adaptive row: unit key plus stopping rule."""
+        from repro.store.fingerprints import content_digest
+
+        return content_digest({"kind": "adaptive", "base": base, **self._key_params})
+
+    def next_round(self) -> _Round:
+        """The controller's next allocation of trials."""
+        return self._controller.next_round()
+
+    def complete_round(
+        self, outcomes: Sequence[InjectionOutcome]
+    ) -> tuple[tuple[str, str], ...]:
+        """Measure the round's outcomes; retire targets; return them.
+
+        A target's measurement is the widest Wilson half-width across
+        its output arcs (and that arc's point estimate); a target that
+        has no trial yet is totally ignorant (half-width 0.5).
+        """
+        from repro.adaptive import TargetMeasurement
+
+        controller = self._controller
+        observations = self._observations
+        for outcome in outcomes:
+            observations.record(outcome)
+        measurements = {}
+        for target in controller.open_targets():
+            module, signal = target
+            if controller.n_taken(target) == 0:
+                measurements[target] = TargetMeasurement(0.5, 0.5)
+                continue
+            half = -1.0
+            point = 0.0
+            for output in self._system.module(module).outputs:
+                arc = observations.arc(module, signal, output)
+                lo, hi = arc.wilson_interval(self._z)
+                if (hi - lo) / 2.0 > half:
+                    half = (hi - lo) / 2.0
+                    point = arc.observed_permeability
+            if half < 0.0:
+                half = 0.0  # a target with no output arcs
+            measurements[target] = TargetMeasurement(
+                half_width=half, point_estimate=point
+            )
+        obs = self._obs
+        retirees = controller.complete_round(measurements)
+        for retiree in retirees:
+            self._result.record_adaptive(
+                AdaptiveRow(
+                    module=retiree.module,
+                    input_signal=retiree.signal,
+                    n_trials=retiree.n_trials,
+                    n_grid=self._n_pool,
+                    half_width=retiree.half_width,
+                    reason=retiree.reason,
+                    round_index=retiree.round_index,
+                )
+            )
+            if obs is not None:
+                obs.on_target_retired(
+                    retiree.module,
+                    retiree.signal,
+                    retiree.n_trials,
+                    retiree.half_width,
+                    retiree.reason,
+                    retiree.round_index,
+                )
+        if obs is not None:
+            obs.on_round_completed(
+                controller.round_index,
+                len(outcomes),
+                len(controller.open_targets()),
+            )
+        if controller.finished:
+            # Report the targets that retired short of confidence.
+            unconverged: dict[str, int] = {}
+            for retiree in controller.retired():
+                if retiree.reason != "confidence":
+                    unconverged[retiree.reason] = (
+                        unconverged.get(retiree.reason, 0) + 1
+                    )
+            if unconverged and obs is not None:
+                obs.on_budget_exhausted(unconverged)
+        return tuple((retiree.module, retiree.signal) for retiree in retirees)
+
+
+class _InlineExecutor:
+    """Runs a round's trials in this process, case by case.
+
+    Golden Runs are recorded lazily, on a case's first batch.  Every
+    run reaches the ``inspector`` with its full traces and advances
+    progress by one.  With ``keep_cases`` off (a single-round schedule)
+    a case's runtime and checkpoints are dropped right after its batch,
+    so a multi-case campaign never holds every case's trace prefixes.
     """
 
     def __init__(
         self,
         campaign: "InjectionCampaign",
-        runner: SimulationRun,
-        golden: GoldenRun,
-        specs: Sequence[tuple[str, str, int, int]],
-        checkpoints: Mapping[int, RunCheckpoint],
+        inspector: InspectorCallback | None,
     ) -> None:
-        super().__init__(campaign, runner, golden, (), checkpoints)
-        models = campaign.config.error_models
-        self._points = tuple(
-            _InjectionPoint(
-                module,
-                signal,
-                time_ms,
-                models[model_index],
-                checkpoints.get(time_ms),
-            )
-            for module, signal, time_ms, model_index in specs
-        )
+        self._campaign = campaign
+        self._inspector = inspector
+        self._cases: dict[str, tuple] = {}
+        self._keep_cases = False
+        self._advance: Callable[[int], None] = lambda n_runs: None
 
-    def injection_points(self) -> Iterator[_InjectionPoint]:
-        return iter(self._points)
+    def start(
+        self,
+        need_cases: Sequence[str],
+        advance: Callable[[int], None],
+        keep_cases: bool,
+    ) -> None:
+        """Take the progress hook; case state is recorded lazily."""
+        self._advance = advance
+        self._keep_cases = keep_cases
+
+    def run(
+        self, batches: Sequence[tuple[str, Sequence]]
+    ) -> Iterator[tuple[str, list[InjectionOutcome]]]:
+        """Yield ``(case_id, outcomes in spec order)`` per batch, lazily."""
+        for case_id, specs in batches:
+            yield case_id, self._run_case(case_id, specs)
+
+    def _run_case(
+        self, case_id: str, specs: Sequence
+    ) -> list[InjectionOutcome]:
+        campaign = self._campaign
+        entry = self._cases.get(case_id) or campaign._golden_for_case(
+            case_id, campaign._test_cases[case_id]
+        )
+        runner, golden, checkpoints = entry
+        context = _CaseContext(campaign, runner, golden, specs, checkpoints)
+        outcomes = []
+        for outcome, injected in campaign._exec_backend.case_injections(
+            context
+        ):
+            if self._inspector is not None:
+                self._inspector(outcome, injected, golden)
+            outcomes.append(outcome)
+            self._advance(1)
+        if self._keep_cases:
+            self._cases[case_id] = entry
+        return outcomes
+
+    def close(self) -> None:
+        """Drop every kept case runtime and its checkpoints."""
+        self._cases.clear()
+
+
+class _PoolExecutor:
+    """Runs each round's trials over one long-lived worker pool.
+
+    :meth:`start` records the Golden Runs of the cases that may execute
+    at all (rows the result store cannot fully answer), packs them into
+    shared memory and starts the pool once; workers keep their per-case
+    runtimes cached across rounds.  Each case's trials are cut into
+    contiguous slices (:func:`_default_chunk_size`), so every worker
+    has work even when the grid has one case; progress advances per
+    slice.
+    """
+
+    def __init__(
+        self, campaign: "InjectionCampaign", max_workers: int | None
+    ) -> None:
+        self._campaign = campaign
+        self._max_workers = max_workers
+        self._segments: list = []
+        self._pool = None
+        self._chunk_index = itertools.count()
+        self._advance: Callable[[int], None] = lambda n_runs: None
+
+    def start(
+        self,
+        need_cases: Sequence[str],
+        advance: Callable[[int], None],
+        keep_cases: bool,
+    ) -> None:
+        """Record and share the Golden Runs of ``need_cases``; start the pool."""
+        self._advance = advance
+        case_blobs = [
+            self._campaign._golden_blob(case_id, self._segments)
+            for case_id in need_cases
+        ]
+        if case_blobs:
+            self._pool = self._campaign._worker_pool(
+                self._max_workers, case_blobs
+            )
+
+    def run(
+        self, batches: Sequence[tuple[str, Sequence]]
+    ) -> Iterator[tuple[str, list[InjectionOutcome]]]:
+        """Dispatch every slice at once; yield per case, in batch order."""
+        assert self._pool is not None, "fresh trials without worker blobs"
+        obs = self._campaign.observer
+        sliced = []
+        for case_id, specs in batches:
+            size = _default_chunk_size(len(specs), self._max_workers)
+            sliced.append((case_id, _slices(specs, size)))
+        results = iter(
+            self._pool.map(
+                _run_shard,
+                [(case_id, part) for case_id, parts in sliced for part in parts],
+            )
+        )
+        for case_id, parts in sliced:
+            outcomes: list[InjectionOutcome] = []
+            for part, (got, obs_payload, elapsed_s) in zip(parts, results):
+                outcomes.extend(got)
+                if obs is not None:
+                    # Fold the finished task into the parent's observer.
+                    if obs_payload is not None:
+                        obs.absorb_worker(obs_payload)
+                    if obs.propagation is not None:
+                        obs.propagation.record_all(got)
+                    obs.on_chunk_completed(
+                        chunk_index=next(self._chunk_index),
+                        case_id=case_id,
+                        n_targets=len({(m, s) for m, s, _, _ in part}),
+                        n_runs=len(got),
+                        elapsed_s=elapsed_s,
+                    )
+                self._advance(len(got))
+            yield case_id, outcomes
+
+    def close(self) -> None:
+        """Stop the pool; close and unlink the shared-memory segments."""
+        if self._pool is not None:
+            self._pool.shutdown()
+        for segment in self._segments:
+            try:
+                segment.close()
+                segment.unlink()
+            except OSError:  # pragma: no cover - already gone
+                pass
 
 
 class InjectionCampaign:
@@ -810,6 +1068,17 @@ class InjectionCampaign:
         """Golden runs recorded so far (populated during execution)."""
         return dict(self._golden_runs)
 
+    def _grid_trials(self) -> tuple[tuple[str, int, int], ...]:
+        """One target's exhaustive trials ``(case_id, time_ms,
+        model_index)``, in canonical grid order."""
+        config = self._config
+        return tuple(
+            (case_id, time_ms, model_index)
+            for case_id in self._test_cases
+            for time_ms in config.injection_times_ms
+            for model_index in range(len(config.error_models))
+        )
+
     # ------------------------------------------------------------------
     # Static pruning (repro.flow)
     # ------------------------------------------------------------------
@@ -834,19 +1103,6 @@ class InjectionCampaign:
         pruned = set(analysis.prunable_targets(self._targets))
         live = tuple(t for t in self._targets if t not in pruned)
         return live, tuple(t for t in self._targets if t in pruned)
-
-    def _record_pruned(
-        self,
-        result: CampaignResult,
-        pruned: Sequence[tuple[str, str]],
-        runs_per_target: int,
-    ) -> int:
-        """Record pruned targets as exact zero-error counts; return arcs."""
-        n_arcs = 0
-        for module, signal in pruned:
-            result.record_pruned(module, signal, runs_per_target)
-            n_arcs += len(self._system.module(module).outputs)
-        return n_arcs
 
     # ------------------------------------------------------------------
     # Incremental execution (repro.store)
@@ -876,6 +1132,7 @@ class InjectionCampaign:
 
     def _encode_unit(
         self,
+        kind: str,
         case_id: str,
         module: str,
         signal: str,
@@ -902,7 +1159,7 @@ class InjectionCampaign:
             )
             arc_counts[output] = [len(outcomes), n_errors]
         return {
-            "kind": "unit",
+            "kind": kind,
             "case_id": case_id,
             "module": module,
             "signal": signal,
@@ -920,553 +1177,113 @@ class InjectionCampaign:
             ),
         }
 
-    def _decode_unit(
-        self, payload: dict, case_id: str, module: str, signal: str
+    def _fetch_unit(
+        self, store, digest: str, kind: str, row: tuple[str, str, str]
     ) -> list[InjectionOutcome] | None:
-        """Outcomes of a stored unit, or ``None`` when it cannot be reused.
+        """Outcomes of the stored ``kind`` row ``(case_id, module,
+        signal)`` under ``digest``, or ``None`` when it cannot be reused.
 
-        Pruned records (``kind != "unit"``) carry no per-run data and a
-        payload whose outcome count does not match this campaign's grid
-        cannot recompose byte-identically — both are treated as misses.
+        A ``"unit"`` is an exhaustive row: a payload whose outcome count
+        does not match this campaign's grid cannot recompose
+        byte-identically.  An ``"adaptive-unit"`` holds however many
+        trials the stopping rule needed; reuse stays sound at trial
+        granularity because recomposition only consumes cached outcomes
+        at exactly the scheduled grid coordinates, and per-run seeds
+        depend on coordinates alone.  Pruned records (no per-run data),
+        other kinds and payloads naming another row are misses.
         """
-        if payload.get("kind") != "unit":
-            return None
-        raw = payload.get("outcomes")
-        if not isinstance(raw, list) or len(raw) != self._config.runs_per_target():
-            return None
-        try:
-            decoded = [InjectionOutcome.from_jsonable(entry) for entry in raw]
-        except (KeyError, TypeError):
-            return None
-        for outcome in decoded:
-            if (
-                outcome.case_id != case_id
-                or outcome.module != module
-                or outcome.input_signal != signal
-            ):
-                return None
-        return decoded
-
-    def _decode_adaptive_unit(
-        self, payload: dict, case_id: str, module: str, signal: str
-    ) -> list[InjectionOutcome] | None:
-        """Outcomes of a stored adaptive row, or ``None`` on any mismatch.
-
-        Unlike :meth:`_decode_unit` the outcome count is free — an
-        adaptive row holds however many trials the stopping rule needed.
-        Reuse stays sound at trial granularity: the round loop only
-        consumes cached outcomes whose exact grid coordinates it
-        scheduled, and per-run seeds depend on coordinates alone.
-        """
-        if payload.get("kind") != "adaptive-unit":
+        payload = store.fetch(digest)
+        if payload is None or payload.get("kind") != kind:
             return None
         raw = payload.get("outcomes")
         if not isinstance(raw, list) or not raw:
             return None
+        if kind == "unit" and len(raw) != self._config.runs_per_target():
+            return None
         try:
             decoded = [InjectionOutcome.from_jsonable(entry) for entry in raw]
         except (KeyError, TypeError):
             return None
         for outcome in decoded:
-            if (
-                outcome.case_id != case_id
-                or outcome.module != module
-                or outcome.input_signal != signal
-            ):
+            if (outcome.case_id, outcome.module, outcome.input_signal) != row:
                 return None
         return decoded
 
-    def _plan_case_store(
+    def _plan_store(
         self,
-        store,
-        builder,
-        stats,
-        case_id: str,
-        case: CaseT,
+        session,
         live_targets: Sequence[tuple[str, str]],
         pruned: Sequence[tuple[str, str]],
+        schedule,
     ) -> tuple[dict, dict]:
-        """Compute one case's unit keys and fetch every reusable row.
+        """Key every row, fetch the reusable ones, publish pruned records.
 
-        Returns ``(keys, cached)`` where ``cached`` maps hit targets to
-        their decoded outcome lists.  Keys cover pruned targets too so
-        their records can be published.
+        Returns ``(cache, row_keys)``.  ``cache`` maps each hit ``(case_id,
+        target)`` to ``(digest, {(time_ms, model name): outcome})``: a
+        stored exhaustive unit satisfies any request; failing that, an
+        adaptive schedule accepts its own earlier rows.  ``row_keys``
+        maps every cacheable live row to the key its fresh result is
+        published under.  A pruned record shares its key with the full
+        unit the target would produce if executed (the key excludes
+        ``static_prune``), so it is only written where nothing is stored
+        yet — a full unit is never clobbered by the poorer pruned form.
         """
+        cache: dict = {}
+        row_keys: dict = {}
+        if session is None:
+            return cache, row_keys
+        store, builder, stats = session
         obs = self._observer
-        keys = builder.keys_for_case(
-            case_id, case, (*live_targets, *pruned)
-        )
-        cached: dict[tuple[str, str], list[InjectionOutcome]] = {}
-        for target in live_targets:
-            key = keys[target]
-            if not key.cacheable:
-                stats.uncacheable += 1
-                continue
-            if self._config.no_cache:
-                continue
-            payload = store.fetch(key.digest)
-            decoded = (
-                None
-                if payload is None
-                else self._decode_unit(payload, case_id, *target)
+        for case_id, case in self._test_cases.items():
+            keys = builder.keys_for_case(
+                case_id, case, (*live_targets, *pruned)
             )
-            if decoded is None:
-                stats.misses += 1
-                if obs is not None:
-                    obs.on_store_miss(case_id, *target)
-            else:
-                cached[target] = decoded
+            for target in live_targets:
+                key = keys[target]
+                if not key.cacheable:
+                    stats.uncacheable += 1
+                    continue
+                row = (case_id, *target)
+                row_keys[(case_id, target)] = schedule.row_digest(key.digest)
+                if self._config.no_cache:
+                    continue
+                digest = key.digest
+                outcomes = self._fetch_unit(store, digest, "unit", row)
+                if outcomes is None and schedule.row_kind != "unit":
+                    digest = row_keys[(case_id, target)]
+                    outcomes = self._fetch_unit(
+                        store, digest, schedule.row_kind, row
+                    )
+                if outcomes is None:
+                    stats.misses += 1
+                    if obs is not None:
+                        obs.on_store_miss(*row)
+                    continue
                 stats.hits += 1
-                stats.runs_reused += len(decoded)
-        return keys, cached
-
-    def _publish_case_units(
-        self,
-        store,
-        keys: dict,
-        case_id: str,
-        fresh: Mapping[tuple[str, str], list[InjectionOutcome]],
-        pruned: Sequence[tuple[str, str]],
-    ) -> None:
-        """Publish freshly executed rows and pruned-target records.
-
-        A pruned record shares its key with the full unit the target
-        would produce if executed (the key excludes ``static_prune``),
-        so it is only written where nothing is stored yet — a full unit
-        is never clobbered by the poorer pruned form.
-        """
-        for (module, signal), outcomes in fresh.items():
-            key = keys[(module, signal)]
-            if key.cacheable:
-                store.put(
-                    key.digest,
-                    self._encode_unit(case_id, module, signal, outcomes),
+                cache[(case_id, target)] = (
+                    digest,
+                    {(o.scheduled_time_ms, o.error_model): o for o in outcomes},
                 )
-        for module, signal in pruned:
-            key = keys[(module, signal)]
-            if key.cacheable and not store.contains(key.digest):
-                store.put(
-                    key.digest,
-                    {
-                        "kind": "pruned",
-                        "case_id": case_id,
-                        "module": module,
-                        "signal": signal,
-                        "n_runs": self._config.runs_per_target(),
-                    },
-                )
-
-    # ------------------------------------------------------------------
-    # Adaptive execution (repro.adaptive)
-    # ------------------------------------------------------------------
-
-    def _execute_adaptive(
-        self,
-        progress: ProgressCallback | None,
-        mode: str,
-        make_run_batches,
-    ) -> CampaignResult:
-        """The confidence-driven round loop shared by both execute paths.
-
-        ``make_run_batches(need_cases)`` returns ``(run_batches,
-        cleanup)``: ``run_batches`` executes one round's fresh trial
-        batches (``[(case_id, specs)]`` with specs ``(module, signal,
-        time_ms, model_index)``) and returns ``{case_id: [outcomes in
-        spec order]}``; ``cleanup`` releases executor resources.
-        ``need_cases`` are the cases that may execute at all (rows not
-        fully covered by the result store) so the parallel path only
-        records Golden Runs and ships worker blobs for those.
-        """
-        from repro.adaptive import (
-            AdaptiveController,
-            TargetMeasurement,
-            get_policy,
-        )
-        from repro.obs.propagation import PropagationObservations
-
-        obs = self._observer
-        config = self._config
-        started = time.perf_counter()
-        if obs is not None:
-            obs.on_campaign_started(self, mode=mode)
-            obs.on_backend_selected(self._exec_backend.name)
-        self._lint_gate()
-        live_targets, pruned = self._plan_pruning()
-        session = self._store_session()
-        result = CampaignResult(self._system)
-        completed = 0
-        total = self.total_runs()
-        if pruned:
-            per_target = len(self._test_cases) * config.runs_per_target()
-            n_arcs = self._record_pruned(result, pruned, per_target)
-            if obs is not None:
-                obs.on_arcs_pruned(pruned, per_target, n_arcs)
-            completed = len(pruned) * per_target
-            if progress is not None:
-                progress(completed, total)
-
-        # Resolved stopping parameters (store keys use the resolved
-        # values, so configs that only spell the defaults differently
-        # share adaptive rows).
-        z = 1.96
-        ci_width = config.ci_width if config.ci_width is not None else 0.05
-        round_size = (
-            config.round_size
-            if config.round_size is not None
-            else max(1, 2 * len(live_targets))
-        )
-        cap = config.max_trials_per_target
-        policy_name = (
-            config.budget_policy
-            if config.budget_policy is not None
-            else "widest-first"
-        )
-        case_ids = tuple(self._test_cases)
-        runs_per_target = config.runs_per_target()
-        n_pool = len(case_ids) * runs_per_target
-
-        # Store planning: per (case, target) a map of cached outcomes
-        # keyed by exact grid coordinates.  A full exhaustive unit
-        # satisfies any adaptive request; failing that, a previously
-        # published adaptive row under the resolved stopping parameters.
-        cache: dict[
-            tuple[str, tuple[str, str]],
-            dict[tuple[int, str], InjectionOutcome],
-        ] = {}
-        row_key: dict[tuple[str, tuple[str, str]], str] = {}
-        full_rows: set[tuple[str, tuple[str, str]]] = set()
-        case_keys: dict[str, dict] = {}
-        if session is not None:
-            from repro.store.fingerprints import content_digest
-
-            store, builder, stats = session
-            for case_id, case in self._test_cases.items():
-                keys = builder.keys_for_case(
-                    case_id, case, (*live_targets, *pruned)
-                )
-                case_keys[case_id] = keys
-                for target in live_targets:
-                    key = keys[target]
-                    if not key.cacheable:
-                        stats.uncacheable += 1
-                        continue
-                    row_key[(case_id, target)] = content_digest(
+            for module, signal in pruned:
+                key = keys[(module, signal)]
+                if key.cacheable and not store.contains(key.digest):
+                    store.put(
+                        key.digest,
                         {
-                            "kind": "adaptive",
-                            "base": key.digest,
-                            "ci_width": ci_width,
-                            "round_size": round_size,
-                            "max_trials_per_target": (
-                                cap if cap is not None else n_pool
-                            ),
-                            "z": z,
-                            "policy": policy_name,
-                        }
+                            "kind": "pruned",
+                            "case_id": case_id,
+                            "module": module,
+                            "signal": signal,
+                            "n_runs": self._config.runs_per_target(),
+                        },
                     )
-                    if config.no_cache:
-                        continue
-                    payload = store.fetch(key.digest)
-                    decoded = (
-                        None
-                        if payload is None
-                        else self._decode_unit(payload, case_id, *target)
-                    )
-                    if decoded is None:
-                        payload = store.fetch(row_key[(case_id, target)])
-                        decoded = (
-                            None
-                            if payload is None
-                            else self._decode_adaptive_unit(
-                                payload, case_id, *target
-                            )
-                        )
-                    if decoded is None:
-                        stats.misses += 1
-                        if obs is not None:
-                            obs.on_store_miss(case_id, *target)
-                        continue
-                    stats.hits += 1
-                    trial_map = {
-                        (o.scheduled_time_ms, o.error_model): o
-                        for o in decoded
-                    }
-                    cache[(case_id, target)] = trial_map
-                    if len(trial_map) >= runs_per_target:
-                        full_rows.add((case_id, target))
-
-        need_cases = tuple(
-            case_id
-            for case_id in case_ids
-            if any(
-                (case_id, target) not in full_rows for target in live_targets
-            )
-        )
-        pool_triples = tuple(
-            (case_id, time_ms, model_index)
-            for case_id in case_ids
-            for time_ms in config.injection_times_ms
-            for model_index in range(len(config.error_models))
-        )
-        controller: AdaptiveController[tuple[str, int, int]] = (
-            AdaptiveController(
-                {target: pool_triples for target in live_targets},
-                ci_width=ci_width,
-                round_size=round_size,
-                max_trials_per_target=cap,
-                seed=config.seed,
-                z=z,
-                policy=get_policy(policy_name),
-            )
-        )
-        observations = PropagationObservations(self._system)
-        achieved: dict[
-            tuple[str, tuple[str, str]], list[InjectionOutcome]
-        ] = {}
-        fresh_rows: set[tuple[str, tuple[str, str]]] = set()
-        run_batches, cleanup = make_run_batches(need_cases)
-        try:
-            while not controller.finished:
-                schedule = controller.next_round()
-                per_case: dict[str, list] = {cid: [] for cid in case_ids}
-                for target, trials in schedule.items():
-                    for case_id, time_ms, model_index in trials:
-                        per_case[case_id].append(
-                            (target, time_ms, model_index)
-                        )
-                batches = []
-                plan: list[tuple[str, list]] = []
-                for case_id in case_ids:
-                    entries = per_case[case_id]
-                    if not entries:
-                        continue
-                    specs: list[tuple[str, str, int, int]] = []
-                    rows: list = []
-                    for target, time_ms, model_index in entries:
-                        model_name = config.error_models[model_index].name
-                        trial_map = cache.get((case_id, target))
-                        outcome = (
-                            None
-                            if trial_map is None
-                            else trial_map.get((time_ms, model_name))
-                        )
-                        if outcome is None:
-                            rows.append((target, None, len(specs)))
-                            specs.append(
-                                (target[0], target[1], time_ms, model_index)
-                            )
-                        else:
-                            rows.append((target, outcome, -1))
-                    if specs:
-                        batches.append((case_id, tuple(specs)))
-                    plan.append((case_id, rows))
-                executed = run_batches(batches) if batches else {}
-                n_round = 0
-                for case_id, rows in plan:
-                    fresh_list = executed.get(case_id, [])
-                    for target, cached_outcome, index in rows:
-                        if cached_outcome is None:
-                            outcome = fresh_list[index]
-                            fresh_rows.add((case_id, target))
-                            if session is not None:
-                                session[2].runs_executed += 1
-                        else:
-                            outcome = cached_outcome
-                            if session is not None:
-                                session[2].runs_reused += 1
-                            if obs is not None:
-                                obs.on_outcome(outcome)
-                        observations.record(outcome)
-                        result.add(outcome)
-                        achieved.setdefault((case_id, target), []).append(
-                            outcome
-                        )
-                        n_round += 1
-                        completed += 1
-                if progress is not None:
-                    progress(completed, total)
-                measurements = {}
-                for target in controller.open_targets():
-                    module, signal = target
-                    if controller.n_taken(target) == 0:
-                        measurements[target] = TargetMeasurement(0.5, 0.5)
-                        continue
-                    half = -1.0
-                    point = 0.0
-                    for output in self._system.module(module).outputs:
-                        arc = observations.arc(module, signal, output)
-                        lo, hi = arc.wilson_interval(z)
-                        if (hi - lo) / 2.0 > half:
-                            half = (hi - lo) / 2.0
-                            point = arc.observed_permeability
-                    if half < 0.0:
-                        half = 0.0  # a target with no output arcs
-                    measurements[target] = TargetMeasurement(
-                        half_width=half, point_estimate=point
-                    )
-                for retiree in controller.complete_round(measurements):
-                    result.record_adaptive(
-                        AdaptiveRow(
-                            module=retiree.module,
-                            input_signal=retiree.signal,
-                            n_trials=retiree.n_trials,
-                            n_grid=n_pool,
-                            half_width=retiree.half_width,
-                            reason=retiree.reason,
-                            round_index=retiree.round_index,
-                        )
-                    )
-                    if obs is not None:
-                        obs.on_target_retired(
-                            retiree.module,
-                            retiree.signal,
-                            retiree.n_trials,
-                            retiree.half_width,
-                            retiree.reason,
-                            retiree.round_index,
-                        )
-                if obs is not None:
-                    obs.on_round_completed(
-                        controller.round_index,
-                        n_round,
-                        len(controller.open_targets()),
-                    )
-        finally:
-            cleanup()
-        unconverged: dict[str, int] = {}
-        for retiree in controller.retired():
-            if retiree.reason != "confidence":
-                unconverged[retiree.reason] = (
-                    unconverged.get(retiree.reason, 0) + 1
-                )
-        if unconverged and obs is not None:
-            obs.on_budget_exhausted(unconverged)
-        if session is not None:
-            store, builder, stats = session
-            for case_id in case_ids:
-                self._publish_case_units(
-                    store, case_keys[case_id], case_id, {}, pruned
-                )
-                for target in live_targets:
-                    row = (case_id, target)
-                    if row not in fresh_rows or row not in row_key:
-                        continue
-                    payload = self._encode_unit(
-                        case_id, target[0], target[1], achieved[row]
-                    )
-                    payload["kind"] = "adaptive-unit"
-                    store.put(row_key[row], payload)
-            self.last_store_stats = stats
-        else:
-            self.last_store_stats = None
-        if obs is not None:
-            obs.on_campaign_finished(result, time.perf_counter() - started)
-        return result
-
-    def _execute_adaptive_serial(
-        self,
-        progress: ProgressCallback | None,
-        inspector: "InspectorCallback | None",
-    ) -> CampaignResult:
-        """Adaptive rounds on the serial path (lazy Golden Runs per case)."""
-        case_state: dict[str, tuple] = {}
-
-        def run_batches(batches):
-            executed: dict[str, list[InjectionOutcome]] = {}
-            for case_id, specs in batches:
-                entry = case_state.get(case_id)
-                if entry is None:
-                    entry = self._golden_for_case(
-                        case_id, self._test_cases[case_id]
-                    )
-                    self._golden_runs[case_id] = entry[1]
-                    case_state[case_id] = entry
-                runner, golden, checkpoints = entry
-                context = _PointsContext(
-                    self, runner, golden, specs, checkpoints
-                )
-                outcomes = []
-                for outcome, injected in self._exec_backend.case_injections(
-                    context
-                ):
-                    if inspector is not None:
-                        inspector(outcome, injected, golden)
-                    outcomes.append(outcome)
-                executed[case_id] = outcomes
-            return executed
-
-        def make(need_cases):
-            return run_batches, (lambda: None)
-
-        return self._execute_adaptive(progress, "serial", make)
-
-    def _execute_adaptive_parallel(
-        self,
-        max_workers: int | None,
-        progress: ProgressCallback | None,
-    ) -> CampaignResult:
-        """Adaptive rounds over a long-lived worker pool.
-
-        Golden Runs (and shared-memory blobs) are prepared only for the
-        cases the store cannot fully answer; the pool stays up across
-        rounds so workers keep their per-case runtimes cached.  Each
-        round's fresh trials of a case are cut into contiguous slices
-        (:func:`_default_chunk_size`, the exhaustive path's rule) so
-        every worker has work even when the grid has one case.
-        """
-        obs = self._observer
-        segments: list = []
-        chunk_index = itertools.count()
-
-        def make(need_cases):
-            case_blobs = [
-                self._golden_blob(case_id, segments) for case_id in need_cases
-            ]
-            pool = (
-                self._worker_pool(max_workers, self._config, case_blobs)
-                if case_blobs
-                else None
-            )
-
-            def run_batches(batches):
-                assert pool is not None, "fresh trials without worker blobs"
-                tasks = [
-                    (case_id, part)
-                    for case_id, specs in batches
-                    for part in _slices(
-                        specs, _default_chunk_size(len(specs), max_workers)
-                    )
-                ]
-                executed: dict[str, list[InjectionOutcome]] = {}
-                for (case_id, specs), (outcomes, obs_payload, elapsed_s) in zip(
-                    tasks, pool.map(_run_adaptive_shard, tasks)
-                ):
-                    executed.setdefault(case_id, []).extend(outcomes)
-                    if obs is not None:
-                        _observe_chunk(
-                            obs,
-                            next(chunk_index),
-                            case_id,
-                            len({(m, s) for m, s, _, _ in specs}),
-                            outcomes,
-                            obs_payload,
-                            elapsed_s,
-                        )
-                return executed
-
-            def cleanup():
-                if pool is not None:
-                    pool.shutdown()
-                _release_segments(segments)
-
-            return run_batches, cleanup
-
-        return self._execute_adaptive(progress, "parallel", make)
+        return cache, row_keys
 
     def _golden_blob(self, case_id: str, segments: list) -> dict:
         """Record one case's Golden Run and pack it for the worker pool.
 
         The traces go into a new shared-memory segment, appended to
-        ``segments`` for :func:`_release_segments`; when shared memory
+        ``segments`` for :meth:`_PoolExecutor.close`; when shared memory
         is unavailable the packed bytes ride along in the blob instead.
         Checkpoints travel stripped of their trace prefixes.
         """
@@ -1474,7 +1291,6 @@ class InjectionCampaign:
 
         case = self._test_cases[case_id]
         runner, golden, checkpoints = self._golden_for_case(case_id, case)
-        self._golden_runs[case_id] = golden
         signals, duration_ms, flat = pack_trace_samples(golden.result.traces)
         n_bytes = len(flat) * flat.itemsize
         shm_name = None
@@ -1505,19 +1321,14 @@ class InjectionCampaign:
             "telemetry": golden.result.telemetry,
         }
 
-    def _worker_pool(
-        self,
-        max_workers: int | None,
-        config: CampaignConfig,
-        case_blobs: Sequence[dict],
-    ):
+    def _worker_pool(self, max_workers: int | None, case_blobs: Sequence[dict]):
         """A process pool whose workers receive the campaign payload once."""
         import concurrent.futures
 
         payload = (
             self._system,
             self._run_factory,
-            config,
+            self._config,
             self._observer is not None,
             tuple(case_blobs),
         )
@@ -1581,7 +1392,8 @@ class InjectionCampaign:
         ----------
         progress:
             Optional ``(completed, total)`` callback, invoked once per
-            completed injection run.
+            completed injection run (and once per row reused from the
+            result store).
         inspector:
             Optional callback invoked for every injection run *while
             its full traces are still available* (they are discarded
@@ -1592,97 +1404,220 @@ class InjectionCampaign:
             only freshly *executed* runs reach the inspector — reused
             rows carry outcome records, not traces.
         """
-        if self._config.adaptive:
-            return self._execute_adaptive_serial(progress, inspector)
+        return self._execute(_InlineExecutor(self, inspector), progress, "serial")
+
+    def execute_parallel(
+        self,
+        max_workers: int | None = None,
+        progress: ProgressCallback | None = None,
+    ) -> CampaignResult:
+        """Run the campaign over a process pool.
+
+        Each case's trials of a round — the whole grid for an exhaustive
+        campaign, one round's sample for an adaptive one — are cut into
+        contiguous slices of ~4 per worker (:func:`_default_chunk_size`,
+        counted in trials), so the usable worker count scales with the
+        grid size rather than being capped at the number of test cases.
+        Golden Runs (and their prefix-reuse checkpoints and fast-forward
+        digests) are computed once per test case in the parent process;
+        the workers replay only the injection suffixes.
+
+        The campaign-wide payload is shipped *once per worker* through
+        the pool initializer, not once per slice: each Golden-Run trace
+        set is packed into one flat ``array('q')`` published via
+        ``multiprocessing.shared_memory`` (workers map it zero-copy;
+        when shared memory is unavailable the packed bytes ride along
+        in the payload instead), checkpoints travel stripped of their
+        trace prefixes (reconstructed worker-side from the shared
+        Golden Run), and each worker keeps its runtime and Golden-Run
+        views cached across slices.  A slice task is then just
+        ``(case_id, specs)``.
+
+        Produces bit-identical outcomes to :meth:`execute` (per-run
+        seeds are derived from the configuration, not from execution
+        order, and slices are collected in schedule order).
+        Restrictions compared to the serial path:
+
+        * ``run_factory`` must be picklable (a module-level callable,
+          e.g. :func:`repro.arrestment.build_arrestment_run`);
+        * no ``inspector`` hook (IR traces never leave the workers).
+
+        Parameters
+        ----------
+        max_workers:
+            Worker processes (defaults to the machine's CPU count).
+        progress:
+            Optional ``(completed, total)`` callback reporting
+            *completed injection runs* after each finished slice (and
+            each row reused from the result store).
+        """
+        return self._execute(_PoolExecutor(self, max_workers), progress, "parallel")
+
+    def _execute(
+        self,
+        executor: "_InlineExecutor | _PoolExecutor",
+        progress: ProgressCallback | None,
+        mode: str,
+    ) -> CampaignResult:
+        """The one campaign driver: plan, schedule, execute, recompose.
+
+        See "Pipeline" in the module docstring.  Each round is regrouped
+        per case (in case order); a case's cached trials come from the
+        store plan, its fresh ones from ``executor`` in spec order, and
+        both fold into the result in schedule order.  A row is published
+        as soon as it is final: after its case is recomposed for the
+        exhaustive schedule, when its target retires for the adaptive
+        one.
+        """
         obs = self._observer
+        config = self._config
         started = time.perf_counter()
         if obs is not None:
-            obs.on_campaign_started(self, mode="serial")
+            obs.on_campaign_started(self, mode=mode)
             obs.on_backend_selected(self._exec_backend.name)
+
+        # Plan: lint gate, static pruning, one store lookup.
         self._lint_gate()
         live_targets, pruned = self._plan_pruning()
-        session = self._store_session()
         result = CampaignResult(self._system)
-        completed = 0
         total = self.total_runs()
-        if pruned:
-            per_target = len(self._test_cases) * self._config.runs_per_target()
-            n_arcs = self._record_pruned(result, pruned, per_target)
-            if obs is not None:
-                obs.on_arcs_pruned(pruned, per_target, n_arcs)
-            completed = len(pruned) * per_target
+        completed = 0
+
+        def advance(n_runs: int) -> None:
+            nonlocal completed
+            completed += n_runs
             if progress is not None:
                 progress(completed, total)
-        for case_id, case in self._test_cases.items():
-            if session is None:
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, case
-                )
-                self._golden_runs[case_id] = golden
-                for outcome, injected in self._case_injections(
-                    runner, golden, live_targets, checkpoints
-                ):
-                    if inspector is not None:
-                        inspector(outcome, injected, golden)
-                    result.add(outcome)
-                    completed += 1
-                    if progress is not None:
-                        progress(completed, total)
-                continue
-            store, builder, stats = session
-            keys, cached = self._plan_case_store(
-                store, builder, stats, case_id, case, live_targets, pruned
+
+        if pruned:
+            # Pruned targets are exact zero-error counts.
+            per_target = len(self._test_cases) * config.runs_per_target()
+            n_arcs = 0
+            for module, signal in pruned:
+                result.record_pruned(module, signal, per_target)
+                n_arcs += len(self._system.module(module).outputs)
+            if obs is not None:
+                obs.on_arcs_pruned(pruned, per_target, n_arcs)
+            advance(len(pruned) * per_target)
+        schedule = (
+            _AdaptiveSchedule if config.adaptive else _ExhaustiveSchedule
+        )(self, live_targets, result)
+        session = self._store_session()
+        cache, row_keys = self._plan_store(
+            session, live_targets, pruned, schedule
+        )
+        stats = session[2] if session is not None else None
+        case_ids = self.case_ids()
+        model_names = [model.name for model in config.error_models]
+        no_hit: tuple[None, dict] = (None, {})
+        need_cases = tuple(
+            case_id
+            for case_id in case_ids
+            if any(
+                len(cache.get((case_id, target), no_hit)[1])
+                < config.runs_per_target()
+                for target in live_targets
             )
-            miss_targets = tuple(
-                target for target in live_targets if target not in cached
-            )
-            fresh: dict[tuple[str, str], list[InjectionOutcome]] = {}
-            if miss_targets:
-                # Fully reused cases skip even their Golden Run.
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, case
+        )
+
+        # Every outcome so far of each cacheable row; a row is published
+        # only if it ran at least one fresh trial (``fresh_rows``).
+        achieved: dict[tuple[str, tuple[str, str]], list] = {}
+        fresh_rows: set[tuple[str, tuple[str, str]]] = set()
+
+        def publish(row: tuple[str, tuple[str, str]]) -> None:
+            outcomes = achieved.pop(row, None)
+            if outcomes is not None and row in fresh_rows:
+                session[0].put(
+                    row_keys[row],
+                    self._encode_unit(
+                        schedule.row_kind, row[0], *row[1], outcomes
+                    ),
                 )
-                self._golden_runs[case_id] = golden
-                for outcome, injected in self._case_injections(
-                    runner, golden, miss_targets, checkpoints
-                ):
-                    if inspector is not None:
-                        inspector(outcome, injected, golden)
-                    fresh.setdefault(
-                        (outcome.module, outcome.input_signal), []
-                    ).append(outcome)
-                    stats.runs_executed += 1
-                    completed += 1
-                    if progress is not None:
-                        progress(completed, total)
-            self._publish_case_units(store, keys, case_id, fresh, pruned)
-            # Recompose in canonical grid order: cache hits interleave
-            # with fresh rows exactly where a cold run would put them.
-            for target in live_targets:
-                if target in cached:
-                    outcomes = cached[target]
-                    if obs is not None:
-                        obs.on_unit_reused(
-                            case_id,
-                            target[0],
-                            target[1],
-                            len(outcomes),
-                            keys[target].digest,
+
+        try:
+            executor.start(need_cases, advance, keep_cases=not schedule.rows_final)
+            while not schedule.finished:
+                # Schedule: regroup the round per case; split cached
+                # trials from the fresh specs the executor must run.
+                per_case: dict[str, list] = {case_id: [] for case_id in case_ids}
+                for target, trials in schedule.next_round().items():
+                    for case_id, time_ms, model_index in trials:
+                        per_case[case_id].append((target, time_ms, model_index))
+                plans = []
+                batches = []
+                for case_id in case_ids:
+                    entries = []
+                    specs = []
+                    n_reused: dict[tuple[str, str], int] = {}
+                    for target, time_ms, model_index in per_case[case_id]:
+                        outcome = cache.get((case_id, target), no_hit)[1].get(
+                            (time_ms, model_names[model_index])
                         )
-                        for outcome in outcomes:
-                            obs.on_outcome(outcome)
-                    for outcome in outcomes:
+                        if outcome is None:
+                            specs.append((*target, time_ms, model_index))
+                        else:
+                            n_reused[target] = n_reused.get(target, 0) + 1
+                        entries.append((target, outcome))
+                    if entries:
+                        plans.append((case_id, entries, n_reused, bool(specs)))
+                    if specs:
+                        batches.append((case_id, tuple(specs)))
+
+                # Execute and recompose, case by case in schedule order.
+                fresh_runs = executor.run(batches)
+                round_outcomes: list[InjectionOutcome] = []
+                for case_id, entries, n_reused, has_fresh in plans:
+                    fresh_outcomes: list[InjectionOutcome] = []
+                    if has_fresh:
+                        ran_case, fresh_outcomes = next(fresh_runs)
+                        assert ran_case == case_id, (ran_case, case_id)
+                    fresh = iter(fresh_outcomes)
+                    for target, outcome in entries:
+                        row = (case_id, target)
+                        if outcome is None:
+                            outcome = next(fresh)
+                            fresh_rows.add(row)
+                            if stats is not None:
+                                stats.runs_executed += 1
+                        else:
+                            # UnitReused precedes the row's replays this round.
+                            n_cached = n_reused.pop(target, 0)
+                            if n_cached:
+                                if obs is not None:
+                                    obs.on_unit_reused(
+                                        case_id,
+                                        *target,
+                                        n_cached,
+                                        cache[row][0],
+                                    )
+                                stats.runs_reused += n_cached
+                                advance(n_cached)
+                            if obs is not None:
+                                obs.on_outcome(outcome)
+                        if row in row_keys:
+                            achieved.setdefault(row, []).append(outcome)
                         result.add(outcome)
-                    completed += len(outcomes)
-                    if progress is not None:
-                        progress(completed, total)
-                else:
-                    for outcome in fresh.get(target, []):
-                        result.add(outcome)
-        self.last_store_stats = session[2] if session is not None else None
+                        round_outcomes.append(outcome)
+                    if schedule.rows_final:
+                        for target in live_targets:
+                            publish((case_id, target))
+                for target in schedule.complete_round(round_outcomes):
+                    for case_id in case_ids:
+                        publish((case_id, target))
+        finally:
+            executor.close()
+        self.last_store_stats = stats
         if obs is not None:
             obs.on_campaign_finished(result, time.perf_counter() - started)
         return result
+
+    def _timer(self, name: str):
+        """The observer's metrics span ``name``, or a no-op without one."""
+        obs = self._observer
+        if obs is None or obs.metrics is None:
+            return nullcontext()
+        return obs.metrics.timer(name)
 
     def _golden_for_case(
         self, case_id: str, case: CaseT
@@ -1690,7 +1625,8 @@ class InjectionCampaign:
         """Build the runtime and record the Golden Run of one test case.
 
         With prefix reuse enabled, checkpoints are captured at every
-        configured injection time while the Golden Run executes.
+        configured injection time while the Golden Run executes; with
+        fast-forward enabled, per-frame state digests as well.
         """
         obs = self._observer
         config = self._config
@@ -1700,56 +1636,23 @@ class InjectionCampaign:
             if obs.metrics is not None:
                 runner.set_metrics(obs.metrics)
             obs.on_run_started(case_id, kind="golden")
-        checkpoint_times = (
-            config.injection_times_ms if config.reuse_golden_prefix else ()
-        )
-        digests = None
-
-        def record():
-            if config.fast_forward:
-                return runner.run_with_checkpoints(
-                    config.duration_ms, checkpoint_times, frame_digests=True
-                )
-            if checkpoint_times:
-                return runner.run_with_checkpoints(
-                    config.duration_ms, checkpoint_times
-                )
-            return runner.run(config.duration_ms), {}
-
-        if obs is not None and obs.metrics is not None:
-            with obs.metrics.timer("phase.golden_run.seconds"):
-                recorded = record()
-        else:
-            recorded = record()
-        if config.fast_forward:
-            golden_result, checkpoints, digests = recorded
-        else:
-            golden_result, checkpoints = recorded
+        with self._timer("phase.golden_run.seconds"):
+            recorded = runner.run_with_checkpoints(
+                config.duration_ms,
+                config.injection_times_ms if config.reuse_golden_prefix else (),
+                frame_digests=config.fast_forward,
+            )
+        golden_result, checkpoints = recorded[:2]
         if obs is not None and checkpoints:
             obs.on_checkpoints_saved(case_id, sorted(checkpoints))
         golden = GoldenRun(
             case_id=case_id,
             result=golden_result,
-            digests=digests,
+            digests=recorded[2] if config.fast_forward else None,
             initials=runner.store.initial_values(),
         )
+        self._golden_runs[case_id] = golden
         return runner, golden, checkpoints
-
-    def _case_injections(
-        self,
-        runner: SimulationRun,
-        golden: GoldenRun,
-        targets: Sequence[tuple[str, str]],
-        checkpoints: Mapping[int, RunCheckpoint],
-    ) -> Iterator[tuple[InjectionOutcome, RunResult]]:
-        """Yield every IR of ``targets`` for one test case, in grid order.
-
-        Execution is delegated to the configured simulation backend;
-        the campaign retains ownership of grid order, observers,
-        comparison and outcome records via the case context.
-        """
-        context = _CaseContext(self, runner, golden, targets, checkpoints)
-        return self._exec_backend.case_injections(context)
 
     def _one_injection(
         self,
@@ -1763,25 +1666,14 @@ class InjectionCampaign:
         checkpoint: RunCheckpoint | None = None,
         golden_ref: GoldenReference | None = None,
     ) -> tuple[InjectionOutcome, "RunResult"]:
+        """Arm one trap, execute one IR and record its outcome."""
         if runner.hooks_installed:
             raise CampaignError(
                 "runtime has hooks installed from a previous run; "
                 "refusing to arm a trap on a dirty runtime"
             )
-        obs = self._observer
-        if obs is not None:
-            obs.on_run_started(
-                case_id,
-                kind="injection",
-                module=module,
-                signal=signal,
-                time_ms=time_ms,
-                error_model=model.name,
-            )
-            if checkpoint is not None:
-                obs.on_checkpoint_reused(
-                    case_id, time_ms, skipped_ms=checkpoint.time_ms
-                )
+        point = _InjectionPoint(module, signal, time_ms, model, checkpoint)
+        self._announce_injection(case_id, point)
         trap = InputInjectionTrap.for_system(
             self._system,
             module=module,
@@ -1793,246 +1685,56 @@ class InjectionCampaign:
             ),
         )
         runner.add_read_interceptor(trap)
+        duration_ms = self._config.duration_ms
         try:
-            if obs is not None and obs.metrics is not None:
-                with obs.metrics.timer("phase.injection_run.seconds"):
-                    if checkpoint is not None:
-                        injected = runner.run_from(
-                            checkpoint, self._config.duration_ms, golden_ref
-                        )
-                    else:
-                        injected = runner.run(
-                            self._config.duration_ms, golden_ref
-                        )
-            elif checkpoint is not None:
-                injected = runner.run_from(
-                    checkpoint, self._config.duration_ms, golden_ref
-                )
-            else:
-                injected = runner.run(self._config.duration_ms, golden_ref)
+            with self._timer("phase.injection_run.seconds"):
+                if checkpoint is not None:
+                    injected = runner.run_from(checkpoint, duration_ms, golden_ref)
+                else:
+                    injected = runner.run(duration_ms, golden_ref)
         finally:
             runner.clear_hooks()
-        return self._finish_injection(
-            golden, case_id, module, signal, time_ms, model,
-            injected, trap.fired_at_ms,
+        return self._finish_injection(golden, point, injected, trap.fired_at_ms)
+
+    def _announce_injection(self, case_id: str, point: _InjectionPoint) -> None:
+        """Emit one IR's ``RunStarted`` (and ``CheckpointReused``)."""
+        obs = self._observer
+        if obs is None:
+            return
+        obs.on_run_started(
+            case_id,
+            kind="injection",
+            module=point.module,
+            signal=point.signal,
+            time_ms=point.time_ms,
+            error_model=point.model.name,
         )
+        if point.checkpoint is not None:
+            obs.on_checkpoint_reused(
+                case_id, point.time_ms, skipped_ms=point.checkpoint.time_ms
+            )
 
     def _finish_injection(
         self,
         golden: GoldenRun,
-        case_id: str,
-        module: str,
-        signal: str,
-        time_ms: int,
-        model: ErrorModel,
+        point: _InjectionPoint,
         injected: "RunResult",
         fired_at_ms: int | None,
     ) -> tuple[InjectionOutcome, "RunResult"]:
         """Compare an executed IR to its Golden Run and record the outcome."""
-        obs = self._observer
-        if obs is not None and obs.metrics is not None:
-            with obs.metrics.timer("phase.comparison.seconds"):
-                comparison = compare_to_golden_run(golden, injected)
-        else:
+        with self._timer("phase.comparison.seconds"):
             comparison = compare_to_golden_run(golden, injected)
         outcome = InjectionOutcome(
-            case_id=case_id,
-            module=module,
-            input_signal=signal,
-            scheduled_time_ms=time_ms,
+            case_id=golden.case_id,
+            module=point.module,
+            input_signal=point.signal,
+            scheduled_time_ms=point.time_ms,
             fired_at_ms=fired_at_ms,
-            error_model=model.name,
+            error_model=point.model.name,
             comparison=comparison,
             reconverged_at_ms=injected.reconverged_at_ms,
             frames_fast_forwarded=injected.frames_fast_forwarded,
         )
-        if obs is not None:
-            obs.on_outcome(outcome)
+        if self._observer is not None:
+            self._observer.on_outcome(outcome)
         return outcome, injected
-
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
-
-    def execute_parallel(
-        self,
-        max_workers: int | None = None,
-        progress: ProgressCallback | None = None,
-        chunk_size: int | None = None,
-    ) -> CampaignResult:
-        """Run the campaign grid-sharded over a process pool.
-
-        The ``(case, module, signal)`` target grid is split into chunks
-        of ``chunk_size`` targets; each chunk is one work item, so the
-        usable worker count scales with the grid size rather than being
-        capped at the number of test cases.  Golden Runs (and their
-        prefix-reuse checkpoints and fast-forward digests) are computed
-        once per test case in the parent process; the workers replay
-        only the injection suffixes.
-
-        The campaign-wide payload is shipped *once per worker* through
-        the pool initializer, not once per chunk: each Golden-Run trace
-        set is packed into one flat ``array('q')`` published via
-        ``multiprocessing.shared_memory`` (workers map it zero-copy;
-        when shared memory is unavailable the packed bytes ride along
-        in the payload instead), checkpoints travel stripped of their
-        trace prefixes (reconstructed worker-side from the shared
-        Golden Run), and each worker keeps its runtime and Golden-Run
-        views cached across chunks.  A chunk task is then just
-        ``(case_id, targets)``.
-
-        Produces bit-identical outcomes to :meth:`execute` (per-run
-        seeds are derived from the configuration, not from execution
-        order, and chunks are collected in grid order).  Restrictions
-        compared to the serial path:
-
-        * ``run_factory`` must be picklable (a module-level callable,
-          e.g. :func:`repro.arrestment.build_arrestment_run`);
-        * no ``inspector`` hook (IR traces never leave the workers).
-
-        Parameters
-        ----------
-        max_workers:
-            Worker processes (defaults to the machine's CPU count).
-        progress:
-            Optional ``(completed, total)`` callback reporting
-            *completed injection runs* after each finished chunk.
-        chunk_size:
-            Targets per work item.  Defaults to an even split aiming at
-            ~4 chunks per worker (:func:`_default_chunk_size`), so
-            stragglers rebalance.  Chunks are cheap (the Golden Run is
-            already worker-resident), so fine sharding costs little.
-            Adaptive campaigns (:attr:`CampaignConfig.adaptive`) validate
-            but do not use it: each round's fresh trials of a case are
-            cut into contiguous slices by the same ~4-per-worker rule,
-            counted in trials, and concatenated back in schedule order.
-        """
-        if chunk_size is not None and chunk_size < 1:
-            raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
-        if self._config.adaptive:
-            return self._execute_adaptive_parallel(max_workers, progress)
-        import dataclasses
-
-        obs = self._observer
-        started = time.perf_counter()
-        if obs is not None:
-            obs.on_campaign_started(self, mode="parallel")
-            obs.on_backend_selected(self._exec_backend.name)
-        self._lint_gate()
-        live_targets, pruned = self._plan_pruning()
-        session = self._store_session()
-        config = dataclasses.replace(
-            self._config, targets=live_targets
-        )
-        total = self.total_runs()
-        if chunk_size is None:
-            chunk_size = _default_chunk_size(
-                len(self._test_cases) * len(live_targets), max_workers
-            )
-
-        case_blobs = []
-        segments: list = []
-        tasks: list[tuple[str, tuple[tuple[str, str], ...]]] = []
-        result = CampaignResult(self._system)
-        completed = 0
-        if pruned:
-            per_target = len(self._test_cases) * self._config.runs_per_target()
-            n_arcs = self._record_pruned(result, pruned, per_target)
-            if obs is not None:
-                obs.on_arcs_pruned(pruned, per_target, n_arcs)
-            completed = len(pruned) * per_target
-            if progress is not None:
-                progress(completed, total)
-        case_plans: dict[str, tuple[dict, dict]] = {}
-        fresh_by_case: dict[str, dict[tuple[str, str], list[InjectionOutcome]]] = {}
-        try:
-            for case_id, case in self._test_cases.items():
-                case_targets = live_targets
-                if session is not None:
-                    store, builder, stats = session
-                    keys, cached = self._plan_case_store(
-                        store, builder, stats, case_id, case,
-                        live_targets, pruned,
-                    )
-                    case_plans[case_id] = (keys, cached)
-                    case_targets = tuple(
-                        target
-                        for target in live_targets
-                        if target not in cached
-                    )
-                    completed += sum(len(runs) for runs in cached.values())
-                    if cached and progress is not None:
-                        progress(completed, total)
-                    if not case_targets:
-                        # Fully reused: no Golden Run, no blob, no tasks.
-                        continue
-                case_blobs.append(self._golden_blob(case_id, segments))
-                tasks.extend(
-                    (case_id, part)
-                    for part in _slices(case_targets, chunk_size)
-                )
-
-            if tasks:
-                with self._worker_pool(max_workers, config, case_blobs) as pool:
-                    for index, (outcomes, obs_payload, elapsed_s) in enumerate(
-                        pool.map(_run_shard, tasks)
-                    ):
-                        if session is None:
-                            for outcome in outcomes:
-                                result.add(outcome)
-                        else:
-                            per_case = fresh_by_case.setdefault(
-                                tasks[index][0], {}
-                            )
-                            for outcome in outcomes:
-                                per_case.setdefault(
-                                    (outcome.module, outcome.input_signal), []
-                                ).append(outcome)
-                            session[2].runs_executed += len(outcomes)
-                        completed += len(outcomes)
-                        if obs is not None:
-                            chunk_case, chunk_targets = tasks[index]
-                            _observe_chunk(
-                                obs,
-                                index,
-                                chunk_case,
-                                len(chunk_targets),
-                                outcomes,
-                                obs_payload,
-                                elapsed_s,
-                            )
-                        if progress is not None:
-                            progress(completed, total)
-        finally:
-            _release_segments(segments)
-        if session is not None:
-            store, builder, stats = session
-            for case_id in self._test_cases:
-                keys, cached = case_plans[case_id]
-                fresh = fresh_by_case.get(case_id, {})
-                self._publish_case_units(store, keys, case_id, fresh, pruned)
-                # Recompose in canonical grid order (see execute()).
-                for target in live_targets:
-                    if target in cached:
-                        for_unit = cached[target]
-                        if obs is not None:
-                            obs.on_unit_reused(
-                                case_id,
-                                target[0],
-                                target[1],
-                                len(for_unit),
-                                keys[target].digest,
-                            )
-                            for outcome in for_unit:
-                                obs.on_outcome(outcome)
-                        for outcome in for_unit:
-                            result.add(outcome)
-                    else:
-                        for outcome in fresh.get(target, []):
-                            result.add(outcome)
-            self.last_store_stats = stats
-        else:
-            self.last_store_stats = None
-        if obs is not None:
-            obs.on_campaign_finished(result, time.perf_counter() - started)
-        return result

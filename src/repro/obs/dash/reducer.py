@@ -157,6 +157,7 @@ class CampaignStateReducer:
         self.n_pruned_runs = 0
         self.n_cached_units = 0
         self.n_cached_runs = 0
+        self._reused_rows: set[tuple[str, str, str]] = set()
         self.outcome_mix: TallyCounter = TallyCounter()
         # Adaptive (sequential-stopping) state.
         self.n_rounds = 0
@@ -305,7 +306,9 @@ class CampaignStateReducer:
             # The row's recorded outcomes are replayed right after this
             # event as ordinary OutcomeClassified events (driving the
             # matrix and progress), so only the reuse itself is counted.
-            self.n_cached_units += 1
+            # An adaptive row can supply cached outcomes in several rounds.
+            self._reused_rows.add((event.case_id, event.module, event.signal))
+            self.n_cached_units = len(self._reused_rows)
             self.n_cached_runs += event.n_runs
         elif isinstance(event, ChunkCompleted):
             self.n_chunks += 1

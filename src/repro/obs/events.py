@@ -228,7 +228,10 @@ class UnitReused:
     :class:`OutcomeClassified` events when an incremental campaign
     (``--store DIR``, see docs/INCREMENTAL.md) found the row's content
     key already stored — its ``n_runs`` injection runs were skipped and
-    their recorded outcomes fed into the result instead.
+    their recorded outcomes fed into the result instead.  An adaptive
+    campaign replays a row round by round, so one row can emit several
+    events, each counting the cached outcomes it supplied that round;
+    consumers count distinct ``(case_id, module, signal)`` rows.
     """
 
     case_id: str

@@ -68,6 +68,7 @@ class CampaignObserver:
         self.events = events
         self.metrics = metrics
         self.propagation = propagation
+        self._reused_rows: set[tuple[str, str, str]] = set()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -128,6 +129,7 @@ class CampaignObserver:
     # ------------------------------------------------------------------
 
     def on_campaign_started(self, campaign, mode: str) -> None:
+        self._reused_rows.clear()
         if self.events is not None:
             self.events.emit(
                 CampaignStarted(
@@ -173,7 +175,11 @@ class CampaignObserver:
     def on_unit_reused(
         self, case_id: str, module: str, signal: str, n_runs: int, key: str
     ) -> None:
-        """Record one target row recomposed from the result store."""
+        """Record cached outcomes of one target row replayed from the store.
+
+        ``store.hits`` counts distinct rows: an adaptive row can supply
+        cached outcomes in several rounds.
+        """
         if self.events is not None:
             self.events.emit(
                 UnitReused(
@@ -185,7 +191,10 @@ class CampaignObserver:
                 )
             )
         if self.metrics is not None:
-            self.metrics.counter("store.hits").inc()
+            row = (case_id, module, signal)
+            if row not in self._reused_rows:
+                self._reused_rows.add(row)
+                self.metrics.counter("store.hits").inc()
             self.metrics.counter("store.runs_reused").inc(n_runs)
 
     def on_store_miss(self, case_id: str, module: str, signal: str) -> None:

@@ -100,6 +100,7 @@ def summarize_events(
     from the same campaign).
     """
     summary = EventsSummary()
+    reused_rows: set[tuple[str, str, str]] = set()
     for parsed in events:
         summary.n_events += 1
         event = parsed.event
@@ -125,7 +126,9 @@ def summarize_events(
                 len(event.targets) * event.n_injections_per_target
             )
         elif isinstance(event, UnitReused):
-            summary.n_cached_units += 1
+            # An adaptive row can supply cached outcomes in several rounds.
+            reused_rows.add((event.case_id, event.module, event.signal))
+            summary.n_cached_units = len(reused_rows)
             summary.n_cached_runs += event.n_runs
         elif isinstance(event, StoreArtifactRejected):
             summary.n_store_rejected += 1

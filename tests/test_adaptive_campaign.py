@@ -189,12 +189,6 @@ def test_adaptive_rounds_fan_out_across_the_pool(tmp_path):
             assert len(chunk_runs) > 1, (n_trials, chunk_runs)
 
 
-def test_adaptive_parallel_rejects_chunk_size_below_one():
-    gen = generate_system(11)
-    with pytest.raises(CampaignError, match="chunk_size"):
-        _campaign(gen, **ADAPTIVE).execute_parallel(max_workers=2, chunk_size=0)
-
-
 def test_max_trials_per_target_caps_the_sample():
     gen = generate_system(11)
     result = _campaign(
@@ -293,6 +287,46 @@ def test_adaptive_store_rows_have_their_own_keys(tmp_path):
     full = _campaign(gen, store=str(tmp_path))
     full_result = full.execute()
     assert full.last_store_stats.runs_executed == len(full_result)
+
+
+def test_adaptive_crash_keeps_retired_rows_stored(tmp_path):
+    """A row is stored when its target retires, not at campaign end."""
+    from repro.obs import CampaignObserver
+    from repro.obs.events import RoundCompleted, read_events
+
+    gen = generate_system(11)
+    events_path = tmp_path / "cold.jsonl"
+    observer = CampaignObserver.to_files(
+        events_path=str(events_path), with_metrics=False, system=gen.system
+    )
+    cold = _campaign(gen, observer=observer, **ADAPTIVE).execute()
+    observer.close()
+    rounds = [
+        parsed.event.n_trials
+        for parsed in read_events(events_path)
+        if isinstance(parsed.event, RoundCompleted)
+    ]
+    first = min(row.round_index for row in cold.adaptive_rows())
+    assert first < len(rounds), "needs a round after the first retirement"
+    # Crash on the first run after the first retirement round.
+    budget = sum(rounds[:first])
+    seen = []
+
+    def crash(outcome, injected, golden):
+        seen.append(outcome)
+        if len(seen) > budget:
+            raise RuntimeError("injected crash")
+
+    store = str(tmp_path / "store")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        _campaign(gen, **ADAPTIVE, store=store).execute(inspector=crash)
+    resumed = _campaign(gen, **ADAPTIVE, store=store)
+    result = resumed.execute()
+    stats = resumed.last_store_stats
+    assert stats.hits > 0
+    assert 0 < stats.runs_executed < len(cold)
+    assert _outs(result) == _outs(cold)
+    assert _rows(result) == _rows(cold)
 
 
 def test_adaptive_with_prune_and_store_warm_replay(tmp_path):

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
 from repro.injection.error_models import BitFlip, RandomBitFlip
 from repro.injection.estimator import estimate_matrix
-from repro.model.errors import CampaignError
 
 from tests.conftest import build_toy_model, toy_factory
 
@@ -47,7 +44,7 @@ class TestExecuteParallel:
     def test_identical_to_naive_serial(self):
         """Grid sharding + prefix reuse matches the naive full-re-run path."""
         naive = make_campaign(reuse_golden_prefix=False).execute()
-        parallel = make_campaign().execute_parallel(max_workers=2, chunk_size=1)
+        parallel = make_campaign().execute_parallel(max_workers=2)
         assert outcome_records(parallel) == outcome_records(naive)
 
     def test_matrix_identical(self):
@@ -56,28 +53,18 @@ class TestExecuteParallel:
         assert serial.to_jsonable() == parallel.to_jsonable()
 
     def test_progress_reports_completed_runs(self):
-        """Progress counts injection runs per finished chunk, not cases."""
+        """Progress counts injection runs per finished slice, not cases."""
         seen = []
         make_campaign().execute_parallel(
             max_workers=2,
-            chunk_size=1,
             progress=lambda done, total: seen.append((done, total)),
         )
-        # 3 cases x 2 targets = 6 single-target chunks of 6 runs each.
-        assert seen == [(6, 36), (12, 36), (18, 36), (24, 36), (30, 36), (36, 36)]
-
-    def test_chunking_beyond_case_count(self):
-        """chunk_size=1 yields more work items than test cases."""
-        result = make_campaign().execute_parallel(max_workers=4, chunk_size=1)
-        assert len(result) == make_campaign().total_runs()
+        # 3 cases x 12 trials, cut into ~4 slices per worker: 2-trial slices.
+        assert seen == [(done, 36) for done in range(2, 37, 2)]
 
     def test_single_worker(self):
         result = make_campaign().execute_parallel(max_workers=1)
         assert len(result) == make_campaign().total_runs()
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(CampaignError):
-            make_campaign().execute_parallel(max_workers=1, chunk_size=0)
 
     def test_golden_runs_collected_in_parent(self):
         """Golden Runs are computed in the parent and stay inspectable."""

@@ -212,7 +212,7 @@ class TestCampaignEquivalence:
     def test_grid_sharded_identical_to_naive(self, make):
         build = getattr(self, make)
         naive = build(False).execute()
-        sharded = build(True).execute_parallel(max_workers=2, chunk_size=1)
+        sharded = build(True).execute_parallel(max_workers=2)
         assert outcome_records(sharded) == outcome_records(naive)
 
     def test_dirty_runtime_rejected(self):

@@ -84,7 +84,7 @@ class TestParallelObservation:
             events_path=events_path, system=build_toy_model()
         )
         parallel = build_campaign(parallel_obs).execute_parallel(
-            max_workers=2, chunk_size=1
+            max_workers=2
         )
         parallel_obs.close()
 
@@ -102,7 +102,7 @@ class TestParallelObservation:
         assert (
             parallel_metrics.histogram("phase.injection_run.seconds").count == 16
         )
-        assert parallel_metrics.counter("chunk.completed").value == 2
+        assert parallel_metrics.counter("chunk.completed").value == 8
         # Propagation folds agree exactly across execution modes.
         assert (
             parallel_obs.propagation.to_matrix().to_jsonable()
@@ -116,7 +116,7 @@ class TestParallelObservation:
             parsed for parsed in events
             if parsed.type_name == "ChunkCompleted"
         ]
-        assert len(chunk_events) == 2
+        assert len(chunk_events) == 8
 
 
 class TestSummary:

@@ -551,6 +551,84 @@ class TestObservability:
         assert reducer.matrix_jsonable() == estimate_matrix(warm).to_jsonable()
         assert _outs(warm) == _outs(cold)
 
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["exhaustive", "adaptive"])
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+    def test_reuse_counts_agree_in_every_mode(self, tmp_path, parallel, adaptive):
+        """Regression: adaptive warm replays used to report no reuse."""
+        from repro.obs import CampaignObserver
+        from repro.obs.dash.reducer import CampaignStateReducer
+        from repro.obs.events import read_events
+        from repro.obs.summary import summarize_events
+
+        gen = generate_system(3)
+        kw = dict(adaptive=True, ci_width=0.2) if adaptive else {}
+
+        def run(campaign):
+            if parallel:
+                return campaign.execute_parallel(max_workers=2)
+            return campaign.execute()
+
+        store = tmp_path / "store"
+        cold = run(_campaign(gen, store=store, **kw))
+        events_path = tmp_path / "events.jsonl"
+        observer = CampaignObserver.to_files(
+            events_path=str(events_path), with_metrics=True, system=gen.system
+        )
+        campaign = _campaign(gen, store=store, observer=observer, **kw)
+        warm = run(campaign)
+        observer.close()
+        stats = campaign.last_store_stats
+
+        assert stats.hits > 0 and stats.runs_executed == 0
+        assert stats.runs_reused == len(warm)
+        summary = summarize_events(read_events(events_path))
+        snapshot = CampaignStateReducer.from_events_file(events_path).snapshot()
+        assert summary.n_cached_units == stats.hits
+        assert observer.metrics.counter("store.hits").value == stats.hits
+        assert (
+            summary.n_cached_runs
+            == snapshot["counters"]["cached"]
+            == stats.runs_reused
+        )
+        assert _outs(warm) == _outs(cold)
+
+
+class TestPublishedAsFinished:
+    def test_serial_crash_keeps_finished_cases_stored(self, tmp_path):
+        """Rows of a case are stored as soon as the case is recomposed."""
+        gen = generate_system(11)
+        cases = {"a": None, "b": None, "c": None}
+
+        def build(store=None):
+            config = CampaignConfig(
+                duration_ms=200,
+                injection_times_ms=(30, 110),
+                error_models=tuple(bit_flip_models(4)),
+                seed=5,
+                store=None if store is None else str(store),
+            )
+            return InjectionCampaign(gen.system, gen.run_factory, cases, config)
+
+        clean = build().execute()
+
+        def crash_on_c(outcome, injected, golden):
+            if outcome.case_id == "c":
+                raise RuntimeError("injected crash")
+
+        with pytest.raises(RuntimeError, match="injected crash"):
+            build(tmp_path).execute(inspector=crash_on_c)
+        executed = []
+        resumed = build(tmp_path)
+        result = resumed.execute(
+            inspector=lambda outcome, injected, golden: executed.append(outcome)
+        )
+        stats = resumed.last_store_stats
+        n_targets = len(resumed.targets)
+        assert {outcome.case_id for outcome in executed} == {"c"}
+        assert stats.hits == 2 * n_targets and stats.misses == n_targets
+        assert stats.runs_executed == n_targets * resumed.config.runs_per_target()
+        assert _outs(result) == _outs(clean)
+
 
 class TestStoreCli:
     def _populate(self, tmp_path):
