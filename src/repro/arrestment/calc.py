@@ -39,7 +39,7 @@ which collapses to ``G ≈ 734`` for the default plant.  While
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.arrestment.constants import (
     CHECKPOINT_PULSES,
@@ -98,28 +98,25 @@ class CalcModule(SoftwareModule):
         self._prev_pulscnt = state["prev_pulscnt"]
         self._prev_mscnt = state["prev_mscnt"]
 
-    def activate(self, inputs: Mapping[str, int], now_ms: int) -> Mapping[str, int]:
-        i = inputs["i"]
-        mscnt = inputs["mscnt"]
-        pulscnt = inputs["pulscnt"]
-        slow_speed = inputs["slow_speed"]
-        stopped = inputs["stopped"]
-
+    def activate_values(
+        self, i: int, mscnt: int, pulscnt: int, slow_speed: int, stopped: int,
+        now_ms: int,
+    ) -> tuple[int, int | None]:
         if stopped != 0:
             # Arrestment complete: release the pressure.
-            return {"i": i, "SetValue": 0}
+            return i, 0
         if slow_speed != 0:
             # Final phase: constant gentle pull.
-            return {"i": i, "SetValue": self._slow_set_value}
+            return i, self._slow_set_value
 
         if i < len(self._checkpoints) and pulscnt >= self._checkpoints[i]:
             set_value = self._set_point(mscnt, pulscnt)
             self._prev_pulscnt = pulscnt
             self._prev_mscnt = mscnt
-            return {"i": i + 1, "SetValue": set_value}
+            return i + 1, set_value
         # Between checkpoints the previous set point holds (SetValue is
         # intentionally not rewritten).
-        return {"i": i}
+        return i, None
 
     def _set_point(self, mscnt: int, pulscnt: int) -> int:
         """The checkpoint set-point law (see the module docstring)."""

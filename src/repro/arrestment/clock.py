@@ -15,8 +15,6 @@ slot counter, in contrast, is incremented *from its own previous value*
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.arrestment.constants import N_SLOTS
 from repro.model.module import ModuleSpec, SoftwareModule
 
@@ -50,7 +48,6 @@ class ClockModule(SoftwareModule):
     def load_state_dict(self, state: dict) -> None:
         self._mscnt = state["mscnt"]
 
-    def activate(self, inputs: Mapping[str, int], now_ms: int) -> Mapping[str, int]:
-        self._mscnt = (self._mscnt + 1) & 0xFFFF
-        slot = (inputs["ms_slot_nbr"] + 1) % self._n_slots
-        return {"mscnt": self._mscnt, "ms_slot_nbr": slot}
+    def activate_values(self, ms_slot_nbr: int, now_ms: int) -> tuple[int, int]:
+        self._mscnt = mscnt = (self._mscnt + 1) & 0xFFFF
+        return mscnt, (ms_slot_nbr + 1) % self._n_slots

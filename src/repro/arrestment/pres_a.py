@@ -14,8 +14,6 @@ permeate, which is why the paper measured a permeability below 1
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.arrestment.constants import TOC2_QUANT_MASK
 from repro.model.module import ModuleSpec, SoftwareModule
 
@@ -53,6 +51,5 @@ class PressureActuatorModule(SoftwareModule):
     def load_state_dict(self, state: dict) -> None:
         pass
 
-    def activate(self, inputs: Mapping[str, int], now_ms: int) -> Mapping[str, int]:
-        drive = inputs[self._spec.inputs[0]]
-        return {self._spec.outputs[0]: drive & self._quant_mask}
+    def activate_values(self, drive: int, now_ms: int) -> tuple[int]:
+        return (drive & self._quant_mask,)

@@ -31,8 +31,6 @@ the coarse, slightly stale measurement easily (the valve lag dominates).
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.arrestment.constants import PRES_QUANT, PRES_UPDATE_PERIOD
 from repro.model.module import ModuleSpec, SoftwareModule
 
@@ -96,17 +94,15 @@ class PressureSensorModule(SoftwareModule):
     def _quantise(self, value: int) -> int:
         return ((value + self._quant // 2) // self._quant) * self._quant
 
-    def activate(self, inputs: Mapping[str, int], now_ms: int) -> Mapping[str, int]:
-        sample = inputs[self._spec.inputs[0]]
-        output = self._spec.outputs[0]
+    def activate_values(self, sample: int, now_ms: int) -> tuple[int]:
         if not self._initialised:
             self._history = [sample] * 5
             self._in_value = self._quantise(sample)
             self._initialised = True
-            return {output: self._in_value}
+            return (self._in_value,)
 
         self._history = self._history[1:] + [sample]
         self._activation += 1
         if self._activation % self._update_period == 0:
             self._in_value = self._quantise(_median5(self._history))
-        return {output: self._in_value}
+        return (self._in_value,)

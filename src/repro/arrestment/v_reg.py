@@ -17,8 +17,6 @@ paper measured 0.884 (``SetValue``) and 0.920 (``InValue``) here.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.arrestment.constants import VREG_KI_SHIFT, VREG_KP
 from repro.model.module import ModuleSpec, SoftwareModule
 
@@ -70,8 +68,9 @@ class ValveRegulatorModule(SoftwareModule):
     def load_state_dict(self, state: dict) -> None:
         self._integral = state["integral"]
 
-    def activate(self, inputs: Mapping[str, int], now_ms: int) -> Mapping[str, int]:
-        set_point, measurement = (inputs[name] for name in self._spec.inputs)
+    def activate_values(
+        self, set_point: int, measurement: int, now_ms: int
+    ) -> tuple[int]:
         error = set_point - measurement
         self._integral += error >> self._ki_shift if error >= 0 else -((-error) >> self._ki_shift)
         # Anti-windup: the integral alone may never exceed the drive range.
@@ -84,4 +83,4 @@ class ValveRegulatorModule(SoftwareModule):
             drive = 0
         elif drive > _DRIVE_MAX:
             drive = _DRIVE_MAX
-        return {self._spec.outputs[0]: drive}
+        return (drive,)

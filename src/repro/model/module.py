@@ -11,17 +11,18 @@ Two layers are separated here:
   analysis needs.
 * :class:`SoftwareModule` -- the *behavioural* base class executed by
   the runtime simulator.  Concrete modules (e.g. the arrestment
-  system's ``CALC``) subclass it and implement :meth:`SoftwareModule.activate`.
+  system's ``CALC``) subclass it and implement either the positional
+  entry ``activate_values`` or the mapping entry
+  :meth:`SoftwareModule.activate`.
 """
 
 from __future__ import annotations
 
-import abc
 import copy
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from repro.model.errors import DuplicateNameError, UnknownSignalError
+from repro.model.errors import DuplicateNameError, SimulationError, UnknownSignalError
 from repro.model.ports import InputPort, OutputPort, Port
 
 __all__ = ["ModuleSpec", "SoftwareModule", "BACKGROUND"]
@@ -159,22 +160,47 @@ class ModuleSpec:
         return tuple(s for s in self.outputs if s in inputs)
 
 
-class SoftwareModule(abc.ABC):
+class SoftwareModule:
     """Behavioural base class executed by the runtime simulator.
 
     Concrete modules own arbitrary internal state (reset via
-    :meth:`reset`) and implement :meth:`activate`, which maps a snapshot
-    of the module's input signals to new values for its output signals.
+    :meth:`reset`) and define one of two entries, called once per
+    scheduled activation with the *raw* (bit-pattern) input values:
 
-    The simulator calls :meth:`activate` once per scheduled activation
-    with the *raw* (bit-pattern) values of the inputs; the module returns
-    raw values for any outputs it wishes to update.  Outputs omitted from
-    the returned mapping keep their previous value, which models the
+    * ``activate_values(*inputs, now_ms)`` -- the positional entry.  It
+      receives the inputs in ``spec.inputs`` order followed by the
+      current time, and returns a tuple with one value per
+      ``spec.outputs`` entry, in that order; ``None`` means "not
+      written".  :meth:`activate` is then derived from it, and the
+      runtime calls it directly with no per-activation mappings.
+    * :meth:`activate` -- the mapping entry: input-signal name to value
+      in, output-signal name to value out.
+
+    Outputs not written keep their previous value, which models the
     common embedded pattern of registers holding state between writes.
+    A subclass defining neither entry cannot be instantiated.
     """
 
+    #: The positional entry (see the class docstring); subclasses define
+    #: it as a method, the base class leaves it undefined.
+    activate_values: Callable[..., tuple[int | None, ...]]
+
     def __init__(self, spec: ModuleSpec) -> None:
+        cls = type(self)
+        if cls.is_positional() and not hasattr(cls, "activate_values"):
+            raise TypeError(
+                f"{cls.__name__} defines neither activate() nor activate_values()"
+            )
         self._spec = spec
+
+    @classmethod
+    def is_positional(cls) -> bool:
+        """Whether activations go through ``activate_values``.
+
+        True when :meth:`activate` is the derived one; a subclass that
+        overrides :meth:`activate` is executed through its mapping.
+        """
+        return cls.activate is SoftwareModule.activate
 
     @property
     def spec(self) -> ModuleSpec:
@@ -214,7 +240,6 @@ class SoftwareModule(abc.ABC):
         for key, value in copy.deepcopy(state).items():
             setattr(self, key, value)
 
-    @abc.abstractmethod
     def activate(self, inputs: Mapping[str, int], now_ms: int) -> Mapping[str, int]:
         """Execute one activation.
 
@@ -230,7 +255,25 @@ class SoftwareModule(abc.ABC):
         -------
         Mapping from output-signal name to new raw value.  May be a
         subset of ``spec.outputs``; omitted outputs are left unchanged.
+
+        This implementation derives the mapping from ``activate_values``;
+        modules without the positional entry override it.
         """
+        spec = self._spec
+        values = self.activate_values(*[inputs[s] for s in spec.inputs], now_ms)
+        try:
+            pairs = list(zip(spec.outputs, values, strict=True))
+        except (TypeError, ValueError):
+            raise self.bad_values_error(values) from None
+        return {signal: value for signal, value in pairs if value is not None}
+
+    def bad_values_error(self, values: object) -> SimulationError:
+        """The error for an ``activate_values`` result of the wrong shape."""
+        return SimulationError(
+            f"module {self.name!r} returned {values!r} from activate_values; "
+            f"expected a tuple of {self._spec.n_outputs} value(s), one per "
+            f"output {self._spec.outputs!r}"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

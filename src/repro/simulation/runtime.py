@@ -21,8 +21,16 @@ the end of each millisecond into a :class:`~repro.simulation.traces.TraceSet`.
 
 Implementation note: campaigns execute tens of thousands of runs of
 several thousand milliseconds each, so the frame loop is written for
-speed — per-slot dispatch lists, per-module input tuples and per-signal
-width masks are precomputed, hot paths bypass the checked
+speed.  When a run is built, each distinct slot dispatch order is
+compiled into one straight-line function (see
+:meth:`SimulationRun.dispatch_source`): it calls the slot's modules in
+order, passes positional modules their input values directly and
+writes their outputs through width masks held as int literals.  Every
+frame with no live read interceptor runs that function — the Golden
+Run and every frame after a trap has fired.  Frames with a live
+interceptor take the generic loop, which builds each module's input
+mapping through the interceptors; it is also the reference the
+compiled functions are tested against.  Hot paths bypass the checked
 :class:`SignalStore` accessors (which remain the public interface),
 hooks that have fired are no longer called, and the traced signals are
 read, recorded and compared against the Golden Run as one row per frame.
@@ -31,6 +39,7 @@ read, recorded and compared against the Golden Run as one row per frame.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from array import array
 from contextlib import nullcontext
@@ -85,6 +94,93 @@ def _row_getter(signals: Sequence[str]) -> Any:
     if not signals:
         return lambda values: ()
     return itemgetter(*signals)
+
+
+@functools.lru_cache(maxsize=32)
+def _compile(source: str) -> Any:
+    """Code object of a dispatch program; runs of one system share it."""
+    return compile(source, "<slot dispatch>", "exec")
+
+
+def _undeclared_output(module: str, signal: str) -> SimulationError:
+    return SimulationError(f"module {module!r} wrote undeclared output {signal!r}")
+
+
+def _compile_dispatch(
+    dispatch: Sequence[tuple], module_names: Sequence[str]
+) -> tuple[str, tuple[Any, ...]]:
+    """Straight-line functions for a per-slot dispatch table.
+
+    ``dispatch`` holds, per slot, the ``(name, module, inputs, masks)``
+    activations in dispatch order.  Slots with the same order share one
+    function ``dispatch_j(values, now_ms)``.  Returns the generated
+    source and the function of every slot.  Module ``k`` of
+    ``module_names`` is the bound constant ``m{k}``; module and signal
+    names enter the source only through :func:`repr`.
+    """
+    index = {name: k for k, name in enumerate(module_names)}
+    slots_of: dict[tuple[str, ...], list[int]] = {}
+    for slot, contexts in enumerate(dispatch):
+        slots_of.setdefault(tuple(name for name, *_ in contexts), []).append(slot)
+    namespace: dict[str, Any] = {"undeclared_output": _undeclared_output}
+    lines: list[str] = []
+    function_of: dict[int, str] = {}
+    for j, slots in enumerate(slots_of.values()):
+        body = [
+            line
+            for context in dispatch[slots[0]]
+            for line in _activation_source(index[context[0]], *context, namespace)
+        ]
+        lines += [
+            f"# slot(s) {', '.join(map(str, slots))}",
+            f"def dispatch_{j}(values, now_ms):",
+            *(body or ["    pass"]),
+            "",
+        ]
+        function_of.update(dict.fromkeys(slots, f"dispatch_{j}"))
+    source = "\n".join(lines)
+    exec(_compile(source), namespace)
+    return source, tuple(namespace[function_of[slot]] for slot in sorted(function_of))
+
+
+def _activation_source(
+    k: int,
+    name: str,
+    module: SoftwareModule,
+    inputs: Sequence[str],
+    masks: Mapping[str, int],
+    namespace: dict[str, Any],
+) -> list[str]:
+    """The source lines of one activation of module ``m{k}``."""
+    m = f"m{k}"
+    namespace[m] = module
+    if not module.is_positional():
+        namespace[f"k{k}"] = masks
+        literal = ", ".join(f"{signal!r}: values[{signal!r}]" for signal in inputs)
+        return [
+            f"    # {name!r}",
+            f"    for signal, value in {m}.activate({{{literal}}}, now_ms).items():",
+            "        try:",
+            f"            values[signal] = value & k{k}[signal]",
+            "        except KeyError:",
+            f"            raise undeclared_output({name!r}, signal) from None",
+        ]
+    arguments = "".join(f"values[{signal!r}], " for signal in inputs)
+    targets = ", ".join(f"o{j}" for j in range(len(masks)))
+    lines = [
+        f"    # {name!r}",
+        f"    out = {m}.activate_values({arguments}now_ms)",
+        "    try:",
+        f"        [{targets}] = out",
+        "    except (TypeError, ValueError):",
+        f"        raise {m}.bad_values_error(out) from None",
+    ]
+    for j, (signal, mask) in enumerate(masks.items()):
+        lines += [
+            f"    if o{j} is not None:",
+            f"        values[{signal!r}] = o{j} & {mask:#x}",
+        ]
+    return lines
 
 
 def _flush_rows(sinks: Sequence[array], rows: list) -> None:
@@ -467,6 +563,11 @@ class SimulationRun:
             for slot in range(schedule.n_slots)
         )
         self._n_slots = schedule.n_slots
+        #: Per-slot compiled dispatch, called on frames with no live
+        #: read interceptor.
+        self._dispatch_source, self._slot_calls = _compile_dispatch(
+            self._dispatch, tuple(self._modules)
+        )
         self._row_of = _row_getter(self._trace_signals)
 
     # ------------------------------------------------------------------
@@ -506,6 +607,17 @@ class SimulationRun:
     def trace_signals(self) -> tuple[str, ...]:
         """Signals recorded into per-run traces, in trace order."""
         return self._trace_signals
+
+    def dispatch_source(self) -> str:
+        """The generated source of the compiled per-slot dispatch.
+
+        One function per distinct slot dispatch order, preceded by a
+        comment naming its slots.  In it, ``values`` is the signal
+        store's value dict; ``m0``, ``m1``, ... are the module instances
+        in construction order, and ``k0``, ``k1``, ... the output masks
+        of the modules called through their ``activate`` mapping.
+        """
+        return self._dispatch_source
 
     def add_read_interceptor(self, interceptor: ReadInterceptor) -> None:
         """Install a consumer-scoped trap on module input reads."""
@@ -557,34 +669,40 @@ class SimulationRun:
             module.reset()
 
     def step_ms(self) -> None:
-        """Execute one millisecond frame."""
-        now_ms = self._clock.now_ms
+        """Execute one millisecond frame.
+
+        With no live read interceptor the slot's compiled dispatch runs;
+        otherwise the generic loop passes every input read through the
+        interceptors.
+        """
+        clock = self._clock
+        now_ms = clock._now_ms
         store = self._store
         values = store._values
         self._environment.before_software(now_ms, store)
         for mutator in self._live_mutators:
             mutator.apply(store, now_ms)
-        slot = now_ms if self._slot_signal is None else values[self._slot_signal]
+        slot = (
+            now_ms if self._slot_signal is None else values[self._slot_signal]
+        ) % self._n_slots
         interceptors = self._live_interceptors
-        for name, module, input_names, masks in self._dispatch[slot % self._n_slots]:
-            if interceptors:
+        if not interceptors:
+            self._slot_calls[slot](values, now_ms)
+        else:
+            for name, module, input_names, masks in self._dispatch[slot]:
                 inputs = {}
                 for signal in input_names:
                     value = values[signal]
                     for interceptor in interceptors:
                         value = interceptor.on_read(name, signal, value, now_ms)
                     inputs[signal] = value
-            else:
-                inputs = {signal: values[signal] for signal in input_names}
-            for signal, value in module.activate(inputs, now_ms).items():
-                try:
-                    values[signal] = value & masks[signal]
-                except KeyError:
-                    raise SimulationError(
-                        f"module {name!r} wrote undeclared output {signal!r}"
-                    ) from None
+                for signal, value in module.activate(inputs, now_ms).items():
+                    try:
+                        values[signal] = value & masks[signal]
+                    except KeyError:
+                        raise _undeclared_output(name, signal) from None
         self._environment.after_software(now_ms, store)
-        self._clock.advance_ms(1)
+        clock._now_ms = now_ms + 1
 
     def run(
         self, duration_ms: int, golden: GoldenReference | None = None

@@ -108,6 +108,17 @@ class RampEnvironment:
         return {"value": float(self._value)}
 
 
+class PassThrough:
+    """A read interceptor that changes no value.
+
+    It has no ``fired`` attribute, so the runtime never retires it and
+    every frame of a run takes the generic loop.
+    """
+
+    def on_read(self, module: str, signal: str, value: int, now_ms: int) -> int:
+        return value
+
+
 def build_toy_model() -> SystemModel:
     """Static topology of the toy FILT→AMP chain."""
     builder = SystemBuilder("toy-chain", description="FILT/AMP test chain")

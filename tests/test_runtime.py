@@ -7,10 +7,11 @@ import pytest
 from repro.injection.error_models import BitFlip
 from repro.injection.traps import InputInjectionTrap, StoreInjectionTrap
 from repro.model.errors import SimulationError, UnknownSignalError
+from repro.model.module import SoftwareModule
 from repro.simulation.runtime import SignalStore, SimulationRun
 from repro.simulation.scheduler import SlotSchedule
 
-from tests.conftest import AmpModule, FiltModule, RampEnvironment
+from tests.conftest import AmpModule, FiltModule, PassThrough, RampEnvironment
 
 
 class TestSignalStore:
@@ -149,21 +150,76 @@ class TestExecution:
         result = run.run(5)
         assert result.traces.signals == ("out",)
 
-    def test_undeclared_output_write_rejected(self, toy_model):
+    @pytest.mark.parametrize("hooked", [False, True], ids=["compiled", "generic"])
+    def test_undeclared_output_write_rejected(self, toy_model, hooked):
         class Leaky(FiltModule):
             def activate(self, inputs, now_ms):
                 return {"out": 1}  # not FILT's output
 
-        schedule = SlotSchedule(1)
-        schedule.assign_every_slot("FILT")
-        run = SimulationRun(
-            system=toy_model,
-            modules=[Leaky(), AmpModule()],
-            schedule=schedule,
-            environment=RampEnvironment(),
-        )
-        with pytest.raises(SimulationError):
+        run = _filt_run(toy_model, Leaky(), hooked)
+        with pytest.raises(SimulationError, match="undeclared output 'out'"):
             run.run(1)
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["compiled", "generic"])
+    @pytest.mark.parametrize("returned", [(), (1, 2), 5])
+    def test_positional_result_of_wrong_shape_rejected(
+        self, toy_model, hooked, returned
+    ):
+        class Misshapen(PositionalFilt):
+            def activate_values(self, src, now_ms):
+                return returned
+
+        run = _filt_run(toy_model, Misshapen(), hooked)
+        with pytest.raises(SimulationError, match="module 'FILT' returned"):
+            run.run(1)
+
+    def test_module_without_an_entry_rejected_on_instantiation(self):
+        class Inert(SoftwareModule):
+            pass
+
+        with pytest.raises(TypeError, match="neither activate"):
+            Inert(FiltModule().spec)
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["compiled", "generic"])
+    def test_positional_none_leaves_the_output_unchanged(self, toy_model, hooked):
+        class EveryOtherFrame(PositionalFilt):
+            def activate_values(self, src, now_ms):
+                return (None,) if now_ms % 2 else (src,)
+
+        result = _filt_run(toy_model, EveryOtherFrame(), hooked).run(6)
+        # src = 3 * (t + 1); odd frames keep the previous frame's value.
+        assert list(result.traces["filt"].samples) == [3, 3, 9, 9, 15, 15]
+
+    def test_positional_module_derives_activate(self):
+        module = PositionalFilt()
+        assert module.is_positional()
+        assert not FiltModule().is_positional()
+        assert module.activate({"src": 0x1234}, 0) == {"filt": 0x1200}
+
+
+class PositionalFilt(SoftwareModule):
+    """FILT through the positional entry."""
+
+    def __init__(self):
+        super().__init__(FiltModule().spec)
+
+    def activate_values(self, src, now_ms):
+        return (src & 0xFF00,)
+
+
+def _filt_run(toy_model, filt, hooked):
+    """``filt`` and AMP on the toy chain, optionally on the generic loop."""
+    schedule = SlotSchedule(1)
+    schedule.assign_every_slot("FILT")
+    run = SimulationRun(
+        system=toy_model,
+        modules=[filt, AmpModule()],
+        schedule=schedule,
+        environment=RampEnvironment(),
+    )
+    if hooked:
+        run.add_read_interceptor(PassThrough())
+    return run
 
 
 class TestHooks:
