@@ -5,8 +5,18 @@ dicts.  For bit-linear systems — the XOR-mask modules of
 :mod:`repro.verify.generators` are the motivating family — every
 activation is a handful of AND/XOR operations, so *n* injection runs of
 the same case can share one frame loop: pack each run into a **lane**
-of a ``(n_lanes, n_signals)`` int64 array and evaluate each module's
-mask plan once per frame as vectorized column operations.
+of a signal-major ``(n_signals, n_lanes)`` int64 array (one contiguous
+row per signal) and evaluate each frame's software as mask-matrix
+sweeps over those rows.
+
+**Mask maps.**  A module exposing ``vector_plan()`` becomes a map: the
+rows it writes, the rows it reads and a ``(n_written, n_read)`` mask
+matrix, so that ``state[o] = XOR_j (state[j] & masks[o, j])`` with the
+output's width mask folded into every term.  Bitwise AND distributes over XOR
+(``(x & a) ^ (x & b) == x & (a ^ b)``), so maps compose exactly: each
+slot whose modules are all vectorizable gets one *composed* map over
+the pre-slot state, built by applying its module maps in dispatch
+order to the identity.  :func:`_apply` evaluates every map.
 
 Correctness contract: results are **byte-identical** to the reference
 backend — same traces, same final signals/telemetry, same per-lane
@@ -18,15 +28,20 @@ reference semantics exactly rather than approximating them:
   the value the target module *reads* at its first activation at or
   after the instant (consumer-scoped, like
   :class:`~repro.injection.traps.InputInjectionTrap`);
-* module dispatch follows the slot schedule frame by frame; modules
-  exposing a ``vector_plan()`` (stateless XOR-of-masked-inputs) step as
-  column ops, any other module falls back to scalar per-lane stepping
-  with checkpointed state, so mixed systems still batch everything
-  else;
+* a frame with no pending injection runs its slot's composed map: one
+  sweep.  A frame where an injection fires, or whose slot holds a
+  module without a ``vector_plan()``, steps the slot's modules one at
+  a time in dispatch order: vectorizable modules through their own map
+  (the flip is XORed into the read row and undone afterwards, unless
+  the module writes that signal itself), any other module through
+  scalar per-lane stepping with checkpointed state, so mixed systems
+  still batch everything else;
 * the environment must be *lane-invariant* (its evolution cannot read
   the store): one shared instance is stepped per frame and its writes
   are broadcast to every lane;
-* fast-forward retirement mirrors
+* the traced rows are gathered once per frame into a
+  ``(n_frames, n_traced, n_lanes)`` history cube, which the retirement
+  compare reads too.  Fast-forward retirement mirrors
   :meth:`~repro.simulation.runtime.SimulationRun._execute_frames`
   per lane — the traced-signal row compare against the Golden Run,
   the digest-retry backoff and the Golden-Run suffix splice all apply
@@ -44,7 +59,7 @@ from __future__ import annotations
 
 from array import array
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -154,6 +169,42 @@ class _EnvBroadcastStore:
         )
 
 
+class _Map(NamedTuple):
+    """A mask map: ``state[written[o]] = XOR_j (state[read[j]] & masks[o, j])``.
+
+    ``read`` lists only the rows some mask actually selects, so the
+    sweep's temporary stays proportional to the map's fan-in.
+    """
+
+    written: np.ndarray
+    read: np.ndarray
+    masks: np.ndarray
+
+
+def _mask_map(rows: Mapping[int, np.ndarray], n_signals: int) -> _Map:
+    """Build a :class:`_Map` from ``{written row: full-width mask row}``."""
+    written = np.array(sorted(rows), dtype=np.intp)
+    masks = np.array(
+        [rows[row] for row in written.tolist()], dtype=np.int64
+    ).reshape(len(written), n_signals)
+    read = np.flatnonzero(masks.any(axis=0))
+    return _Map(written, read, masks[:, read])
+
+
+def _apply(map_: _Map, state: np.ndarray) -> None:
+    """Evaluate ``map_`` in place on a signal-major ``state``.
+
+    Every written row is computed from ``state`` as it was before the
+    call (the reduce completes before the assignment), which is what a
+    module reading its own output sees.  ``state`` may be lane state
+    ``(n_signals, n_lanes)`` or, when composing, an expression matrix
+    ``(n_signals, n_signals)``.
+    """
+    state[map_.written] = np.bitwise_xor.reduce(
+        map_.masks[:, :, None] & state[map_.read][None], axis=1
+    )
+
+
 class _CasePlan:
     """Per-case vectorization analysis, shared by all time groups."""
 
@@ -176,15 +227,15 @@ class _CasePlan:
         self.dispatch = tuple(
             tuple(schedule.dispatch_order(slot)) for slot in range(self.n_slots)
         )
-        #: module name -> vector plan (for vectorizable modules).
-        self.vector_plans: dict[str, tuple] = {}
+        #: module name -> mask map (for vectorizable modules).
+        self.module_maps: dict[str, _Map] = {}
         #: module name -> (instance, inputs, allowed outputs) for the
         #: scalar per-lane fallback.
         self.scalar_modules: dict[str, tuple] = {}
         for name, module in runner.modules.items():
             plan = getattr(module, "vector_plan", None)
             if callable(plan):
-                self.vector_plans[name] = tuple(plan())
+                self.module_maps[name] = self._module_map(plan())
             else:
                 spec = module.spec
                 self.scalar_modules[name] = (
@@ -192,20 +243,59 @@ class _CasePlan:
                     spec.inputs,
                     frozenset(spec.outputs),
                 )
+        #: slot -> the slot's composed map, or ``None`` when a module of
+        #: the slot steps scalar (then every frame is per-module).
+        self.slot_maps = tuple(self._slot_map(order) for order in self.dispatch)
         #: Signals-match implies digest-match: no hidden per-lane state
         #: (all modules stateless-vectorized) and the traced set covers
         #: the whole store, so the per-lane digest never needs computing.
         self.pure = not self.scalar_modules and set(self.trace_signals) == set(
             self.signals
         )
-        #: Golden traces as a (duration, n_traced) matrix, trace order.
-        self.golden_matrix = np.column_stack(
+        #: Golden traces as a (duration, n_traced, 1) cube, trace order,
+        #: broadcastable against one frame's traced rows.
+        self.golden_matrix = np.stack(
             [
                 np.frombuffer(golden_ref.samples[s], dtype="<i8")
                 for s in self.trace_signals
-            ]
-        )
+            ],
+            axis=1,
+        )[:, :, None]
         self._zero_checkpoint: RunCheckpoint | None = None
+
+    def _module_map(self, vector_plan: Any) -> _Map:
+        """One module's ``(out, ((in, mask), ...))`` plan as a mask map.
+
+        Repeated inputs XOR their masks together and a repeated output
+        keeps its last entry, as the plan's sequential evaluation does.
+        """
+        rows: dict[int, np.ndarray] = {}
+        for out, terms in vector_plan:
+            width = self.wmask[out]
+            row = np.zeros(len(self.signals), dtype=np.int64)
+            for inp, mask in terms:
+                row[self.sig_idx[inp]] ^= mask & width
+            rows[self.sig_idx[out]] = row
+        return _mask_map(rows, len(self.signals))
+
+    def _slot_map(self, order: tuple[str, ...]) -> _Map | None:
+        """The slot's module maps composed in dispatch order, or ``None``.
+
+        Row ``i`` of the expression matrix is signal ``i`` as a map over
+        the pre-slot state; it starts as the identity (all bits of the
+        signal itself) and each module map is applied to it exactly as
+        to lane state.
+        """
+        if any(name not in self.module_maps for name in order):
+            return None
+        n_signals = len(self.signals)
+        expression = np.diag(np.full(n_signals, -1, dtype=np.int64))
+        written: set[int] = set()
+        for name in order:
+            module_map = self.module_maps[name]
+            _apply(module_map, expression)
+            written.update(module_map.written.tolist())
+        return _mask_map({row: expression[row] for row in written}, n_signals)
 
     def fired_frame(self, module: str, time_ms: int, duration_ms: int) -> int:
         """First frame >= ``time_ms`` at which ``module`` is dispatched.
@@ -219,8 +309,14 @@ class _CasePlan:
                 return t
         return _NEVER
 
-    def zero_checkpoint(self) -> RunCheckpoint:
-        """A synthetic frame-0 checkpoint (campaigns without prefix reuse)."""
+    def start_checkpoint(self, point: Any) -> RunCheckpoint:
+        """The checkpoint a batch of ``point``'s instant resumes from.
+
+        The point's own Golden-Run checkpoint, or a synthetic frame-0
+        checkpoint for campaigns without prefix reuse.
+        """
+        if point.checkpoint is not None:
+            return point.checkpoint
         if self._zero_checkpoint is None:
             self.runner.reset()
             self._zero_checkpoint = self.runner.checkpoint()
@@ -277,7 +373,7 @@ class BatchedBackend:
 
         results: dict[int, tuple[RunResult, int | None]] = {}
         for time_ms, lanes in groups.items():
-            for chunk in _lane_chunks(plan, lanes, duration_ms, time_ms):
+            for chunk in _lane_chunks(plan, lanes, duration_ms):
                 results.update(
                     _run_batch(context, plan, time_ms, chunk, duration_ms)
                 )
@@ -297,10 +393,14 @@ def _lane_chunks(
     plan: _CasePlan,
     lanes: list[tuple[int, Any, int]],
     duration_ms: int,
-    time_ms: int,
 ) -> Iterator[list[tuple[int, Any, int]]]:
-    """Split a time group so one history buffer stays under the cap."""
-    n_frames = max(1, duration_ms - time_ms)
+    """Split a time group so one history buffer stays under the cap.
+
+    The history spans every frame from the batch's start checkpoint,
+    which is frame 0 for points without a prefix-reuse checkpoint.
+    """
+    start_ms = plan.start_checkpoint(lanes[0][1]).time_ms
+    n_frames = max(1, duration_ms - start_ms)
     bytes_per_lane = n_frames * len(plan.trace_signals) * 8
     cap = max(1, _MAX_HISTORY_BYTES // bytes_per_lane)
     for start in range(0, len(lanes), cap):
@@ -318,9 +418,7 @@ def _run_batch(
     runner = plan.runner
     golden = plan.golden_ref
     metrics = context.metrics
-    cp = lanes[0][1].checkpoint
-    if cp is None:
-        cp = plan.zero_checkpoint()
+    cp = plan.start_checkpoint(lanes[0][1])
     start_ms = cp.time_ms
     n_lanes = len(lanes)
     n_frames = duration_ms - start_ms
@@ -328,10 +426,10 @@ def _run_batch(
     sig_idx = plan.sig_idx
     n_traced = len(plan.trace_signals)
 
-    # --- lane state ---------------------------------------------------
+    # --- lane state (signal-major: one contiguous row per signal) -----
     base_row = pack_state_row(cp.store["values"], signals)
-    state = np.tile(base_row, (n_lanes, 1))
-    hist = np.empty((n_frames, n_lanes, n_traced), dtype=np.int64)
+    state = np.repeat(base_row[:, None], n_lanes, axis=1)
+    hist = np.empty((n_frames, n_traced, n_lanes), dtype=np.int64)
 
     env = runner.environment
     restore_state(env, cp.environment)
@@ -351,15 +449,24 @@ def _run_batch(
     # One one-shot flip per lane: at the target module's first
     # activation at or after the instant, XOR the mask into the value
     # it reads (the stored signal itself is never corrupted).
+    # frame -> module -> signal -> (lanes, masks).
     fired = np.empty(n_lanes, dtype=np.int64)
-    inject_at: dict[int, dict[tuple[str, str], list[tuple[int, int]]]] = {}
+    inject_at: dict[int, dict[str, dict[str, Any]]] = {}
     for lane, (_, point, mask) in enumerate(lanes):
         frame = plan.fired_frame(point.module, time_ms, duration_ms)
         fired[lane] = frame
         if frame != _NEVER:
             inject_at.setdefault(frame, {}).setdefault(
-                (point.module, point.signal), []
-            ).append((lane, mask))
+                point.module, {}
+            ).setdefault(point.signal, []).append((lane, mask))
+    for by_module in inject_at.values():
+        for by_signal in by_module.values():
+            for signal, pairs in by_signal.items():
+                hit_lanes, masks = zip(*pairs)
+                by_signal[signal] = (
+                    np.array(hit_lanes, dtype=np.intp),
+                    np.array(masks, dtype=np.int64),
+                )
 
     # --- fast-forward retirement state (mirrors _execute_frames) ---
     retire = golden.digests is not None
@@ -370,8 +477,10 @@ def _run_batch(
     reconverged = np.full(n_lanes, -1, dtype=np.int64)
 
     dispatch = plan.dispatch
-    vector_plans = plan.vector_plans
+    slot_maps = plan.slot_maps
+    module_maps = plan.module_maps
     scalar_modules = plan.scalar_modules
+    traced_idx = plan.traced_idx
     wmask = plan.wmask
     lanes_retired = 0
 
@@ -380,48 +489,42 @@ def _run_batch(
         env_store.written.clear()
         env.before_software(t, env_store)
         for signal, value in env_store.written.items():
-            state[:, sig_idx[signal]] = value
+            state[sig_idx[signal]] = value
+        slot = t % plan.n_slots
         pending = inject_at.get(t)
-        for name in dispatch[t % plan.n_slots]:
-            vplan = vector_plans.get(name)
-            if vplan is not None:
-                cols = {}
-                for _, terms in vplan:
-                    for inp, _ in terms:
-                        if inp not in cols:
-                            cols[inp] = state[:, sig_idx[inp]].copy()
-                if pending:
-                    for (module, signal), hits in pending.items():
-                        if module == name and signal in cols:
-                            for lane, mask in hits:
-                                cols[signal][lane] ^= mask
-                for out, terms in vplan:
-                    acc = np.zeros(n_lanes, dtype=np.int64)
-                    for inp, mask in terms:
-                        acc ^= cols[inp] & mask
-                    state[:, sig_idx[out]] = acc & wmask[out]
-            else:
-                _step_scalar_module(
-                    name,
-                    scalar_modules[name],
-                    scalar_states[name],
-                    state,
-                    sig_idx,
-                    wmask,
-                    alive,
-                    pending,
-                    t,
-                )
-        hist[t - start_ms] = state[:, plan.traced_idx]
+        slot_map = slot_maps[slot]
+        if slot_map is not None and pending is None:
+            _apply(slot_map, state)
+        else:
+            for name in dispatch[slot]:
+                flips = pending.get(name, {}) if pending else {}
+                module_map = module_maps.get(name)
+                if module_map is not None:
+                    _step_vector_module(module_map, state, sig_idx, flips)
+                else:
+                    _step_scalar_module(
+                        name,
+                        scalar_modules[name],
+                        scalar_states[name],
+                        state,
+                        sig_idx,
+                        wmask,
+                        alive,
+                        flips,
+                        t,
+                    )
+        rows = hist[t - start_ms]
+        state.take(traced_idx, axis=0, out=rows, mode="clip")
 
         if retire:
-            sig_eq = (state[:, plan.traced_idx] == golden_matrix[t]).all(axis=1)
-            candidates = alive & sig_eq & (t >= fired)
-            candidates &= ~(was_empty & (t < next_check))
-            if candidates.any():
-                for lane in np.nonzero(candidates)[0]:
+            sig_eq = np.logical_and.reduce(rows == golden_matrix[t], axis=0)
+            candidates = alive & sig_eq
+            if np.count_nonzero(candidates):
+                candidates &= t >= fired
+                candidates &= ~(was_empty & (t < next_check))
+                for lane in np.flatnonzero(candidates).tolist():
                     if not plan.pure and not _lane_digest_matches(
-                        plan, env, scalar_states, state, int(lane), t
+                        plan, env, scalar_states, state, lane, t
                     ):
                         next_check[lane] = t + _DIGEST_RETRY_FRAMES
                         continue
@@ -433,7 +536,7 @@ def _run_batch(
             metrics.histogram("kernel.batch_step.seconds").observe(
                 perf_counter() - frame_started
             )
-        if not alive.any():
+        if lanes_retired == n_lanes:
             break
 
     if metrics is not None and lanes_retired:
@@ -452,7 +555,7 @@ def _run_batch(
             sink = golden.prefix_array(signal, start_ms)
             sink.frombytes(
                 np.ascontiguousarray(
-                    hist[:recorded, lane, j], dtype="<i8"
+                    hist[:recorded, j, lane], dtype="<i8"
                 ).tobytes()
             )
             if reconverged_at is not None:
@@ -463,7 +566,7 @@ def _run_batch(
             telemetry = dict(golden.telemetry)
             fast_forwarded = duration_ms - 1 - reconverged_at
         else:
-            final_signals = unpack_state_row(state[lane], signals)
+            final_signals = unpack_state_row(state[:, lane], signals)
             telemetry = dict(runner.environment.lane_telemetry(final_signals))
             fast_forwarded = 0
         results[index] = (
@@ -480,6 +583,27 @@ def _run_batch(
     return results
 
 
+def _step_vector_module(
+    module_map: _Map,
+    state: np.ndarray,
+    sig_idx: Mapping[str, int],
+    flips: Mapping[str, tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """One vectorizable module's activation, with this frame's flips.
+
+    Each flip is XORed into the row the module reads and undone after
+    the sweep, unless the module overwrote that row itself: only the
+    consumer sees the corrupted value.
+    """
+    for signal, (lanes, masks) in flips.items():
+        state[sig_idx[signal], lanes] ^= masks
+    _apply(module_map, state)
+    for signal, (lanes, masks) in flips.items():
+        row = sig_idx[signal]
+        if row not in module_map.written:
+            state[row, lanes] ^= masks
+
+
 def _step_scalar_module(
     name: str,
     entry: tuple,
@@ -488,7 +612,7 @@ def _step_scalar_module(
     sig_idx: Mapping[str, int],
     wmask: Mapping[str, int],
     alive: np.ndarray,
-    pending: dict | None,
+    flips: Mapping[str, tuple[np.ndarray, np.ndarray]],
     t: int,
 ) -> None:
     """Per-lane fallback activation of one non-vectorizable module."""
@@ -498,21 +622,22 @@ def _step_scalar_module(
             continue
         restore_state(module, lane_states[lane])
         inputs = {
-            signal: int(state[lane, sig_idx[signal]]) for signal in input_names
+            signal: int(state[sig_idx[signal], lane]) for signal in input_names
         }
-        if pending:
-            for (target, signal), hits in pending.items():
-                if target == name and signal in inputs:
-                    for hit_lane, mask in hits:
-                        if hit_lane == lane:
-                            inputs[signal] ^= mask
+        for signal, (hit_lanes, masks) in flips.items():
+            if signal in inputs:
+                for hit_lane, mask in zip(
+                    hit_lanes.tolist(), masks.tolist(), strict=True
+                ):
+                    if hit_lane == lane:
+                        inputs[signal] ^= mask
         outputs = module.activate(inputs, t)
         for signal, value in outputs.items():
             if signal not in allowed_outputs:
                 raise SimulationError(
                     f"module {name!r} wrote undeclared output {signal!r}"
                 )
-            state[lane, sig_idx[signal]] = value & wmask[signal]
+            state[sig_idx[signal], lane] = value & wmask[signal]
         lane_states[lane] = snapshot_state(module)
 
 
@@ -531,7 +656,7 @@ def _lane_digest_matches(
     the clock *after* the frame, the environment's per-lane state and
     every module's state (construction order).
     """
-    values = unpack_state_row(state[lane], plan.signals)
+    values = unpack_state_row(state[:, lane], plan.signals)
     module_payloads = {}
     for name, module in plan.runner.modules.items():
         if name in scalar_states:

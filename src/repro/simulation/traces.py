@@ -22,11 +22,6 @@ from repro.model.errors import TraceMismatchError
 
 __all__ = ["SignalTrace", "TraceSet", "pack_trace_samples", "trace_views"]
 
-#: Elements per chunk in the chunked divergence scan; 4096 signed-64
-#: samples are 32 KiB — one C-speed memoryview comparison per chunk.
-_SCAN_CHUNK = 4096
-
-
 @dataclass
 class SignalTrace:
     """The recorded value of one signal, one sample per millisecond.
@@ -86,22 +81,23 @@ class SignalTrace:
                 f"trace of {self.signal!r}: length {len(self)} vs "
                 f"reference length {len(reference)}"
             )
-        mine = memoryview(self.samples)
-        theirs = memoryview(reference.samples)
+        # Compare raw bytes: ``bytes`` equality is one memcmp, where a
+        # ``'q'`` memoryview comparison unpacks element by element.
+        mine = bytes(self.samples)
+        theirs = bytes(reference.samples)
         if mine == theirs:
-            # Fast path: buffer equality runs at C speed, and most signals
-            # agree with the Golden Run in most injection runs.
+            # Most signals agree with the Golden Run in most injection runs.
             return None
-        # Locate the diverging chunk with C-speed memoryview comparisons,
-        # then scan per element only inside that chunk.
-        length = len(mine)
-        for start in range(0, length, _SCAN_CHUNK):
-            stop = min(start + _SCAN_CHUNK, length)
-            if mine[start:stop] != theirs[start:stop]:
-                for index in range(start, stop):
-                    if mine[index] != theirs[index]:
-                        return index
-        return None  # pragma: no cover - unreachable: buffers differed
+        # Bisect on sample-aligned byte slices; the invariant is that the
+        # first differing sample lies in ``[lo, hi)``.
+        lo, hi = 0, len(self)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mine[lo * 8 : mid * 8] != theirs[lo * 8 : mid * 8]:
+                hi = mid
+            else:
+                lo = mid
+        return lo
 
     def differs_from(self, reference: "SignalTrace") -> bool:
         """Whether any sample differs from ``reference``."""

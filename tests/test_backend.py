@@ -27,15 +27,24 @@ from repro.simulation.backend import (
     available_backends,
     get_backend,
 )
-from repro.verify.generators import GeneratedSystem, generate_system
+from repro.simulation.runtime import GoldenReference
+from repro.verify.generators import (
+    GeneratedModule,
+    GeneratedSystem,
+    GeneratedSystemSpec,
+    generate_system,
+)
 from repro.verify.oracles import default_campaign, run_digest
 
 from .strategies import generated_executable_systems
 
 np = pytest.importorskip("numpy")
 
+import repro.simulation.batched as batched  # noqa: E402 — needs numpy
 from repro.simulation.batched import (  # noqa: E402 — needs numpy
     BatchedBackend,
+    _apply,
+    _CasePlan,
     column_to_samples,
     pack_state_row,
     unpack_state_row,
@@ -296,6 +305,177 @@ class TestBatchedIdentity:
             _collect(generated, "reference", **overrides),
             _collect(generated, "batched", **overrides),
         )
+
+
+# ---------------------------------------------------------------------------
+# Composed slot maps
+# ---------------------------------------------------------------------------
+
+
+def _plan(generated: GeneratedSystem) -> _CasePlan:
+    runner = generated.build_run()
+    golden = runner.run(8)
+    runner.reset()
+    return _CasePlan(runner, GoldenReference.from_result(golden, None, {}))
+
+
+def _random_lanes(plan: _CasePlan, n_lanes: int, seed: int) -> np.ndarray:
+    """A signal-major lane state with every value inside its width."""
+    rng = np.random.default_rng(seed)
+    return np.stack(
+        [
+            rng.integers(0, plan.wmask[signal], size=n_lanes, endpoint=True)
+            for signal in plan.signals
+        ]
+    ).astype(np.int64)
+
+
+def _slot_system() -> GeneratedSystem:
+    """Four slots covering every kind the kernel distinguishes.
+
+    Slot 0 runs MA then MB: MB reads ``a``, written earlier in the same
+    slot, and its own output ``b`` (a self-loop); ``a`` is 5 bits wide,
+    so MA's mask is cut by the width.  Slots 1 and 3 are empty.  Slot 2
+    adds the opaque MC, so its frames always step module by module.
+    """
+    modules = (
+        GeneratedModule(
+            name="MA",
+            inputs=("x_in",),
+            outputs=("a",),
+            masks={"x_in": {"a": 0xFFB6}},
+            period_ms=2,
+        ),
+        GeneratedModule(
+            name="MB",
+            inputs=("a", "b"),
+            outputs=("b",),
+            masks={"a": {"b": 0x1D}, "b": {"b": 0xF0F3}},
+            period_ms=2,
+        ),
+        GeneratedModule(
+            name="MC",
+            inputs=("b", "x_in"),
+            outputs=("c",),
+            masks={"b": {"c": 0x0FF1}, "x_in": {"c": 0x3C07}},
+            period_ms=4,
+            phase=2,
+            opaque=True,
+        ),
+    )
+    return GeneratedSystem(
+        GeneratedSystemSpec(
+            name="slot-kinds",
+            seed=0,
+            n_slots=4,
+            env_seed=77,
+            widths={"x_in": 16, "a": 5, "b": 16, "c": 12},
+            system_inputs=("x_in",),
+            system_outputs=("b", "c"),
+            modules=modules,
+        )
+    )
+
+
+class TestComposedSlotMaps:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        generated_executable_systems(),
+        st.integers(1, 17),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_slot_map_equals_module_maps_in_sequence(
+        self, generated, n_lanes, seed
+    ):
+        plan = _plan(generated)
+        state = _random_lanes(plan, n_lanes, seed)
+        for slot, order in enumerate(plan.dispatch):
+            expected = state.copy()
+            for name in order:
+                _apply(plan.module_maps[name], expected)
+            composed = state.copy()
+            _apply(plan.slot_maps[slot], composed)
+            assert np.array_equal(composed, expected), (slot, order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        generated_executable_systems(),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_module_map_equals_activate(self, generated, n_lanes, seed):
+        plan = _plan(generated)
+        state = _random_lanes(plan, n_lanes, seed)
+        for name, module_map in plan.module_maps.items():
+            stepped = state.copy()
+            _apply(module_map, stepped)
+            module = plan.runner.modules[name]
+            for lane in range(n_lanes):
+                values = unpack_state_row(state[:, lane], plan.signals)
+                inputs = {s: values[s] for s in module.spec.inputs}
+                for signal, value in module.activate(inputs, 0).items():
+                    values[signal] = value & plan.wmask[signal]
+                assert unpack_state_row(stepped[:, lane], plan.signals) == values
+
+    def test_slot_kinds_of_the_hand_built_system(self):
+        plan = _plan(_slot_system())
+        assert plan.dispatch == (("MA", "MB"), (), ("MA", "MB", "MC"), ())
+        composed, empty, per_module, _ = plan.slot_maps
+        assert per_module is None
+        assert empty is not None and len(empty.written) == 0
+        assert [plan.signals[i] for i in composed.written] == ["a", "b"]
+        # b = (x_in & 0xFFB6 & 0x1F) & 0x1D ^ (b & 0xF0F3), in one sweep.
+        row = dict(zip((plan.signals[i] for i in composed.read), composed.masks[1]))
+        assert row == {"x_in": 0x14, "b": 0xF0F3}
+
+    @pytest.mark.parametrize("fast_forward", [True, False])
+    def test_hand_built_slot_kinds_are_byte_identical(self, fast_forward):
+        generated = _slot_system()
+        overrides = dict(
+            # 10 lands in the opaque slot, 11 in an empty one (the
+            # module maps fire at 12, a composed slot), 13 likewise.
+            injection_times_ms=(10, 11, 13, 40),
+            error_models=(BitFlip(0), BitFlip(4), DoubleBitFlip(1, 2)),
+            fast_forward=fast_forward,
+        )
+        reference = _collect(generated, "reference", **overrides)
+        lanes = _collect(generated, "batched", **overrides)
+        _assert_identical(reference, lanes)
+        fired_slots = {
+            outcome.fired_at_ms % 4 for outcome, _ in lanes if outcome.fired_at_ms
+        }
+        assert fired_slots == {0, 2}
+
+
+class TestHistoryCap:
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_history_counts_frames_from_the_batch_start(self, monkeypatch, reuse):
+        """Without prefix reuse a batch records from frame 0, not the instant."""
+        cap = 1 << 20
+        monkeypatch.setattr(batched, "_MAX_HISTORY_BYTES", cap)
+        sizes = []
+        run_batch = batched._run_batch
+
+        def recording(context, plan, time_ms, lanes, duration_ms):
+            checkpoint = lanes[0][1].checkpoint
+            start_ms = 0 if checkpoint is None else checkpoint.time_ms
+            sizes.append(
+                len(lanes) * (duration_ms - start_ms) * len(plan.trace_signals) * 8
+            )
+            return run_batch(context, plan, time_ms, lanes, duration_ms)
+
+        monkeypatch.setattr(batched, "_run_batch", recording)
+        generated = generate_system(3)
+        overrides = dict(
+            duration_ms=2000,
+            injection_times_ms=(100, 1500),
+            error_models=tuple(BitFlip(bit) for bit in range(8)),
+            reuse_golden_prefix=reuse,
+        )
+        lanes = _collect(generated, "batched", **overrides)
+        assert len(sizes) > 2
+        assert max(sizes) <= cap
+        _assert_identical(_collect(generated, "reference", **overrides), lanes)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.model.errors import TraceMismatchError
 from repro.simulation.traces import (
-    _SCAN_CHUNK,
     SignalTrace,
     TraceSet,
     pack_trace_samples,
@@ -19,7 +18,7 @@ from repro.simulation.traces import (
 
 
 def naive_first_divergence(a: SignalTrace, b: SignalTrace) -> int | None:
-    """The obvious per-element scan the chunked fast path must match."""
+    """The obvious per-element scan the byte bisection must match."""
     for index in range(len(a)):
         if a.samples[index] != b.samples[index]:
             return index
@@ -65,22 +64,17 @@ class TestSignalTrace:
 
 
 class TestChunkedDivergenceScan:
-    """The chunked C-speed scan is pinned to the naive per-element scan."""
+    """The byte-bisection scan is pinned to the naive per-element scan.
+
+    The flip positions straddle 4096-sample boundaries, where an earlier
+    chunked scan split its work, and odd bisection midpoints.
+    """
 
     @pytest.mark.parametrize(
-        "flip_at",
-        [
-            0,
-            1,
-            _SCAN_CHUNK - 1,  # last element of the first chunk
-            _SCAN_CHUNK,  # first element of the second chunk
-            _SCAN_CHUNK + 1,
-            2 * _SCAN_CHUNK - 1,
-            2 * _SCAN_CHUNK + 17,
-        ],
+        "flip_at", [0, 1, 4095, 4096, 4097, 8191, 8209]
     )
     def test_single_flip_positions(self, flip_at):
-        length = 2 * _SCAN_CHUNK + 100
+        length = 8292
         reference = SignalTrace("s", array("q", [7] * length))
         samples = array("q", [7] * length)
         samples[flip_at] ^= 1
@@ -89,19 +83,25 @@ class TestChunkedDivergenceScan:
         assert naive_first_divergence(trace, reference) == flip_at
 
     def test_equal_beyond_one_chunk(self):
-        length = 3 * _SCAN_CHUNK + 5
+        length = 3 * 4096 + 5
         reference = SignalTrace("s", array("q", range(length)))
         trace = SignalTrace("s", array("q", range(length)))
         assert trace.first_divergence(reference) is None
         assert naive_first_divergence(trace, reference) is None
 
     def test_reports_first_of_many_divergences(self):
-        samples = array("q", [0] * (_SCAN_CHUNK + 50))
-        samples[_SCAN_CHUNK - 3] = 1
-        samples[_SCAN_CHUNK + 20] = 2
+        samples = array("q", [0] * 4146)
+        samples[4093] = 1
+        samples[4116] = 2
         trace = SignalTrace("s", samples)
         reference = SignalTrace("s", array("q", [0] * len(samples)))
-        assert trace.first_divergence(reference) == _SCAN_CHUNK - 3
+        assert trace.first_divergence(reference) == 4093
+
+    def test_high_byte_difference_maps_to_its_sample(self):
+        """A difference in a sample's last byte is not blamed on the next."""
+        reference = SignalTrace("s", array("q", [0] * 9))
+        trace = SignalTrace("s", array("q", [0] * 4 + [-(2**63)] + [0] * 4))
+        assert trace.first_divergence(reference) == 4
 
     def test_negative_values_compare_correctly(self):
         """Byte-level comparison must agree with value-level comparison."""
@@ -128,6 +128,35 @@ class TestChunkedDivergenceScan:
         assert trace.first_divergence(reference) == naive_first_divergence(
             trace, reference
         )
+
+    def test_shared_memory_backed_reference(self):
+        """A reference read zero-copy from a shared-memory segment."""
+        from multiprocessing import shared_memory
+
+        golden = TraceSet(
+            [
+                SignalTrace("a", array("q", range(5000))),
+                SignalTrace("b", array("q", [3] * 5000)),
+            ]
+        )
+        signals, duration, flat = pack_trace_samples(golden)
+        segment = shared_memory.SharedMemory(create=True, size=len(flat) * 8)
+        try:
+            segment.buf[: len(flat) * 8] = flat.tobytes()
+            views = trace_views(segment.buf, signals, duration)
+            reference = {s: SignalTrace(s, view) for s, view in views.items()}
+            samples = array("q", range(5000))
+            samples[4321] = -1
+            assert SignalTrace("a", samples).first_divergence(
+                reference["a"]
+            ) == 4321
+            assert SignalTrace("b", [3] * 5000).first_divergence(
+                reference["b"]
+            ) is None
+            del views, reference
+        finally:
+            segment.close()
+            segment.unlink()
 
     def test_memoryview_backed_trace_compares(self):
         """View-backed traces (shared-memory reads) use the same scan."""
