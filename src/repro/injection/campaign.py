@@ -1402,7 +1402,12 @@ class InjectionCampaign:
             Golden Run.  Used e.g. by the EDM evaluation layer to replay
             detectors over the traces.  With a result store configured,
             only freshly *executed* runs reach the inspector — reused
-            rows carry outcome records, not traces.
+            rows carry outcome records, not traces.  Under the batched
+            backend each trace is a read-only view into one buffer
+            shared by a whole lane batch; an inspector that keeps a
+            :class:`RunResult` beyond the call should copy the traces it
+            needs (e.g. ``array("q", trace.samples)``), or it keeps the
+            whole buffer alive.
         """
         return self._execute(_InlineExecutor(self, inspector), progress, "serial")
 

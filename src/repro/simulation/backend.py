@@ -12,9 +12,10 @@ execute:
 
 ``batched``
     The vectorized lane kernel of :mod:`repro.simulation.batched`:
-    all injection runs of one (case, injection instant) group stepped
-    in lockstep as numpy bitwise ops over a signal-major
-    ``(n_signals, n_lanes)`` int64 array, retiring lanes individually on reconvergence.  Falls
+    all injection runs of one case stepped in lockstep as numpy
+    bitwise ops over a signal-major ``(n_signals, n_lanes)`` int64
+    array, each lane joining at its own injection instant and retiring
+    individually on reconvergence.  Falls
     back to the reference path per run (or per module) whenever a
     precondition for vectorization does not hold, so arbitrary systems
     still execute correctly.  Requires numpy.

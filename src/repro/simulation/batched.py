@@ -18,15 +18,29 @@ slot whose modules are all vectorizable gets one *composed* map over
 the pre-slot state, built by applying its module maps in dispatch
 order to the identity.  :func:`_apply` evaluates every map.
 
+**One batch per case.**  Every vectorizable run of a case joins one
+lane group, sorted by injection instant; the group is cut into
+sub-batches whose trace buffers fit :data:`_MAX_HISTORY_BYTES`.  A
+sub-batch resumes from the Golden-Run checkpoint of its earliest lane
+(frame 0 without prefix reuse).  A lane whose instant comes later
+follows the Golden Run exactly until its own trap fires, so the frames
+before each instant are stepped once for all lanes instead of once per
+instant.  Once every lane that has fired has retired, the live lanes
+are all in the Golden Run again, so the sub-batch resumes at the next
+live lane's checkpoint and takes the frames it skips from the Golden
+Run: where errors die out, no frame between two instants is stepped.
+A case with a scalar-fallback module keeps one group per instant, so
+those modules never step dormant lanes in Python.
+
 Correctness contract: results are **byte-identical** to the reference
 backend — same traces, same final signals/telemetry, same per-lane
 reconvergence instants.  The kernel achieves that by reproducing the
 reference semantics exactly rather than approximating them:
 
-* lanes of one batch share an injection instant and start from the same
-  Golden-Run checkpoint; the per-lane bit-flip is one XOR applied to
-  the value the target module *reads* at its first activation at or
-  after the instant (consumer-scoped, like
+* every lane starts from a Golden-Run checkpoint at or before its
+  instant; the per-lane bit-flip is one XOR applied to the value the
+  target module *reads* at its first activation at or after the
+  lane's own instant (consumer-scoped, like
   :class:`~repro.injection.traps.InputInjectionTrap`);
 * a frame with no pending injection runs its slot's composed map: one
   sweep.  A frame where an injection fires, or whose slot holds a
@@ -39,14 +53,21 @@ reference semantics exactly rather than approximating them:
 * the environment must be *lane-invariant* (its evolution cannot read
   the store): one shared instance is stepped per frame and its writes
   are broadcast to every lane;
-* the traced rows are gathered once per frame into a
-  ``(n_frames, n_traced, n_lanes)`` history cube, which the retirement
-  compare reads too.  Fast-forward retirement mirrors
+* traces are recorded straight into the results' memory: one
+  ``(n_lanes, n_traced, duration_ms)`` buffer per sub-batch whose
+  frames before the start are the Golden Run's.  Each frame's traced
+  rows are gathered into a small ``(_BLOCK_FRAMES, n_traced, n_lanes)``
+  block, which the retirement compare reads too, and the block is
+  written into the buffer with one transposed assignment every
+  :data:`_BLOCK_FRAMES` frames.  Each result's trace is a read-only
+  ``'q'`` memoryview of its lane's row, with no per-lane copy;
+* fast-forward retirement mirrors
   :meth:`~repro.simulation.runtime.SimulationRun._execute_frames`
   per lane — the traced-signal row compare against the Golden Run,
-  the digest-retry backoff and the Golden-Run suffix splice all apply
-  individually, so a retired lane reports the same
-  ``reconverged_at_ms`` and trace bytes as its reference twin.
+  the digest-retry backoff and the Golden-Run suffix splice (one slice
+  assignment into the lane's row) all apply individually, so a
+  retired lane reports the same ``reconverged_at_ms`` and trace bytes
+  as its reference twin.
 
 Whole cases that fail the preconditions (data-driven slot selector,
 non-lane-invariant environment, missing Golden-Run reference) and
@@ -57,7 +78,6 @@ through the reference path, so the backend is safe to enable globally
 
 from __future__ import annotations
 
-from array import array
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
 
@@ -86,13 +106,16 @@ __all__ = [
     "BatchedBackend",
     "pack_state_row",
     "unpack_state_row",
-    "column_to_samples",
 ]
 
-#: Soft cap on one sub-batch's trace history buffer.  Lanes beyond the
-#: cap split into further sub-batches (identical semantics, bounded
-#: peak memory).
+#: Soft cap on one sub-batch's trace buffer: lanes x traced signals x
+#: ``duration_ms`` x 8 bytes.  Lanes beyond the cap split into further
+#: sub-batches (identical semantics, bounded peak memory).
 _MAX_HISTORY_BYTES = 256 * 1024 * 1024
+
+#: Frames gathered into the per-frame block before it is written into
+#: the trace buffer with one transposed assignment.
+_BLOCK_FRAMES = 256
 
 #: Sentinel frame for "this lane's trap never fires" (compares greater
 #: than every valid frame index).
@@ -116,17 +139,6 @@ def unpack_state_row(
 ) -> dict[str, int]:
     """Unpack one lane row back into a signal-value mapping."""
     return {signal: int(row[i]) for i, signal in enumerate(signals)}
-
-
-def column_to_samples(column: np.ndarray) -> array:
-    """Convert one per-frame sample column into an ``array('q')``.
-
-    The byte layout matches the reference runtime's trace sinks
-    (little-endian int64), so traces fold back byte-identically.
-    """
-    sink = array("q")
-    sink.frombytes(np.ascontiguousarray(column, dtype="<i8").tobytes())
-    return sink
 
 
 def _flip_mask(model: Any, width: int) -> int | None:
@@ -206,7 +218,7 @@ def _apply(map_: _Map, state: np.ndarray) -> None:
 
 
 class _CasePlan:
-    """Per-case vectorization analysis, shared by all time groups."""
+    """Per-case vectorization analysis, shared by all lane batches."""
 
     def __init__(self, runner: SimulationRun, golden_ref: GoldenReference):
         self.runner = runner
@@ -252,15 +264,17 @@ class _CasePlan:
         self.pure = not self.scalar_modules and set(self.trace_signals) == set(
             self.signals
         )
-        #: Golden traces as a (duration, n_traced, 1) cube, trace order,
-        #: broadcastable against one frame's traced rows.
-        self.golden_matrix = np.stack(
+        #: Golden traces as ``(n_traced, duration)``, trace order: the
+        #: source of every trace buffer's prefix and retired suffixes.
+        self.golden_traces = np.stack(
             [
                 np.frombuffer(golden_ref.samples[s], dtype="<i8")
                 for s in self.trace_signals
-            ],
-            axis=1,
-        )[:, :, None]
+            ]
+        )
+        #: The same samples as a ``(duration, n_traced, 1)`` view,
+        #: broadcastable against one frame's traced rows.
+        self.golden_matrix = self.golden_traces.T[:, :, None]
         self._zero_checkpoint: RunCheckpoint | None = None
 
     def _module_map(self, vector_plan: Any) -> _Map:
@@ -360,23 +374,27 @@ class BatchedBackend:
                 yield context.run_reference(point)
             return
 
-        # Group vectorizable points by injection instant; everything
-        # else executes through the reference path at yield time.
+        # Every vectorizable point of the case joins one lane group,
+        # sorted by instant; everything else executes through the
+        # reference path at yield time.  Scalar-fallback modules step
+        # each lane in Python, so a plan with any keeps one group per
+        # instant rather than stepping lanes that have not fired yet.
         duration_ms = context.config.duration_ms
+        per_instant = bool(plan.scalar_modules)
         groups: dict[int, list[tuple[int, Any, int]]] = {}
         for index, point in enumerate(points):
             width = plan.runner.system.signal(point.signal).width
             mask = _flip_mask(point.model, width)
             if mask is None:
                 continue
-            groups.setdefault(point.time_ms, []).append((index, point, mask))
+            key = point.time_ms if per_instant else 0
+            groups.setdefault(key, []).append((index, point, mask))
 
         results: dict[int, tuple[RunResult, int | None]] = {}
-        for time_ms, lanes in groups.items():
+        for lanes in groups.values():
+            lanes.sort(key=lambda lane: lane[1].time_ms)
             for chunk in _lane_chunks(plan, lanes, duration_ms):
-                results.update(
-                    _run_batch(context, plan, time_ms, chunk, duration_ms)
-                )
+                results.update(_run_batch(context, plan, chunk, duration_ms))
 
         for index, point in enumerate(points):
             computed = results.get(index)
@@ -394,14 +412,12 @@ def _lane_chunks(
     lanes: list[tuple[int, Any, int]],
     duration_ms: int,
 ) -> Iterator[list[tuple[int, Any, int]]]:
-    """Split a time group so one history buffer stays under the cap.
+    """Split a lane group so one trace buffer stays under the cap.
 
-    The history spans every frame from the batch's start checkpoint,
-    which is frame 0 for points without a prefix-reuse checkpoint.
+    The buffer holds every frame of every lane's traces, from frame 0
+    whatever checkpoint the sub-batch starts from.
     """
-    start_ms = plan.start_checkpoint(lanes[0][1]).time_ms
-    n_frames = max(1, duration_ms - start_ms)
-    bytes_per_lane = n_frames * len(plan.trace_signals) * 8
+    bytes_per_lane = max(1, duration_ms * len(plan.trace_signals) * 8)
     cap = max(1, _MAX_HISTORY_BYTES // bytes_per_lane)
     for start in range(0, len(lanes), cap):
         yield lanes[start : start + cap]
@@ -410,26 +426,34 @@ def _lane_chunks(
 def _run_batch(
     context: "CaseContext",
     plan: _CasePlan,
-    time_ms: int,
     lanes: list[tuple[int, Any, int]],
     duration_ms: int,
 ) -> dict[int, tuple[RunResult, int | None]]:
-    """Step one lane batch to completion; returns results by point index."""
+    """Step one lane batch to completion; returns results by point index.
+
+    ``lanes`` is sorted by instant; the batch resumes from the first
+    lane's checkpoint.
+    """
     runner = plan.runner
     golden = plan.golden_ref
     metrics = context.metrics
     cp = plan.start_checkpoint(lanes[0][1])
     start_ms = cp.time_ms
     n_lanes = len(lanes)
-    n_frames = duration_ms - start_ms
     signals = plan.signals
     sig_idx = plan.sig_idx
     n_traced = len(plan.trace_signals)
+    golden_traces = plan.golden_traces
 
     # --- lane state (signal-major: one contiguous row per signal) -----
     base_row = pack_state_row(cp.store["values"], signals)
     state = np.repeat(base_row[:, None], n_lanes, axis=1)
-    hist = np.empty((n_frames, n_traced, n_lanes), dtype=np.int64)
+    # The results' trace memory ('q': memoryviews of it are 'q' too),
+    # its prefix the Golden Run's, and the block each frame's traced
+    # rows are gathered into.
+    traces = np.empty((n_lanes, n_traced, duration_ms), dtype="q")
+    traces[:, :, :start_ms] = golden_traces[:, :start_ms]
+    block = np.empty((_BLOCK_FRAMES, n_traced, n_lanes), dtype=np.int64)
 
     env = runner.environment
     restore_state(env, cp.environment)
@@ -447,13 +471,13 @@ def _run_batch(
 
     # --- per-lane injection plan -------------------------------------
     # One one-shot flip per lane: at the target module's first
-    # activation at or after the instant, XOR the mask into the value
-    # it reads (the stored signal itself is never corrupted).
+    # activation at or after the lane's instant, XOR the mask into the
+    # value it reads (the stored signal itself is never corrupted).
     # frame -> module -> signal -> (lanes, masks).
     fired = np.empty(n_lanes, dtype=np.int64)
     inject_at: dict[int, dict[str, dict[str, Any]]] = {}
     for lane, (_, point, mask) in enumerate(lanes):
-        frame = plan.fired_frame(point.module, time_ms, duration_ms)
+        frame = plan.fired_frame(point.module, point.time_ms, duration_ms)
         fired[lane] = frame
         if frame != _NEVER:
             inject_at.setdefault(frame, {}).setdefault(
@@ -469,6 +493,8 @@ def _run_batch(
                 )
 
     # --- fast-forward retirement state (mirrors _execute_frames) ---
+    # A lane before its instant equals the Golden Run, so it enters its
+    # instant with the state a reference run starts with.
     retire = golden.digests is not None
     golden_matrix = plan.golden_matrix
     alive = np.ones(n_lanes, dtype=bool)
@@ -483,8 +509,11 @@ def _run_batch(
     traced_idx = plan.traced_idx
     wmask = plan.wmask
     lanes_retired = 0
+    # Frames [0, recorded) are in ``traces``; the block holds the rest.
+    recorded = start_ms
+    t = start_ms
 
-    for t in range(start_ms, duration_ms):
+    while t < duration_ms:
         frame_started = perf_counter()
         env_store.written.clear()
         env.before_software(t, env_store)
@@ -513,9 +542,10 @@ def _run_batch(
                         flips,
                         t,
                     )
-        rows = hist[t - start_ms]
+        rows = block[t - recorded]
         state.take(traced_idx, axis=0, out=rows, mode="clip")
 
+        retired_before = lanes_retired
         if retire:
             sig_eq = np.logical_and.reduce(rows == golden_matrix[t], axis=0)
             candidates = alive & sig_eq
@@ -532,35 +562,52 @@ def _run_batch(
                     reconverged[lane] = t
                     lanes_retired += 1
             was_empty = sig_eq
+        t += 1
+        if t - recorded == _BLOCK_FRAMES:
+            traces[:, :, recorded:t] = block.transpose(2, 1, 0)
+            recorded = t
         if metrics is not None:
             metrics.histogram("kernel.batch_step.seconds").observe(
                 perf_counter() - frame_started
             )
         if lanes_retired == n_lanes:
             break
+        if lanes_retired == retired_before or np.any(alive & (fired < t)):
+            continue
+        # Every lane that has fired has retired, so every live lane is
+        # still in the Golden Run: resume from the next live lane's
+        # checkpoint instead of stepping the frames up to it.  Batches
+        # with scalar-fallback modules hold one instant, so they never
+        # get here and their per-lane module states need no reseed.
+        cp = plan.start_checkpoint(lanes[int(np.argmax(alive))][1])
+        if cp.time_ms <= t:
+            continue
+        traces[:, :, recorded:t] = block[: t - recorded].transpose(2, 1, 0)
+        traces[:, :, t : cp.time_ms] = golden_traces[:, t : cp.time_ms]
+        t = recorded = cp.time_ms
+        state[:] = pack_state_row(cp.store["values"], signals)[:, None]
+        restore_state(env, cp.environment)
+    traces[:, :, recorded:t] = block[: t - recorded].transpose(2, 1, 0)
 
     if metrics is not None and lanes_retired:
         metrics.counter("kernel.lanes.retired").inc(lanes_retired)
         metrics.gauge("kernel.lanes.active").set(int(alive.sum()))
 
-    # --- fold lanes back into RunResults ------------------------------
+    # --- splice Golden suffixes, hand out views of the lane rows ------
+    for lane in np.flatnonzero(~alive).tolist():
+        after = int(reconverged[lane]) + 1
+        traces[lane, :, after:] = golden_traces[:, after:]
+    traces.flags.writeable = False
+
     results: dict[int, tuple[RunResult, int | None]] = {}
-    for lane, (index, point, _) in enumerate(lanes):
+    for lane, (index, _, _) in enumerate(lanes):
         fired_at = None if fired[lane] == _NEVER else int(fired[lane])
         reconverged_at = None if reconverged[lane] < 0 else int(reconverged[lane])
-        last_frame = duration_ms - 1 if reconverged_at is None else reconverged_at
-        recorded = last_frame - start_ms + 1
-        traces = []
-        for j, signal in enumerate(plan.trace_signals):
-            sink = golden.prefix_array(signal, start_ms)
-            sink.frombytes(
-                np.ascontiguousarray(
-                    hist[:recorded, j, lane], dtype="<i8"
-                ).tobytes()
-            )
-            if reconverged_at is not None:
-                sink.frombytes(golden.suffix_bytes(signal, reconverged_at + 1))
-            traces.append(SignalTrace(signal, sink))
+        lane_traces = traces[lane]
+        trace_set = TraceSet(
+            SignalTrace(signal, memoryview(lane_traces[j]))
+            for j, signal in enumerate(plan.trace_signals)
+        )
         if reconverged_at is not None:
             final_signals = dict(golden.final_signals)
             telemetry = dict(golden.telemetry)
@@ -571,7 +618,7 @@ def _run_batch(
             fast_forwarded = 0
         results[index] = (
             RunResult(
-                traces=TraceSet(traces),
+                traces=trace_set,
                 duration_ms=duration_ms,
                 final_signals=final_signals,
                 telemetry=telemetry,

@@ -410,7 +410,9 @@ class StoreMutator(Protocol):
 class RunResult:
     """Everything recorded during one simulation run."""
 
-    #: Per-signal, per-millisecond traces.
+    #: Per-signal, per-millisecond traces.  The batched backend's are
+    #: read-only views into a buffer shared by the whole lane batch:
+    #: copy a trace's samples to keep them without keeping the buffer.
     traces: TraceSet
     #: Total simulated duration in milliseconds.
     duration_ms: int

@@ -40,8 +40,11 @@ class SignalTrace:
     A ``memoryview`` of format ``'q'`` is kept as-is instead of being
     copied, so a Golden-Run trace set published through
     ``multiprocessing.shared_memory`` can be read zero-copy by worker
-    processes (see :func:`trace_views`).  View-backed traces are
-    read-only: ``append`` raises.
+    processes (see :func:`trace_views`), and the batched backend hands
+    out each injection run's traces as views of its lane's row in one
+    shared trace buffer (:mod:`repro.simulation.batched`).  View-backed
+    traces are read-only: ``append`` raises, and the batched views
+    reject item assignment too.
     """
 
     signal: str

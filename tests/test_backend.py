@@ -11,7 +11,6 @@ per-run reference fallback) and hypothesis-drawn random systems.
 from __future__ import annotations
 
 import dataclasses
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +44,6 @@ from repro.simulation.batched import (  # noqa: E402 — needs numpy
     BatchedBackend,
     _apply,
     _CasePlan,
-    column_to_samples,
     pack_state_row,
     unpack_state_row,
 )
@@ -61,7 +59,7 @@ def _mixed_system(seed: int = 13) -> GeneratedSystem:
     return GeneratedSystem(dataclasses.replace(base.spec, modules=modules))
 
 
-def _campaign(generated, backend, **overrides):
+def _campaign(generated, backend, observer=None, **overrides):
     config = CampaignConfig(
         duration_ms=overrides.pop("duration_ms", 200),
         injection_times_ms=overrides.pop("injection_times_ms", (30, 110)),
@@ -73,7 +71,7 @@ def _campaign(generated, backend, **overrides):
         **overrides,
     )
     return InjectionCampaign(
-        generated.system, generated.run_factory, ["case"], config
+        generated.system, generated.run_factory, ["case"], config, observer=observer
     )
 
 
@@ -138,15 +136,6 @@ class TestLanePacking:
     def test_pack_respects_signal_order(self):
         row = pack_state_row({"b": 2, "a": 1}, ("a", "b"))
         assert list(row) == [1, 2]
-
-    def test_column_to_samples_matches_array_q(self):
-        column = np.array([0, 1, 2**40, 9], dtype=np.int64)
-        samples = column_to_samples(column)
-        assert samples == array("q", [0, 1, 2**40, 9])
-
-    def test_column_to_samples_accepts_strided_views(self):
-        matrix = np.arange(12, dtype=np.int64).reshape(4, 3)
-        assert column_to_samples(matrix[:, 1]) == array("q", [1, 4, 7, 10])
 
 
 # ---------------------------------------------------------------------------
@@ -447,22 +436,171 @@ class TestComposedSlotMaps:
         assert fired_slots == {0, 2}
 
 
+def _observed_batches(generated, monkeypatch, **overrides):
+    """A batched campaign's pairs, its kernel frames and its sub-batches.
+
+    Each sub-batch is recorded as the instants of its lanes, in lane
+    order.
+    """
+    from repro.obs import CampaignObserver
+
+    batches = []
+    run_batch = batched._run_batch
+
+    def recording(context, plan, lanes, duration_ms):
+        batches.append([point.time_ms for _, point, _ in lanes])
+        return run_batch(context, plan, lanes, duration_ms)
+
+    monkeypatch.setattr(batched, "_run_batch", recording)
+    observer = CampaignObserver.to_files(
+        events_path=None, with_metrics=True, system=generated.system
+    )
+    pairs = []
+    _campaign(generated, "batched", observer=observer, **overrides).execute(
+        inspector=lambda outcome, injected, golden: pairs.append(
+            (outcome, injected)
+        )
+    )
+    observer.close()
+    frames = observer.metrics.histogram("kernel.batch_step.seconds").count
+    return pairs, frames, batches
+
+
+_MODES = pytest.mark.parametrize(
+    "fast_forward, reuse",
+    [(True, True), (True, False), (False, True), (False, False)],
+)
+
+
+class TestCaseBatches:
+    """One lane batch per case: instants share frames, results do not move."""
+
+    @_MODES
+    def test_interleaved_instants_share_one_batch(
+        self, monkeypatch, fast_forward, reuse
+    ):
+        generated = generate_system(seed=7)
+        # Out of grid order on purpose; 30 and 31 fire on one frame for
+        # some targets, and lanes of 30 retire long before 70 and 110.
+        overrides = dict(
+            injection_times_ms=(110, 30, 70, 31),
+            fast_forward=fast_forward,
+            reuse_golden_prefix=reuse,
+        )
+        pairs, frames, batches = _observed_batches(
+            generated, monkeypatch, **overrides
+        )
+        _assert_identical(_collect(generated, "reference", **overrides), pairs)
+        assert len(batches) == 1
+        assert batches[0] == sorted(batches[0])
+        assert any(run.reconverged_at_ms is None for _, run in pairs)
+        # No lane retires everything early, so the one batch runs from
+        # its start checkpoint to the end of the run.
+        assert frames == 200 - (30 if reuse else 0)
+        if fast_forward:
+            assert any(
+                run.reconverged_at_ms is not None and run.reconverged_at_ms < 70
+                for _, run in pairs
+            )
+
+    @_MODES
+    def test_cap_splits_one_instant_across_sub_batches(
+        self, monkeypatch, fast_forward, reuse
+    ):
+        generated = generate_system(seed=7)
+        # 7 traced signals x 200 ms x 8 bytes per lane, 27 lanes per
+        # sub-batch: the 18 lanes of instant 70 straddle the two.
+        monkeypatch.setattr(batched, "_MAX_HISTORY_BYTES", 27 * 7 * 200 * 8)
+        overrides = dict(
+            injection_times_ms=(30, 70, 110),
+            fast_forward=fast_forward,
+            reuse_golden_prefix=reuse,
+        )
+        pairs, frames, batches = _observed_batches(
+            generated, monkeypatch, **overrides
+        )
+        _assert_identical(_collect(generated, "reference", **overrides), pairs)
+        assert [len(lanes) for lanes in batches] == [27, 27]
+        assert batches[0][-1] == batches[1][0] == 70
+        if not fast_forward:
+            # No lane retires, so each sub-batch steps to the end.
+            assert frames == ((200 - 30) + (200 - 70) if reuse else 2 * 200)
+
+    @_MODES
+    def test_batch_skips_golden_frames_between_dying_instants(
+        self, monkeypatch, fast_forward, reuse
+    ):
+        generated = generate_system(seed=6)
+        assert not generated.has_feedback
+        overrides = dict(
+            injection_times_ms=(110, 30, 70),
+            fast_forward=fast_forward,
+            reuse_golden_prefix=reuse,
+        )
+        pairs, frames, batches = _observed_batches(
+            generated, monkeypatch, **overrides
+        )
+        _assert_identical(_collect(generated, "reference", **overrides), pairs)
+        assert len(batches) == 1
+        if not fast_forward:
+            assert frames == 200 - (30 if reuse else 0)
+            return
+        # Every error dies out before the next instant.
+        last: dict[int, int] = {}
+        for outcome, run in pairs:
+            instant = outcome.scheduled_time_ms
+            last[instant] = max(last.get(instant, -1), run.reconverged_at_ms)
+        assert last[30] < 70 and last[70] < 110
+        if reuse:
+            # Once every fired lane has retired the batch resumes at the
+            # next instant's checkpoint: only each instant's own frames.
+            assert frames == sum(end + 1 - instant for instant, end in last.items())
+        else:
+            # Checkpoint 0 is behind every lane: no frame is skipped.
+            assert frames == last[110] + 1
+
+    @_MODES
+    def test_opaque_module_keeps_one_batch_per_instant(
+        self, monkeypatch, fast_forward, reuse
+    ):
+        generated = _mixed_system()
+        overrides = dict(
+            injection_times_ms=(110, 30, 70),
+            fast_forward=fast_forward,
+            reuse_golden_prefix=reuse,
+        )
+        pairs, _, batches = _observed_batches(generated, monkeypatch, **overrides)
+        _assert_identical(_collect(generated, "reference", **overrides), pairs)
+        assert sorted(sorted(set(lanes)) for lanes in batches) == [[30], [70], [110]]
+
+    def test_traces_are_views_with_the_reference_bytes(self):
+        generated = generate_system(seed=7)
+        reference = _collect(generated, "reference")
+        lanes = _collect(generated, "batched")
+        for (_, ref_run), (_, bat_run) in zip(reference, lanes, strict=True):
+            for trace in bat_run.traces:
+                samples = trace.samples
+                assert isinstance(samples, memoryview)
+                assert samples.format == "q" and samples.readonly
+                assert bytes(samples) == bytes(ref_run.traces[trace.signal].samples)
+
+
 class TestHistoryCap:
     @pytest.mark.parametrize("reuse", [True, False])
     def test_history_counts_frames_from_the_batch_start(self, monkeypatch, reuse):
-        """Without prefix reuse a batch records from frame 0, not the instant."""
+        """The cap counts a sub-batch's whole trace buffer, from frame 0.
+
+        Whichever checkpoint the batch resumes from, its buffer holds
+        every frame of every lane's traces.
+        """
         cap = 1 << 20
         monkeypatch.setattr(batched, "_MAX_HISTORY_BYTES", cap)
         sizes = []
         run_batch = batched._run_batch
 
-        def recording(context, plan, time_ms, lanes, duration_ms):
-            checkpoint = lanes[0][1].checkpoint
-            start_ms = 0 if checkpoint is None else checkpoint.time_ms
-            sizes.append(
-                len(lanes) * (duration_ms - start_ms) * len(plan.trace_signals) * 8
-            )
-            return run_batch(context, plan, time_ms, lanes, duration_ms)
+        def recording(context, plan, lanes, duration_ms):
+            sizes.append(len(lanes) * len(plan.trace_signals) * duration_ms * 8)
+            return run_batch(context, plan, lanes, duration_ms)
 
         monkeypatch.setattr(batched, "_run_batch", recording)
         generated = generate_system(3)

@@ -295,6 +295,9 @@ class TestRobustness:
                     errors.append(exc)
                     return
 
+        # The artifact exists before the race starts, so a miss can only
+        # mean the reader saw a half-written file.
+        store.put(key, payloads[0])
         threads = [
             threading.Thread(target=writer, args=(payload,))
             for payload in payloads
