@@ -96,6 +96,7 @@ from repro.edm import (
     evaluate_detectors,
 )
 from repro.injection import (
+    ArcTally,
     BitFlip,
     CriticalityReport,
     FailureMode,
@@ -131,7 +132,6 @@ from repro.lint import (
 from repro.obs import (
     CampaignObserver,
     MetricsRegistry,
-    PropagationObservations,
 )
 from repro.model import (
     ModuleSpec,
@@ -158,6 +158,7 @@ from repro.verify import (
 __version__ = "1.0.0"
 
 __all__ = [
+    "ArcTally",
     "ArrestmentPlant",
     "ArrestmentTestCase",
     "BacktrackTree",
@@ -197,7 +198,6 @@ __all__ = [
     "PlacementReport",
     "PlantConfig",
     "PropagationAnalysis",
-    "PropagationObservations",
     "PropagationPath",
     "ReproError",
     "Severity",

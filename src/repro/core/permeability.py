@@ -143,7 +143,7 @@ class MatrixDiff:
     """Pairwise comparison of two permeability matrices.
 
     Typically the *measured* matrix is a campaign estimate (e.g. the
-    live fold of :class:`repro.obs.propagation.PropagationObservations`)
+    observer's live :class:`repro.injection.outcomes.ArcTally`)
     and the *reference* an analytical assignment or an earlier
     campaign; the diff answers "where does measurement disagree with
     the model, and by how much".

@@ -3,8 +3,8 @@
 One implementation of the Wilson score interval, used by both
 :meth:`repro.core.permeability.PermeabilityEstimate.wilson_interval`
 (post-hoc estimates) and
-:meth:`repro.obs.propagation.ArcCounts.wilson_interval` (live
-observations), and driven directly by the adaptive campaign controller
+:meth:`repro.injection.outcomes.PairCounts.wilson_interval` (the
+per-arc counts of every fold), and driven directly by the adaptive campaign controller
 (:mod:`repro.adaptive`) to decide when an arc's estimate is tight
 enough to retire.
 

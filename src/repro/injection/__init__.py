@@ -31,11 +31,17 @@ from repro.injection.golden_run import (
     GoldenRunComparison,
     compare_to_golden_run,
 )
-from repro.injection.outcomes import CampaignResult, InjectionOutcome, PairCounts
+from repro.injection.outcomes import (
+    ArcTally,
+    CampaignResult,
+    InjectionOutcome,
+    PairCounts,
+)
 from repro.injection.selection import full_grid, paper_grid, paper_times, sampled_grid
 from repro.injection.traps import InputInjectionTrap, StoreInjectionTrap
 
 __all__ = [
+    "ArcTally",
     "BitFlip",
     "CampaignConfig",
     "CampaignResult",

@@ -92,7 +92,12 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.injection.error_models import ErrorModel, bit_flip_models
 from repro.injection.golden_run import GoldenRun, compare_to_golden_run
-from repro.injection.outcomes import AdaptiveRow, CampaignResult, InjectionOutcome
+from repro.injection.outcomes import (
+    AdaptiveRow,
+    ArcTally,
+    CampaignResult,
+    InjectionOutcome,
+)
 from repro.injection.selection import paper_times
 from repro.injection.traps import InputInjectionTrap
 from repro.model.errors import CampaignError
@@ -675,7 +680,6 @@ class _AdaptiveSchedule:
         result: CampaignResult,
     ) -> None:
         from repro.adaptive import AdaptiveController, get_policy
-        from repro.obs.propagation import PropagationObservations
 
         config = campaign.config
         self._system = campaign._system
@@ -717,7 +721,7 @@ class _AdaptiveSchedule:
                 policy=get_policy(policy_name),
             )
         )
-        self._observations = PropagationObservations(self._system)
+        self._tally = ArcTally.of_system(self._system)
 
     @property
     def finished(self) -> bool:
@@ -746,9 +750,9 @@ class _AdaptiveSchedule:
         from repro.adaptive import TargetMeasurement
 
         controller = self._controller
-        observations = self._observations
+        tally = self._tally
         for outcome in outcomes:
-            observations.record(outcome)
+            tally.add_outcome(outcome)
         measurements = {}
         for target in controller.open_targets():
             module, signal = target
@@ -758,11 +762,11 @@ class _AdaptiveSchedule:
             half = -1.0
             point = 0.0
             for output in self._system.module(module).outputs:
-                arc = observations.arc(module, signal, output)
+                arc = tally.arc(module, signal, output)
                 lo, hi = arc.wilson_interval(self._z)
                 if (hi - lo) / 2.0 > half:
                     half = (hi - lo) / 2.0
-                    point = arc.observed_permeability
+                    point = arc.permeability
             if half < 0.0:
                 half = 0.0  # a target with no output arcs
             measurements[target] = TargetMeasurement(
@@ -938,7 +942,8 @@ class _PoolExecutor:
                     if obs_payload is not None:
                         obs.absorb_worker(obs_payload)
                     if obs.propagation is not None:
-                        obs.propagation.record_all(got)
+                        for outcome in got:
+                            obs.propagation.add_outcome(outcome)
                     obs.on_chunk_completed(
                         chunk_index=next(self._chunk_index),
                         case_id=case_id,
@@ -1138,26 +1143,8 @@ class InjectionCampaign:
         signal: str,
         outcomes: Sequence[InjectionOutcome],
     ) -> dict:
-        """Store payload of one executed target row.
-
-        The outcome records are the authoritative data (recomposition
-        rebuilds :class:`CampaignResult` from them alone); the per-arc
-        direct-error counts and lifetime records ride along so
-        ``repro store ls`` is informative without re-deriving.
-        """
-        spec = self._system.module(module)
-        input_is_feedback = signal in spec.outputs
-        arc_counts = {}
-        for output in spec.outputs:
-            n_errors = sum(
-                1
-                for outcome in outcomes
-                if outcome.fired
-                and outcome.direct_output_error(
-                    output, input_is_feedback=input_is_feedback
-                )
-            )
-            arc_counts[output] = [len(outcomes), n_errors]
+        """Store payload of one executed target row: its outcome records,
+        from which recomposition rebuilds :class:`CampaignResult`."""
         return {
             "kind": kind,
             "case_id": case_id,
@@ -1165,16 +1152,6 @@ class InjectionCampaign:
             "signal": signal,
             "n_runs": len(outcomes),
             "outcomes": [outcome.to_jsonable() for outcome in outcomes],
-            "arc_counts": arc_counts,
-            "lifetimes_ms": [
-                outcome.error_lifetime_ms
-                for outcome in outcomes
-                if outcome.error_lifetime_ms is not None
-            ],
-            "n_fired": sum(1 for outcome in outcomes if outcome.fired),
-            "n_reconverged": sum(
-                1 for outcome in outcomes if outcome.reconverged
-            ),
         }
 
     def _fetch_unit(

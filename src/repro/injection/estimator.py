@@ -10,8 +10,8 @@ permeability :math:`P_{i,k}` to be :math:`n_{err} / n_{inj}`."
 campaign execution and aggregation behind one call.
 
 Statically-pruned targets (``CampaignConfig(static_prune=True)``) need
-no special handling here: ``CampaignResult.pair_counts`` merges them as
-their full injection count with exactly zero errors, so the estimated
+no special handling here: ``CampaignResult.arc_tally`` counts them with
+their full injection count and exactly zero errors, so the estimated
 matrix — and every table derived from it — is byte-identical to the
 unpruned campaign's.
 """
@@ -74,25 +74,12 @@ def estimate_matrix(
         Verify every pair of every module received injections; disable
         when deliberately estimating a subset of the system.
 
-    Targets skipped by static pruning still count: they arrive from
-    ``pair_counts`` as ``(n_errors=0, n_injections=<full grid>)``, so a
-    pruned campaign satisfies ``require_complete`` and estimates the
-    same matrix as an unpruned one.
+    Targets skipped by static pruning still count as ``(n_errors=0,
+    n_injections=<full grid>)``, so a pruned campaign satisfies
+    ``require_complete`` and estimates the same matrix as an unpruned
+    one.  A target whose outcomes were all filtered out stays unset.
     """
-    matrix = PermeabilityMatrix(result.system)
-    counts = result.pair_counts(direct_only=direct_only, predicate=predicate)
-    for (module, input_signal, output_signal), pair in counts.items():
-        if pair.n_injections == 0:
-            # A target that never produced a countable injection (all
-            # filtered out); leave the pair unset rather than invent 0.
-            continue
-        matrix.set_counts(
-            module,
-            input_signal,
-            output_signal,
-            n_errors=pair.n_errors,
-            n_injections=pair.n_injections,
-        )
+    matrix = result.arc_tally(direct_only, predicate).to_matrix(result.system)
     if require_complete:
         missing = matrix.missing_pairs()
         if missing:

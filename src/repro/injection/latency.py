@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.injection.outcomes import CampaignResult
+from repro.injection.outcomes import CampaignResult, direct_outputs
 
 __all__ = [
     "PairLatency",
     "latency_statistics",
     "render_latency_table",
     "InputLifetime",
+    "input_lifetime",
     "lifetime_statistics",
     "render_lifetime_table",
 ]
@@ -89,36 +91,27 @@ def latency_statistics(
     """
     samples: dict[tuple[str, str, str], list[int]] = {}
     for outcome in result:
-        if not outcome.fired:
-            continue
-        assert outcome.fired_at_ms is not None
-        spec = result.system.module(outcome.module)
-        input_is_feedback = outcome.input_signal in spec.outputs
-        for output_signal in spec.outputs:
-            if direct_only and not outcome.direct_output_error(
-                output_signal, input_is_feedback=input_is_feedback
-            ):
-                continue
+        outputs = result.system.module(outcome.module).outputs
+        for output_signal in direct_outputs(outcome, outputs, direct_only):
             divergence = outcome.comparison.divergence_time(output_signal)
-            if divergence is None:
-                continue
+            assert divergence is not None and outcome.fired_at_ms is not None
             key = (outcome.module, outcome.input_signal, output_signal)
             samples.setdefault(key, []).append(divergence - outcome.fired_at_ms)
-    statistics: dict[tuple[str, str, str], PairLatency] = {}
-    for key, values in samples.items():
-        values.sort()
-        module, input_signal, output_signal = key
-        statistics[key] = PairLatency(
-            module=module,
-            input_signal=input_signal,
-            output_signal=output_signal,
-            n_samples=len(values),
-            min_ms=values[0],
-            max_ms=values[-1],
-            mean_ms=sum(values) / len(values),
-            median_ms=_percentile(values, 0.5),
-        )
-    return statistics
+    return {
+        key: PairLatency(*key, **_spread(values)) for key, values in samples.items()
+    }
+
+
+def _spread(samples: Iterable[int]) -> dict:
+    """Sample count, min, max, mean and median (all zero when empty)."""
+    values = sorted(samples)
+    return {
+        "n_samples": len(values),
+        "min_ms": values[0] if values else 0,
+        "max_ms": values[-1] if values else 0,
+        "mean_ms": sum(values) / len(values) if values else 0.0,
+        "median_ms": _percentile(values, 0.5) if values else 0.0,
+    }
 
 
 @dataclass(frozen=True)
@@ -174,21 +167,24 @@ def lifetime_statistics(
             samples.setdefault(key, [])
         else:
             samples.setdefault(key, []).append(lifetime)
-    statistics: dict[tuple[str, str], InputLifetime] = {}
-    for key, values in samples.items():
-        values.sort()
-        module, input_signal = key
-        statistics[key] = InputLifetime(
-            module=module,
-            input_signal=input_signal,
-            n_samples=len(values),
-            n_censored=censored.get(key, 0),
-            min_ms=values[0] if values else 0,
-            max_ms=values[-1] if values else 0,
-            mean_ms=sum(values) / len(values) if values else 0.0,
-            median_ms=_percentile(values, 0.5) if values else 0.0,
-        )
-    return statistics
+    return {
+        key: input_lifetime(*key, values, censored.get(key, 0))
+        for key, values in samples.items()
+    }
+
+
+def input_lifetime(
+    module: str, input_signal: str, samples: Iterable[int], n_censored: int
+) -> InputLifetime:
+    """Summarise one input's observed lifetimes plus its censored count
+    (the post-hoc :func:`lifetime_statistics` and the dashboard
+    reducer's live view share it)."""
+    return InputLifetime(
+        module=module,
+        input_signal=input_signal,
+        n_censored=n_censored,
+        **_spread(samples),
+    )
 
 
 def render_lifetime_table(

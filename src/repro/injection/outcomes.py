@@ -1,20 +1,32 @@
 """Records of individual injection experiments and their aggregation.
 
 Each injection run (IR) produces one :class:`InjectionOutcome`; a
-campaign produces a :class:`CampaignResult` holding all of them plus the
-aggregation into per-pair error counts — the raw material of the paper's
-Table 1 estimates.
+campaign produces a :class:`CampaignResult` holding all of them.
+:class:`ArcTally` is the one fold of outcomes into per-arc error counts
+— the raw material of the paper's Table 1 estimates — and
+:func:`direct_outputs` the one place the Section 7.3 direct-error rule
+is applied.  The estimator, the live observer, adaptive stopping, the
+dashboard reducer and the events summary all count through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.permeability import PermeabilityMatrix
+from repro.core.stats import wilson_interval
 from repro.injection.golden_run import GoldenRunComparison
 from repro.model.system import SystemModel
 
-__all__ = ["AdaptiveRow", "InjectionOutcome", "PairCounts", "CampaignResult"]
+__all__ = [
+    "AdaptiveRow",
+    "ArcTally",
+    "CampaignResult",
+    "InjectionOutcome",
+    "PairCounts",
+    "direct_outputs",
+]
 
 
 @dataclass(frozen=True)
@@ -164,6 +176,29 @@ class InjectionOutcome:
         return loop_time is None or output_time <= loop_time
 
 
+def direct_outputs(
+    outcome: InjectionOutcome, outputs: Sequence[str], direct_only: bool = True
+) -> tuple[str, ...]:
+    """The outputs, among the injected module's ``outputs``, a run erred on.
+
+    The one application of the Section 7.3 rule: a fired run counts for
+    output ``k`` when :meth:`InjectionOutcome.direct_output_error`
+    holds, an injected input that is one of ``outputs`` being a
+    feedback input.  ``direct_only=False`` counts any divergence
+    instead.  A trap that never fired erred on nothing.
+    """
+    if not outcome.fired:
+        return ()
+    if not direct_only:
+        return tuple(k for k in outputs if outcome.output_diverged(k))
+    input_is_feedback = outcome.input_signal in outputs
+    return tuple(
+        k
+        for k in outputs
+        if outcome.direct_output_error(k, input_is_feedback=input_is_feedback)
+    )
+
+
 @dataclass
 class PairCounts:
     """Raw counts for one (module, input, output) pair."""
@@ -180,6 +215,149 @@ class PairCounts:
         if self.n_injections == 0:
             return 0.0
         return self.n_errors / self.n_injections
+
+    def wilson_interval(self, z: float = 1.96) -> tuple[float, float]:
+        """Wilson score interval of :attr:`permeability`
+        (:func:`repro.core.stats.wilson_interval`; ``(0, 1)`` without
+        injections)."""
+        return wilson_interval(self.n_errors, self.n_injections, z)
+
+
+class ArcTally:
+    """Incremental :math:`n_{err}/n_{inj}` counts per (module, input → output) arc.
+
+    ``topology`` maps each module to its ``(inputs, outputs)``, in
+    system order (:meth:`of_system`, or :meth:`of_manifest` for a
+    recorded event stream).  Injections count per (module, input)
+    location — every run, fired or not, and statically-pruned runs
+    added with ``n`` — and errors per arc.  A location never added
+    stays absent from :meth:`entries`; an added one yields every output
+    arc of its module, in topology order (:meth:`to_jsonable` skips
+    those still at zero injections).
+    """
+
+    def __init__(
+        self, topology: Mapping[str, tuple[Iterable[str], Iterable[str]]]
+    ) -> None:
+        self._topology = {
+            module: (tuple(inputs), tuple(outputs))
+            for module, (inputs, outputs) in topology.items()
+        }
+        self._injections: dict[tuple[str, str], int] = {}
+        self._errors: dict[tuple[str, str, str], int] = {}
+
+    @classmethod
+    def of_system(cls, system: SystemModel) -> "ArcTally":
+        """The tally over a system model's module topology."""
+        return cls(
+            {
+                name: (system.module(name).inputs, system.module(name).outputs)
+                for name in system.module_names()
+            }
+        )
+
+    @classmethod
+    def of_manifest(cls, manifest: Mapping) -> "ArcTally":
+        """The tally over a run manifest's ``modules`` topology."""
+        return cls(
+            {
+                name: (spec.get("inputs", ()), spec.get("outputs", ()))
+                for name, spec in manifest.get("modules", {}).items()
+            }
+        )
+
+    def add(
+        self,
+        module: str,
+        input_signal: str,
+        propagated_outputs: Iterable[str] = (),
+        n: int = 1,
+    ) -> None:
+        """Count ``n`` injections into one location and one error on
+        each of ``propagated_outputs``."""
+        location = (module, input_signal)
+        self._injections[location] = self._injections.get(location, 0) + n
+        for output_signal in propagated_outputs:
+            arc = (module, input_signal, output_signal)
+            self._errors[arc] = self._errors.get(arc, 0) + 1
+
+    def add_outcome(
+        self, outcome: InjectionOutcome, direct_only: bool = True
+    ) -> tuple[str, ...]:
+        """Fold one run; returns the outputs it counted as errors."""
+        outputs = direct_outputs(
+            outcome, self._topology[outcome.module][1], direct_only
+        )
+        self.add(outcome.module, outcome.input_signal, outputs)
+        return outputs
+
+    def arc(
+        self, module: str, input_signal: str, output_signal: str
+    ) -> PairCounts:
+        """The counts of one arc (zeros if its location was never added)."""
+        if output_signal not in self._topology.get(module, ((), ()))[1]:
+            raise KeyError(
+                f"no arc {module}: {input_signal} -> {output_signal}"
+            )
+        return PairCounts(
+            module,
+            input_signal,
+            output_signal,
+            self._injections.get((module, input_signal), 0),
+            self._errors.get((module, input_signal, output_signal), 0),
+        )
+
+    def entries(self) -> Iterator[PairCounts]:
+        """Every arc of every added location, in topology order."""
+        for module, (inputs, outputs) in self._topology.items():
+            for input_signal in inputs:
+                if (module, input_signal) in self._injections:
+                    for output_signal in outputs:
+                        yield self.arc(module, input_signal, output_signal)
+
+    def hottest(self, n: int = 10) -> list[PairCounts]:
+        """The ``n`` arcs with the most errors (ties: by arc name)."""
+        hits = [entry for entry in self.entries() if entry.n_errors]
+        hits.sort(
+            key=lambda e: (-e.n_errors, e.module, e.input_signal, e.output_signal)
+        )
+        return hits[:n]
+
+    def to_jsonable(self, system_name: str) -> dict:
+        """The measured arcs in :meth:`PermeabilityMatrix.to_jsonable`
+        form; locations with zero injections stay unset."""
+        return {
+            "system": system_name,
+            "entries": [
+                {
+                    "module": entry.module,
+                    "input": entry.input_signal,
+                    "output": entry.output_signal,
+                    "value": entry.n_errors / entry.n_injections,
+                    "n_injections": entry.n_injections,
+                    "n_errors": entry.n_errors,
+                }
+                for entry in self.entries()
+                if entry.n_injections
+            ],
+        }
+
+    def to_matrix(self, system: SystemModel) -> PermeabilityMatrix:
+        """The measured (sparse) permeability matrix of ``system``."""
+        return PermeabilityMatrix.from_jsonable(
+            system, self.to_jsonable(system.name)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArcTally):
+            return NotImplemented
+        return (self._topology, self._injections, self._errors) == (
+            other._topology,
+            other._injections,
+            other._errors,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class CampaignResult:
@@ -263,75 +441,53 @@ class CampaignResult:
             and (input_signal is None or outcome.input_signal == input_signal)
         ]
 
-    def pair_counts(
+    def arc_tally(
         self,
         direct_only: bool = True,
-        count_unfired: bool = True,
         predicate: Callable[[InjectionOutcome], bool] | None = None,
-    ) -> dict[tuple[str, str, str], PairCounts]:
-        """Aggregate outcomes into per-pair injection/error counts.
+    ) -> ArcTally:
+        """Fold the outcomes into per-arc injection/error counts.
 
         Parameters
         ----------
         direct_only:
             Apply the paper's direct-error rule (Section 7.3) instead of
             counting any divergence.
-        count_unfired:
-            Whether injections whose trap never fired still count in the
-            denominator.  The paper counts *conducted* injections
-            (:math:`16 \\cdot 10 \\cdot 25 = 4000` per signal), so the
-            default is ``True``; unfired traps contribute no errors
-            either way.
         predicate:
             Optional extra filter over outcomes (e.g. one test case or
-            one error model) for ablation studies.
+            one error model) for ablation studies.  A location whose
+            outcomes are all filtered out keeps zero-injection arcs.
 
-        Returns counts for every pair of every module that received at
-        least one injection; pairs of uninjected modules are absent.
-        Statically-pruned targets (see :meth:`record_pruned`) appear
-        with their full injection count and zero errors, exactly as if
-        the runs had executed — but only when ``predicate`` is ``None``,
-        since pruned runs have no per-outcome record to filter on.
+        Every run counts in the denominator, fired or not: the paper
+        counts *conducted* injections (:math:`16 \\cdot 10 \\cdot 25 =
+        4000` per signal).  Statically-pruned targets (see
+        :meth:`record_pruned`) count with their full injection count and
+        zero errors, exactly as if the runs had executed — but only when
+        ``predicate`` is ``None``, since pruned runs have no per-outcome
+        record to filter on.
         """
-        counts: dict[tuple[str, str, str], PairCounts] = {}
-        injected_inputs = {
-            (outcome.module, outcome.input_signal) for outcome in self._outcomes
-        }
-        for module, input_signal in injected_inputs:
-            spec = self._system.module(module)
-            for output_signal in spec.outputs:
-                key = (module, input_signal, output_signal)
-                counts[key] = PairCounts(module, input_signal, output_signal)
+        tally = ArcTally.of_system(self._system)
         for outcome in self._outcomes:
-            if predicate is not None and not predicate(outcome):
-                continue
-            if not outcome.fired and not count_unfired:
-                continue
-            spec = self._system.module(outcome.module)
-            input_is_feedback = outcome.input_signal in spec.outputs
-            for output_signal in spec.outputs:
-                key = (outcome.module, outcome.input_signal, output_signal)
-                counts[key].n_injections += 1
-                if not outcome.fired:
-                    continue
-                if direct_only:
-                    hit = outcome.direct_output_error(
-                        output_signal, input_is_feedback=input_is_feedback
-                    )
-                else:
-                    hit = outcome.output_diverged(output_signal)
-                if hit:
-                    counts[key].n_errors += 1
+            if predicate is None or predicate(outcome):
+                tally.add_outcome(outcome, direct_only)
+            else:
+                tally.add(outcome.module, outcome.input_signal, n=0)
         if predicate is None:
             for (module, input_signal), n_injections in self._pruned.items():
-                spec = self._system.module(module)
-                for output_signal in spec.outputs:
-                    key = (module, input_signal, output_signal)
-                    entry = counts.setdefault(
-                        key, PairCounts(module, input_signal, output_signal)
-                    )
-                    entry.n_injections += n_injections
-        return counts
+                tally.add(module, input_signal, n=n_injections)
+        return tally
+
+    def pair_counts(
+        self,
+        direct_only: bool = True,
+        predicate: Callable[[InjectionOutcome], bool] | None = None,
+    ) -> dict[tuple[str, str, str], PairCounts]:
+        """:meth:`arc_tally`'s entries keyed by (module, input, output):
+        every output of every injected location."""
+        return {
+            (entry.module, entry.input_signal, entry.output_signal): entry
+            for entry in self.arc_tally(direct_only, predicate).entries()
+        }
 
     def n_fired(self) -> int:
         """Number of injection runs whose trap actually fired."""

@@ -6,9 +6,9 @@ Three zero-dependency layers over the injection-campaign engine:
   event stream with pluggable sinks and a per-campaign run manifest;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with span timers, mergeable across worker processes;
-* :mod:`repro.obs.propagation` — per-IR divergence records folded into
-  observed per-arc propagation counts, i.e. measured permeability
-  :math:`P^M_{i,k}` as a first-class observable.
+* a live :class:`~repro.injection.outcomes.ArcTally` — the
+  estimator's own fold of outcomes into per-arc counts, i.e. measured
+  permeability :math:`P^M_{i,k}` as a first-class observable.
 
 :class:`~repro.obs.observer.CampaignObserver` bundles the three behind
 the single optional hook the campaign engine calls;
@@ -55,11 +55,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.observer import CampaignObserver
-from repro.obs.propagation import (
-    ArcCounts,
-    PropagationObservations,
-    PropagationRecord,
-)
 from repro.obs.summary import (
     EventsSummary,
     render_summary,
@@ -69,7 +64,6 @@ from repro.obs.summary import (
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
-    "ArcCounts",
     "CampaignFinished",
     "CampaignObserver",
     "CampaignStarted",
@@ -91,8 +85,6 @@ __all__ = [
     "OutcomeClassified",
     "ParsedEvent",
     "PrettyPrintSink",
-    "PropagationObservations",
-    "PropagationRecord",
     "RingBufferSink",
     "RunManifest",
     "RunStarted",

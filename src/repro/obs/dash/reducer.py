@@ -13,40 +13,36 @@ being written (``repro dash --events ... --follow``).
 
 Parity contract
 ---------------
-The folding applies exactly the rules of the post-hoc analyses, the
-same way :mod:`repro.obs.propagation` mirrors
-:func:`~repro.injection.estimator.estimate_matrix`:
+The reducer counts through the same fold as the post-hoc analyses:
 
-* :meth:`CampaignStateReducer.matrix_jsonable` over a complete stream
-  equals ``estimate_matrix(result).to_jsonable()`` — same pair order
-  (the manifest's module topology preserves system order), same
-  denominators (every classified outcome counts, fired or not), same
-  direct-error numerators (``propagated_outputs`` carries the Section
-  7.3 verdict computed by the observer's propagation fold).
-* :meth:`CampaignStateReducer.lifetime_statistics` equals
-  :func:`repro.injection.latency.lifetime_statistics` field for field,
-  including right-censoring and the linear-interpolated median.
+* :meth:`CampaignStateReducer.matrix_jsonable` is an
+  :class:`~repro.injection.outcomes.ArcTally` over the manifest's
+  module topology — every classified outcome and every pruned run
+  counts one injection, each ``OutcomeClassified.propagated_outputs``
+  entry (the observer's Section 7.3 verdict) one error — so over a
+  complete stream it equals ``estimate_matrix(result).to_jsonable()``.
+* :meth:`CampaignStateReducer.lifetime_statistics` summarises through
+  :func:`repro.injection.latency.input_lifetime`, so it equals
+  :func:`~repro.injection.latency.lifetime_statistics` field for
+  field, including right-censoring.
 * The run counters match :class:`~repro.injection.outcomes.
   CampaignResult` (``n_fired``/``n_reconverged``/
   ``reconverged_fraction``/``frames_fast_forwarded_total``).
 
 The test suite pins all three down for serial and parallel campaigns
 under both simulation backends (``tests/test_dash.py``).
-
-The exact-parity matrix requires the event stream to come from an
-observer that carried the system model (``CampaignObserver.to_files(...,
-system=system)``): only then does ``OutcomeClassified.propagated_outputs``
-hold the direct-error outputs rather than the system-less fallback.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter as TallyCounter
+from dataclasses import asdict
 from typing import Any, Iterable, Mapping
 
-from repro.core.permeability import PermeabilityEstimate
+from repro.core.stats import wilson_interval
+from repro.injection.latency import input_lifetime
+from repro.injection.outcomes import ArcTally
 from repro.obs.events import (
     ArcsPruned,
     BackendSelected,
@@ -63,12 +59,13 @@ from repro.obs.events import (
     RoundCompleted,
     RunReconverged,
     RunStarted,
+    StoreArtifactRejected,
     TargetRetired,
     UnitReused,
     decode_event,
     read_events,
 )
-from repro.obs.metrics import DEFAULT_MS_BUCKETS
+from repro.obs.metrics import DEFAULT_MS_BUCKETS, Histogram
 
 __all__ = ["CampaignStateReducer", "validate_snapshot", "SNAPSHOT_SCHEMA_VERSION"]
 
@@ -100,22 +97,6 @@ _SNAPSHOT_METRICS = (
     "simulated_ms.skipped",
     "events.dropped",
 )
-
-
-def _percentile(sorted_values: list[int], fraction: float) -> float:
-    """Linear-interpolated percentile, identical to
-    :func:`repro.injection.latency._percentile`."""
-    if not sorted_values:
-        raise ValueError("no samples")
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
-    position = fraction * (len(sorted_values) - 1)
-    low = math.floor(position)
-    high = math.ceil(position)
-    if low == high:
-        return float(sorted_values[low])
-    weight = position - low
-    return sorted_values[low] * (1.0 - weight) + sorted_values[high] * weight
 
 
 class CampaignStateReducer:
@@ -157,6 +138,7 @@ class CampaignStateReducer:
         self.n_pruned_runs = 0
         self.n_cached_units = 0
         self.n_cached_runs = 0
+        self.n_store_rejected = 0
         self._reused_rows: set[tuple[str, str, str]] = set()
         self.outcome_mix: TallyCounter = TallyCounter()
         # Adaptive (sequential-stopping) state.
@@ -166,17 +148,13 @@ class CampaignStateReducer:
         self.retired_targets: list[dict] = []
         self.retired_by_reason: TallyCounter = TallyCounter()
         self.n_unconverged_targets = 0
-        # Matrix state: denominators per injected location, numerators
-        # per arc; the output universe comes from the manifest topology.
-        self._modules: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        self._injections: dict[tuple[str, str], int] = {}
-        self._arc_errors: dict[tuple[str, str, str], int] = {}
+        #: The matrix: one ArcTally over the manifest's module topology.
+        self.arcs = ArcTally({})
         # Lifetime state: fired IRs pending reconvergence, keyed by the
         # grid coordinates that uniquely identify one IR.
         self._pending_fired: dict[tuple[str, str, str, int, str], int] = {}
         self._lifetimes: dict[tuple[str, str], list[int]] = {}
-        self._lifetimes_sorted = True
-        self._histogram_counts = [0] * (len(DEFAULT_MS_BUCKETS) + 1)
+        self._histogram = Histogram("ff.error_lifetime.ms", DEFAULT_MS_BUCKETS)
 
     # ------------------------------------------------------------------
     # Feeding
@@ -229,10 +207,7 @@ class CampaignStateReducer:
             self.total_runs = event.total_runs
             self.state = "running"
             self.backend = self.manifest.get("backend", self.backend)
-            self._modules = {
-                name: (tuple(spec.get("inputs", ())), tuple(spec.get("outputs", ())))
-                for name, spec in self.manifest.get("modules", {}).items()
-            }
+            self.arcs = ArcTally.of_manifest(self.manifest)
         elif isinstance(event, BackendSelected):
             self.backend = event.backend
         elif isinstance(event, LintReported):
@@ -253,11 +228,7 @@ class CampaignStateReducer:
                 len(event.targets) * event.n_injections_per_target
             )
             for module, signal in event.targets:
-                location = (module, signal)
-                self._injections[location] = (
-                    self._injections.get(location, 0)
-                    + event.n_injections_per_target
-                )
+                self.arcs.add(module, signal, n=event.n_injections_per_target)
         elif isinstance(event, RunStarted):
             if event.kind == "golden":
                 self.n_golden += 1
@@ -279,11 +250,7 @@ class CampaignStateReducer:
         elif isinstance(event, OutcomeClassified):
             self.n_classified += 1
             self.outcome_mix[event.outcome] += 1
-            location = (event.module, event.signal)
-            self._injections[location] = self._injections.get(location, 0) + 1
-            for output in event.propagated_outputs:
-                arc = (event.module, event.signal, output)
-                self._arc_errors[arc] = self._arc_errors.get(arc, 0) + 1
+            self.arcs.add(event.module, event.signal, event.propagated_outputs)
         elif isinstance(event, RunReconverged):
             self.n_reconverged += 1
             self.frames_fast_forwarded += event.frames_fast_forwarded
@@ -300,8 +267,7 @@ class CampaignStateReducer:
                 self._lifetimes.setdefault(
                     (event.module, event.signal), []
                 ).append(lifetime)
-                self._lifetimes_sorted = False
-                self._observe_lifetime(lifetime)
+                self._histogram.observe(lifetime)
         elif isinstance(event, UnitReused):
             # The row's recorded outcomes are replayed right after this
             # event as ordinary OutcomeClassified events (driving the
@@ -310,6 +276,8 @@ class CampaignStateReducer:
             self._reused_rows.add((event.case_id, event.module, event.signal))
             self.n_cached_units = len(self._reused_rows)
             self.n_cached_runs += event.n_runs
+        elif isinstance(event, StoreArtifactRejected):
+            self.n_store_rejected += 1
         elif isinstance(event, ChunkCompleted):
             self.n_chunks += 1
         elif isinstance(event, TargetRetired):
@@ -335,16 +303,6 @@ class CampaignStateReducer:
             self.elapsed_s = event.elapsed_s
             self.metrics = dict(event.metrics)
 
-    def _observe_lifetime(self, lifetime_ms: int) -> None:
-        """Bucket one lifetime exactly like the ``ff.error_lifetime.ms``
-        histogram (:class:`~repro.obs.metrics.Histogram` semantics)."""
-        index = len(DEFAULT_MS_BUCKETS)
-        for i, bound in enumerate(DEFAULT_MS_BUCKETS):
-            if lifetime_ms <= bound:
-                index = i
-                break
-        self._histogram_counts[index] += 1
-
     # ------------------------------------------------------------------
     # Derived views (the parity surfaces)
     # ------------------------------------------------------------------
@@ -355,35 +313,14 @@ class CampaignStateReducer:
         format — over a complete stream, exactly equal to
         ``estimate_matrix(result).to_jsonable()``.
         """
-        entries = []
-        for module, (inputs, outputs) in self._modules.items():
-            for input_signal in inputs:
-                n_injections = self._injections.get((module, input_signal), 0)
-                if n_injections == 0:
-                    continue
-                for output_signal in outputs:
-                    n_errors = self._arc_errors.get(
-                        (module, input_signal, output_signal), 0
-                    )
-                    entries.append(
-                        {
-                            "module": module,
-                            "input": input_signal,
-                            "output": output_signal,
-                            "value": n_errors / n_injections,
-                            "n_injections": n_injections,
-                            "n_errors": n_errors,
-                        }
-                    )
-        return {"system": self.manifest.get("system", ""), "entries": entries}
+        return self.arcs.to_jsonable(self.manifest.get("system", ""))
 
     def _matrix_with_intervals(self) -> dict:
         matrix = self.matrix_jsonable()
         for entry in matrix["entries"]:
-            interval = PermeabilityEstimate.from_counts(
-                n_errors=entry["n_errors"], n_injections=entry["n_injections"]
-            ).wilson_interval()
-            entry["wilson"] = [interval[0], interval[1]]
+            entry["wilson"] = list(
+                wilson_interval(entry["n_errors"], entry["n_injections"])
+            )
         return matrix
 
     def lifetime_statistics(self) -> dict[tuple[str, str], dict]:
@@ -399,25 +336,12 @@ class CampaignStateReducer:
         for (_case, module, signal, _t, _m), _fired in self._pending_fired.items():
             key = (module, signal)
             censored[key] = censored.get(key, 0) + 1
-        if not self._lifetimes_sorted:
-            for values in self._lifetimes.values():
-                values.sort()
-            self._lifetimes_sorted = True
-        statistics: dict[tuple[str, str], dict] = {}
-        for key in {**dict.fromkeys(self._lifetimes), **dict.fromkeys(censored)}:
-            values = self._lifetimes.get(key, [])
-            module, input_signal = key
-            statistics[key] = {
-                "module": module,
-                "input_signal": input_signal,
-                "n_samples": len(values),
-                "n_censored": censored.get(key, 0),
-                "min_ms": values[0] if values else 0,
-                "max_ms": values[-1] if values else 0,
-                "mean_ms": sum(values) / len(values) if values else 0.0,
-                "median_ms": _percentile(values, 0.5) if values else 0.0,
-            }
-        return statistics
+        return {
+            key: asdict(
+                input_lifetime(*key, self._lifetimes.get(key, ()), censored.get(key, 0))
+            )
+            for key in {**dict.fromkeys(self._lifetimes), **dict.fromkeys(censored)}
+        }
 
     def reconverged_fraction(self) -> float:
         """``CampaignResult.reconverged_fraction`` from the stream."""
@@ -501,7 +425,7 @@ class CampaignStateReducer:
             "matrix": self._matrix_with_intervals(),
             "lifetimes": {
                 "buckets": list(DEFAULT_MS_BUCKETS),
-                "counts": list(self._histogram_counts),
+                "counts": list(self._histogram.counts),
                 "n_samples": n_samples,
                 "n_censored": n_censored,
                 "per_input": lifetimes_per_input,

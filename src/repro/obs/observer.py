@@ -3,10 +3,13 @@
 :class:`InjectionCampaign` talks to observability through exactly one
 object: a :class:`CampaignObserver` holding an optional
 :class:`~repro.obs.events.EventStream`, an optional
-:class:`~repro.obs.metrics.MetricsRegistry` and an optional
-:class:`~repro.obs.propagation.PropagationObservations`.  Any of the
-three may be absent; ``observer=None`` (the default) costs the engine a
-single ``is None`` test per hook site.
+:class:`~repro.obs.metrics.MetricsRegistry` and an optional live
+:class:`~repro.injection.outcomes.ArcTally`.  Any of the three may be
+absent; ``observer=None`` (the default) costs the engine a single
+``is None`` test per hook site.  Each ``OutcomeClassified`` event
+carries the run's direct-error outputs, from the same rule
+(:func:`~repro.injection.outcomes.direct_outputs`) the estimator
+applies, over the module topology of the campaign being observed.
 
 The parallel campaign path cannot share an observer across processes.
 Instead each worker builds its own via :meth:`CampaignObserver.for_worker`
@@ -21,6 +24,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Iterable
 
+from repro.injection.outcomes import ArcTally, direct_outputs
 from repro.obs.events import (
     ArcsPruned,
     BackendSelected,
@@ -48,7 +52,6 @@ from repro.obs.events import (
     decode_event,
 )
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, MetricsRegistry
-from repro.obs.propagation import PropagationObservations
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.injection.outcomes import CampaignResult, InjectionOutcome
@@ -57,18 +60,25 @@ __all__ = ["CampaignObserver"]
 
 
 class CampaignObserver:
-    """Bundle of event stream, metrics registry and propagation fold."""
+    """Bundle of event stream, metrics registry and live arc tally."""
 
     def __init__(
         self,
         events: EventStream | None = None,
         metrics: MetricsRegistry | None = None,
-        propagation: PropagationObservations | None = None,
+        propagation: ArcTally | None = None,
     ) -> None:
         self.events = events
         self.metrics = metrics
         self.propagation = propagation
         self._reused_rows: set[tuple[str, str, str]] = set()
+        #: Module -> outputs, for the direct-error rule.
+        self._outputs: dict[str, tuple[str, ...]] = {}
+
+    def _use_system(self, system) -> None:
+        self._outputs = {
+            name: system.module(name).outputs for name in system.module_names()
+        }
 
     # ------------------------------------------------------------------
     # Constructors
@@ -87,9 +97,9 @@ class CampaignObserver:
 
         ``events_path=None`` keeps events in a bounded ring buffer
         instead of a file; ``pretty=True`` adds stderr narration;
-        ``system`` enables propagation folding; ``extra_sinks`` are
-        appended to the fan-out (e.g. a live
-        :class:`~repro.obs.dash.sink.DashboardSink`).
+        ``system`` adds a live :class:`ArcTally` of it
+        (:attr:`propagation`); ``extra_sinks`` are appended to the
+        fan-out (e.g. a live :class:`~repro.obs.dash.sink.DashboardSink`).
         """
         sinks = []
         if events_path is not None:
@@ -103,26 +113,25 @@ class CampaignObserver:
         return cls(
             events=EventStream(sink),
             metrics=MetricsRegistry() if with_metrics else None,
-            propagation=(
-                PropagationObservations(system) if system is not None else None
-            ),
+            propagation=ArcTally.of_system(system) if system is not None else None,
         )
 
     @classmethod
     def for_worker(cls, system=None) -> "CampaignObserver":
         """Worker-side observer: unbounded buffer + private registry.
 
-        The worker's propagation fold exists only so per-IR events
-        carry exact ``propagated_outputs``; the parent re-folds the
-        returned outcomes into its own observations.
+        A worker sees no ``on_campaign_started``, so ``system`` supplies
+        the module topology its per-IR events apply the direct-error
+        rule over.  It keeps no tally: the parent re-folds the returned
+        outcomes into its own.
         """
-        return cls(
+        observer = cls(
             events=EventStream(RingBufferSink(capacity=None)),
             metrics=MetricsRegistry(),
-            propagation=(
-                PropagationObservations(system) if system is not None else None
-            ),
         )
+        if system is not None:
+            observer._use_system(system)
+        return observer
 
     # ------------------------------------------------------------------
     # Campaign hooks
@@ -130,6 +139,7 @@ class CampaignObserver:
 
     def on_campaign_started(self, campaign, mode: str) -> None:
         self._reused_rows.clear()
+        self._use_system(campaign._system)
         if self.events is not None:
             self.events.emit(
                 CampaignStarted(
@@ -325,10 +335,12 @@ class CampaignObserver:
             self.metrics.counter("simulated_ms.skipped").inc(skipped_ms)
 
     def on_outcome(self, outcome: "InjectionOutcome") -> None:
-        """Fold one finished IR: events, counters and propagation."""
-        record = None
+        """Fold one finished IR: events, counters and the arc tally."""
+        propagated: tuple[str, ...] = ()
         if self.propagation is not None:
-            record = self.propagation.record(outcome)
+            propagated = self.propagation.add_outcome(outcome)
+        elif self.events is not None:
+            propagated = direct_outputs(outcome, self._outputs[outcome.module])
         if self.events is not None:
             if outcome.fired:
                 assert outcome.fired_at_ms is not None
@@ -347,10 +359,6 @@ class CampaignObserver:
                 for signal, time in outcome.comparison.first_divergence_ms.items()
                 if time is not None
             }
-            if record is not None:
-                propagated = record.propagated_outputs
-            else:
-                propagated = self._propagated_outputs(outcome)
             if not outcome.fired:
                 verdict = "not_fired"
             elif propagated:
@@ -399,18 +407,6 @@ class CampaignObserver:
                     self.metrics.histogram(
                         "ff.error_lifetime.ms", buckets=DEFAULT_MS_BUCKETS
                     ).observe(lifetime)
-
-    def _propagated_outputs(self, outcome: "InjectionOutcome") -> tuple[str, ...]:
-        """Direct-error outputs when no propagation fold carries a system."""
-        if not outcome.fired:
-            return ()
-        compared = outcome.comparison.first_divergence_ms
-        # Without a system model the module's output set is unknown;
-        # fall back to every diverged signal the module could have
-        # produced directly (used only by system-less observers).
-        return tuple(
-            signal for signal, time in compared.items() if time is not None
-        )
 
     def on_chunk_completed(
         self,
@@ -494,9 +490,9 @@ class CampaignObserver:
         """Fold a worker's :meth:`worker_payload` into this observer.
 
         Covers events (re-sequenced, timestamps preserved) and metrics.
-        Propagation observations are *not* in the payload — the parent
-        re-folds the worker's returned outcome objects itself, keeping
-        exact parity with the serial path.
+        The arc tally is *not* in the payload — the parent re-folds the
+        worker's returned outcome objects itself, keeping exact parity
+        with the serial path.
         """
         if self.events is not None:
             for record in payload.get("events", ()):

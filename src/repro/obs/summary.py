@@ -9,7 +9,9 @@ alone (optionally with a separate ``metrics.json``):
   comparison, checkpoint save/restore, worker chunks);
 * the outcome mix (propagated / no effect / trap never fired);
 * the hottest observed propagation arcs, i.e. the (module, input →
-  output) pairs whose measured permeability numerators grew fastest.
+  output) pairs with the largest measured permeability numerators,
+  counted by the estimator's :class:`~repro.injection.outcomes.ArcTally`
+  over the manifest's module topology.
 
 Everything works on any events file produced by this package —
 including files from other hosts, because the stream is self-contained.
@@ -18,25 +20,10 @@ including files from other hosts, because the stream is self-contained.
 from __future__ import annotations
 
 import json
-from collections import Counter as TallyCounter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.obs.events import (
-    ArcsPruned,
-    BackendSelected,
-    CampaignFinished,
-    CampaignStarted,
-    CheckpointReused,
-    ChunkCompleted,
-    InjectionFired,
-    OutcomeClassified,
-    ParsedEvent,
-    RunReconverged,
-    StoreArtifactRejected,
-    UnitReused,
-    read_events,
-)
+from repro.obs.dash.reducer import CampaignStateReducer
+from repro.obs.events import ParsedEvent, read_events
 
 __all__ = ["EventsSummary", "summarize_events", "render_summary"]
 
@@ -52,42 +39,8 @@ PHASE_METRICS: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass
-class EventsSummary:
-    """Aggregates extracted from one parsed event stream."""
-
-    manifest: dict = field(default_factory=dict)
-    n_events: int = 0
-    total_runs: int = 0
-    mode: str = "?"
-    backend: str | None = None
-    outcome_mix: TallyCounter = field(default_factory=TallyCounter)
-    #: (module, input, output) -> propagation count
-    arc_hits: TallyCounter = field(default_factory=TallyCounter)
-    #: (module, input, output) -> injections contributing to the arc
-    arc_injections: TallyCounter = field(default_factory=TallyCounter)
-    n_fired: int = 0
-    n_pruned_targets: int = 0
-    n_pruned_runs: int = 0
-    n_cached_units: int = 0
-    n_cached_runs: int = 0
-    n_store_rejected: int = 0
-    n_checkpoint_reuses: int = 0
-    skipped_ms: int = 0
-    n_reconverged: int = 0
-    fast_forwarded_ms: int = 0
-    n_chunks: int = 0
-    elapsed_s: float | None = None
-    metrics: dict = field(default_factory=dict)
-
-    def top_arcs(self, n: int = 10) -> list[tuple[tuple[str, str, str], int, int]]:
-        """The ``n`` hottest arcs as (arc, hits, injections)."""
-        ranked = sorted(
-            self.arc_hits.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [
-            (arc, hits, self.arc_injections[arc]) for arc, hits in ranked[:n]
-        ]
+#: The report reads the dashboard reducer's fold of the stream.
+EventsSummary = CampaignStateReducer
 
 
 def summarize_events(
@@ -100,56 +53,7 @@ def summarize_events(
     from the same campaign).
     """
     summary = EventsSummary()
-    reused_rows: set[tuple[str, str, str]] = set()
-    for parsed in events:
-        summary.n_events += 1
-        event = parsed.event
-        if isinstance(event, CampaignStarted):
-            summary.manifest = event.manifest
-            summary.total_runs = event.total_runs
-            summary.mode = event.mode
-        elif isinstance(event, BackendSelected):
-            summary.backend = event.backend
-        elif isinstance(event, OutcomeClassified):
-            summary.outcome_mix[event.outcome] += 1
-            for output in event.propagated_outputs:
-                summary.arc_hits[(event.module, event.signal, output)] += 1
-            # Denominator: each classified outcome is one injection into
-            # every arc rooted at (module, signal); count via the hits
-            # keys lazily below using outcome totals per location.
-            summary.arc_injections[(event.module, event.signal, "*")] += 1
-        elif isinstance(event, InjectionFired):
-            summary.n_fired += 1
-        elif isinstance(event, ArcsPruned):
-            summary.n_pruned_targets += len(event.targets)
-            summary.n_pruned_runs += (
-                len(event.targets) * event.n_injections_per_target
-            )
-        elif isinstance(event, UnitReused):
-            # An adaptive row can supply cached outcomes in several rounds.
-            reused_rows.add((event.case_id, event.module, event.signal))
-            summary.n_cached_units = len(reused_rows)
-            summary.n_cached_runs += event.n_runs
-        elif isinstance(event, StoreArtifactRejected):
-            summary.n_store_rejected += 1
-        elif isinstance(event, CheckpointReused):
-            summary.n_checkpoint_reuses += 1
-            summary.skipped_ms += event.skipped_ms
-        elif isinstance(event, RunReconverged):
-            summary.n_reconverged += 1
-            summary.fast_forwarded_ms += event.frames_fast_forwarded
-        elif isinstance(event, ChunkCompleted):
-            summary.n_chunks += 1
-        elif isinstance(event, CampaignFinished):
-            summary.elapsed_s = event.elapsed_s
-            summary.metrics = dict(event.metrics)
-    # Resolve per-arc denominators from the per-location totals.
-    resolved: TallyCounter = TallyCounter()
-    for (module, signal, output), _hits in summary.arc_hits.items():
-        resolved[(module, signal, output)] = summary.arc_injections[
-            (module, signal, "*")
-        ]
-    summary.arc_injections = resolved
+    summary.feed_all(events)
     if metrics is not None:
         summary.metrics = dict(metrics)
     return summary
@@ -259,15 +163,15 @@ def render_summary(summary: EventsSummary, top: int = 10) -> str:
             f"WARNING: {summary.n_store_rejected} store artifact(s) failed "
             "content verification and were re-executed"
         )
-    if summary.n_checkpoint_reuses:
+    if summary.checkpoint_reuses:
         lines.append(
-            f"checkpoint reuse: {summary.n_checkpoint_reuses} resumes, "
+            f"checkpoint reuse: {summary.checkpoint_reuses} resumes, "
             f"{summary.skipped_ms} simulated ms skipped"
         )
     if summary.n_reconverged:
         lines.append(
             f"reconvergence fast-forward: {summary.n_reconverged} runs "
-            f"reconverged, {summary.fast_forwarded_ms} simulated ms spliced"
+            f"reconverged, {summary.frames_fast_forwarded} simulated ms spliced"
         )
     if summary.n_chunks:
         lines.append(f"parallel chunks completed: {summary.n_chunks}")
@@ -305,16 +209,16 @@ def render_summary(summary: EventsSummary, top: int = 10) -> str:
     lines.extend(_render_phases(summary.metrics))
     lines.append("")
 
-    arcs = summary.top_arcs(top)
+    arcs = summary.arcs.hottest(top)
     if arcs:
         rows = [
             (
-                f"{module}.{input_signal} -> {output}",
-                hits,
-                injections,
-                f"{hits / injections:.3f}" if injections else "-",
+                f"{arc.module}.{arc.input_signal} -> {arc.output_signal}",
+                arc.n_errors,
+                arc.n_injections,
+                f"{arc.permeability:.3f}",
             )
-            for (module, input_signal, output), hits, injections in arcs
+            for arc in arcs
         ]
         lines.append(
             format_table(

@@ -35,7 +35,8 @@ Constraints upheld by construction (and validated on deserialisation):
 * layered DAG between modules — the only cycles are single-module
   self-loops (marked feedback), so an injected system input's stored
   value never diverges and every output divergence is "direct" in the
-  sense of :meth:`InjectionOutcome.direct_output_error`;
+  sense of the Section 7.3 rule
+  (:func:`repro.injection.outcomes.direct_outputs`);
 * at most one feedback signal per module (keeps ``eff`` exact);
 * every module input is at least as wide as the bit-flip model count,
   so :class:`~repro.injection.error_models.BitFlip` never rejects.

@@ -9,8 +9,10 @@ the rest of the repo relies on:
     Byte-identical traces (per-IR and Golden Run) and identical
     outcome fingerprints across all three strategies.
 ``obs-vs-estimator``
-    :meth:`PropagationObservations.to_matrix` agrees with
-    :func:`estimate_matrix` — values *and* raw trial counts.
+    The baseline strategy, run again with static pruning and recorded:
+    the dashboard reducer (:class:`~repro.obs.dash.CampaignStateReducer`)
+    replaying its event stream agrees with :func:`estimate_matrix` over
+    the baseline's outcomes — values *and* raw trial counts.
 ``exact-agreement`` (generated systems)
     Measured permeability equals the analytical matrix exactly.  The
     XOR-mask behavioural model of :mod:`repro.verify.generators` makes
@@ -64,7 +66,9 @@ from repro.injection.error_models import bit_flip_models
 from repro.injection.estimator import estimate_matrix, pair_trial_counts
 from repro.model.module import ModuleSpec
 from repro.model.system import SystemModel
-from repro.obs.propagation import PropagationObservations
+from repro.obs.dash.reducer import CampaignStateReducer
+from repro.obs.events import EventStream, RingBufferSink
+from repro.obs.observer import CampaignObserver
 from repro.simulation.runtime import RunResult, SimulationRun
 from repro.verify.generators import GeneratedSystem
 
@@ -301,13 +305,30 @@ def differential_oracle(
     result = results[reference_label]
     require_complete = campaign.targets is None
     measured = estimate_matrix(result, require_complete=require_complete)
-    observed = PropagationObservations.from_campaign_result(result).to_matrix()
+    # The baseline strategy once more, statically pruned and recorded:
+    # the dashboard reducer's replay of its event stream (pruned rows
+    # arrive as ArcsPruned only) must give the estimator's matrix.
+    _, reuse, fast_forward, backend = strategies[0]
+    events = RingBufferSink(capacity=None)
+    InjectionCampaign(
+        system,
+        run_factory,
+        cases,
+        dataclasses.replace(
+            campaign.to_config(reuse, fast_forward, backend), static_prune=True
+        ),
+        observer=CampaignObserver(events=EventStream(events)),
+    ).execute()
+    reducer = CampaignStateReducer()
+    for record in events.records:
+        reducer.feed(record)
+    observed = PermeabilityMatrix.from_jsonable(system, reducer.matrix_jsonable())
     diff = measured.diff(observed)
     if not diff.agrees(atol=0.0):
         raise OracleFailure(
             "obs-vs-estimator",
-            f"to_matrix() disagrees with estimate_matrix on {system.name!r}: "
-            f"max |delta| = {diff.max_abs_delta}",
+            f"the replayed event stream disagrees with estimate_matrix on "
+            f"{system.name!r}: max |delta| = {diff.max_abs_delta}",
         )
     if pair_trial_counts(measured) != pair_trial_counts(observed):
         raise OracleFailure(

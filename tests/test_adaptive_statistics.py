@@ -37,7 +37,7 @@ from repro.core.permeability import PermeabilityEstimate
 from repro.core.stats import wilson_half_width, wilson_interval
 from repro.injection.campaign import InjectionCampaign
 from repro.injection.estimator import estimate_matrix, pair_trial_counts
-from repro.obs.propagation import ArcCounts
+from repro.injection.outcomes import PairCounts
 from repro.verify.generators import generate_system
 from repro.verify.oracles import default_campaign
 
@@ -85,12 +85,12 @@ def test_wilson_call_sites_agree():
     """Every wrapper delegates to the one shared formula."""
     n_errors, n_injections = 5, 48
     expected = wilson_interval(n_errors, n_injections)
-    arc = ArcCounts(
+    arc = PairCounts(
         module="M",
         input_signal="a",
         output_signal="b",
         n_injections=n_injections,
-        n_propagated=n_errors,
+        n_errors=n_errors,
     )
     assert arc.wilson_interval() == expected
     estimate = PermeabilityEstimate(

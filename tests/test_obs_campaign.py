@@ -15,6 +15,7 @@ from repro.obs import CampaignObserver
 from repro.obs.events import (
     CampaignFinished,
     CampaignStarted,
+    OutcomeClassified,
     read_events,
     validate_events,
 )
@@ -64,8 +65,8 @@ class TestSerialObservation:
         assert metrics.histogram("checkpoint.save.seconds").count == 2
         assert metrics.histogram("checkpoint.restore.seconds").count == 16
 
-        # Live propagation fold agrees with the post-hoc estimator.
-        observed = observer.propagation.to_matrix()
+        # Live arc tally agrees with the post-hoc estimator.
+        observed = observer.propagation.to_matrix(result.system)
         assert observed.to_jsonable() == estimate_matrix(result).to_jsonable()
 
     def test_unobserved_campaign_has_no_observer(self):
@@ -103,11 +104,8 @@ class TestParallelObservation:
             parallel_metrics.histogram("phase.injection_run.seconds").count == 16
         )
         assert parallel_metrics.counter("chunk.completed").value == 8
-        # Propagation folds agree exactly across execution modes.
-        assert (
-            parallel_obs.propagation.to_matrix().to_jsonable()
-            == serial_obs.propagation.to_matrix().to_jsonable()
-        )
+        # Arc tallies agree exactly across execution modes.
+        assert parallel_obs.propagation == serial_obs.propagation
 
         validate_events(events_path)
         events = list(read_events(events_path))
@@ -133,9 +131,9 @@ class TestSummary:
         assert sum(summary.outcome_mix.values()) == 16
         assert summary.elapsed_s is not None
         # Arc denominators equal injections at the arc's location.
-        for (module, signal, _output), n in summary.arc_injections.items():
+        for arc in summary.arcs.entries():
             expected = 8  # 2 times x 4 bit positions per target
-            assert n == expected, (module, signal)
+            assert arc.n_injections == expected, (arc.module, arc.input_signal)
 
         text = render_summary(summary)
         assert "Campaign manifest" in text
@@ -144,6 +142,53 @@ class TestSummary:
         assert "Hottest observed propagation arcs" in text
         # AMP is the identity: its arc propagates on every fired run.
         assert "AMP.filt -> out" in text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_system_less_observer_records_the_same_arcs(self, tmp_path, workers):
+        """The direct-error rule takes its topology from the campaign."""
+        propagated = []
+        summaries = []
+        for system in (build_toy_model(), None):
+            events_path = tmp_path / f"events-{system is None}.jsonl"
+            observer = CampaignObserver.to_files(
+                events_path=events_path, system=system
+            )
+            campaign = build_campaign(observer, times=(5, 20), bits=16)
+            if workers > 1:
+                campaign.execute_parallel(max_workers=workers)
+            else:
+                campaign.execute()
+            observer.close()
+            events = list(read_events(events_path))
+            propagated.append(
+                [
+                    (parsed.event.module, parsed.event.propagated_outputs)
+                    for parsed in events
+                    if isinstance(parsed.event, OutcomeClassified)
+                ]
+            )
+            summary = summarize_events(events)
+            snapshot = summary.snapshot()
+            summaries.append(
+                (
+                    summary.arcs,
+                    summary.outcome_mix,
+                    snapshot["counters"],
+                    snapshot["matrix"],
+                    render_summary(summary).split("Hottest")[1],
+                )
+            )
+        assert propagated[0] == propagated[1]
+        # FILT's only output is ``filt``; ``out`` diverges one hop later.
+        assert {("FILT", ("filt",)), ("AMP", ("out",))} == set(propagated[0]) - {
+            ("FILT", ()),
+            ("AMP", ()),
+        }
+        assert summaries[0] == summaries[1]
+        assert [
+            (arc.module, arc.input_signal, arc.output_signal)
+            for arc in summaries[1][0].hottest()
+        ] == [("AMP", "filt", "out"), ("FILT", "src", "filt")]
 
 
 class TestProgressPrinter:

@@ -117,8 +117,7 @@ class TestCampaignResult:
         result.add(make_outcome({"out": None, "filt": None}, fired_at=None))
         counts = result.pair_counts()
         assert counts[("AMP", "filt", "out")].n_injections == 1
-        skipped = result.pair_counts(count_unfired=False)
-        assert skipped[("AMP", "filt", "out")].n_injections == 0
+        assert counts[("AMP", "filt", "out")].n_errors == 0
 
     def test_predicate(self):
         result = self.make_result()

@@ -262,6 +262,34 @@ class TestRobustness:
         assert rejected[0].reason == "payload digest mismatch"
         assert rejected[0].key in str(victim)
 
+    def test_unit_with_old_derived_fields_is_still_a_hit(self, tmp_path):
+        """Units once carried per-arc counts, lifetimes and fired or
+        reconverged totals beside the outcomes; reuse reads only the
+        outcomes, so such artifacts replay byte-identically."""
+        gen = generate_system(11)
+        cold = _campaign(gen, store=tmp_path).execute()
+        store = ResultStore(tmp_path)
+        for path in self._artifacts(tmp_path):
+            data = json.loads(path.read_text())
+            payload = data["payload"]
+            assert set(payload) == {
+                "kind", "case_id", "module", "signal", "n_runs", "outcomes"
+            }
+            payload.update(
+                arc_counts={"out": [payload["n_runs"], 1]},
+                lifetimes_ms=[3, 5],
+                n_fired=payload["n_runs"],
+                n_reconverged=2,
+            )
+            store.put(data["key"], payload)
+        campaign = _campaign(gen, store=tmp_path)
+        warm = campaign.execute()
+        stats = campaign.last_store_stats
+        assert stats.runs_executed == 0
+        assert stats.misses == 0 and stats.rejected == 0
+        assert _outs(warm) == _outs(cold)
+        assert _matrix(warm) == _matrix(cold)
+
     def test_tampered_outcome_identity_is_a_miss(self, tmp_path):
         """A payload whose digest was recomputed after tampering still
         fails the outcome-identity check during decoding."""

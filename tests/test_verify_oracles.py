@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.permeability import PermeabilityEstimate, PermeabilityMatrix
 from repro.injection.estimator import pair_trial_counts
-from repro.obs.propagation import ArcCounts
+from repro.injection.outcomes import PairCounts
 from repro.verify import (
     GeneratedSystem,
     OracleFailure,
@@ -20,7 +20,11 @@ from repro.verify.oracles import (
     check_prerr_scaling,
 )
 
-from tests.verify_cases import small_passing_triple, unfired_trap_triple
+from tests.verify_cases import (
+    prunable_triple,
+    small_passing_triple,
+    unfired_trap_triple,
+)
 
 ALL_CHECKS = (
     "strategy-identity",
@@ -57,6 +61,18 @@ class TestOraclePasses:
         assert report.has_feedback
         assert report.checks == ALL_CHECKS
 
+    def test_pruned_rows_pass_every_check(self):
+        from repro.flow import analyse_run
+
+        spec, campaign = prunable_triple()
+        generated = GeneratedSystem(spec)
+        config = campaign.to_config(reuse=False, fast_forward=False)
+        analysis = analyse_run(
+            generated.run_factory(None), error_models=config.error_models
+        )
+        assert analysis.prunable_targets() == (("M1", "in1"),)
+        assert verify_generated(generated, campaign).checks == ALL_CHECKS
+
     def test_report_render_mentions_strategies(self):
         spec, campaign = small_passing_triple()
         report = verify_generated(GeneratedSystem(spec), campaign)
@@ -71,6 +87,22 @@ class TestOracleCatchesBugs:
             verify_generated(GeneratedSystem(spec), campaign)
         assert excinfo.value.check == "exact-agreement"
         assert "[exact-agreement]" in str(excinfo.value)
+
+    def test_reducer_ignoring_pruned_rows_is_caught(self, monkeypatch):
+        from repro.obs.dash import CampaignStateReducer
+        from repro.obs.events import ArcsPruned
+
+        original = CampaignStateReducer.feed_parsed
+
+        def skip_pruned(self, parsed):
+            if not isinstance(parsed.event, ArcsPruned):
+                original(self, parsed)
+
+        monkeypatch.setattr(CampaignStateReducer, "feed_parsed", skip_pruned)
+        spec, campaign = prunable_triple()
+        with pytest.raises(OracleFailure) as excinfo:
+            verify_generated(GeneratedSystem(spec), campaign)
+        assert excinfo.value.check == "obs-vs-estimator"
 
     def test_biased_point_estimate_is_caught(self, monkeypatch):
         """An off-by-one in n_err/n_inj escapes the Wilson CI at n~16 but
@@ -154,16 +186,16 @@ class TestCountPlumbing:
         assert pair_trial_counts(matrix) == {("M0", "in0", "out0"): (3, 12)}
 
     def test_arc_counts_wilson_matches_estimate(self):
-        arc = ArcCounts(
+        arc = PairCounts(
             module="M0",
             input_signal="in0",
             output_signal="out0",
             n_injections=16,
-            n_propagated=8,
+            n_errors=8,
         )
         expected = PermeabilityEstimate.from_counts(8, 16).wilson_interval()
         assert arc.wilson_interval() == expected
 
     def test_arc_counts_wilson_uninformative_without_injections(self):
-        arc = ArcCounts(module="M0", input_signal="in0", output_signal="out0")
+        arc = PairCounts(module="M0", input_signal="in0", output_signal="out0")
         assert arc.wilson_interval() == (0.0, 1.0)

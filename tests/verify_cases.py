@@ -85,3 +85,32 @@ def unfired_trap_triple() -> tuple[GeneratedSystemSpec, VerifyCampaign]:
         duration_ms=11, injection_times_ms=(9,), n_bits=4, seed=3
     )
     return spec, campaign
+
+
+def prunable_triple() -> tuple[GeneratedSystemSpec, VerifyCampaign]:
+    """A passing triple with one statically prunable target.
+
+    ``M1`` reads only the high byte of ``in1``, so none of the 4-bit
+    flip band reaches ``out1``: the flow analysis proves the row zero.
+    """
+    spec, campaign = small_passing_triple()
+    spec = GeneratedSystemSpec(
+        name="tiny-prunable",
+        seed=0,
+        n_slots=1,
+        env_seed=42,
+        widths={**spec.widths, "in1": 16, "out1": 16},
+        system_inputs=("in0", "in1"),
+        system_outputs=("out0", "out1"),
+        modules=(
+            *spec.modules,
+            GeneratedModule(
+                name="M1",
+                inputs=("in1",),
+                outputs=("out1",),
+                masks={"in1": {"out1": 0xFF00}},
+            ),
+        ),
+        error_probabilities={"in0": 0.2, "in1": 0.2},
+    )
+    return spec, campaign
