@@ -171,10 +171,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     else:
         system = build_arrestment_model()
         factory = build_arrestment_run
-    if args.cases >= 25:
-        cases = paper_test_cases()
-    else:
-        cases = reduced_test_cases(args.cases)
     times = (
         paper_times()
         if args.paper_grid
@@ -183,7 +179,22 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             for index in range(args.times)
         )
     )
+    dash_sink = None
+    if args.dash is not None:
+        from repro.obs.dash import DashboardServer, DashboardSink
+
+        address = _parse_dash_address(args.dash)
+        if address is None:
+            print(f"invalid --dash address: {args.dash!r} "
+                  "(expected HOST:PORT)", file=sys.stderr)
+            return 2
+        dash_sink = DashboardSink()
+    observer = None
     try:
+        cases = (
+            paper_test_cases() if args.cases >= 25
+            else reduced_test_cases(args.cases)
+        )
         config = CampaignConfig(
             duration_ms=args.duration,
             injection_times_ms=times,
@@ -203,37 +214,28 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             max_trials_per_target=args.max_trials_per_target,
             budget_policy=args.budget_policy,
         )
-    except CampaignError as exc:
+        if args.events or args.metrics or dash_sink is not None:
+            for path in (args.events, args.metrics):
+                if path:
+                    Path(path).parent.mkdir(parents=True, exist_ok=True)
+            observer = CampaignObserver.to_files(
+                events_path=args.events,
+                with_metrics=True,
+                system=system,
+                extra_sinks=[dash_sink] if dash_sink is not None else [],
+            )
+        campaign = InjectionCampaign(
+            system, factory, cases, config, observer=observer
+        )
+    except (CampaignError, ValueError) as exc:
+        if observer is not None:
+            observer.close()
         print(f"invalid campaign configuration: {exc}", file=sys.stderr)
         return 2
     dash_server = None
-    extra_sinks: list = []
-    if args.dash is not None:
-        from repro.obs.dash import DashboardServer, DashboardSink
-
-        address = _parse_dash_address(args.dash)
-        if address is None:
-            print(f"invalid --dash address: {args.dash!r} "
-                  "(expected HOST:PORT)", file=sys.stderr)
-            return 2
-        dash_sink = DashboardSink()
-        extra_sinks.append(dash_sink)
+    if dash_sink is not None:
         dash_server = DashboardServer(dash_sink, *address).start()
         print(f"dashboard: {dash_server.url}")
-    observer = None
-    if args.events or args.metrics or extra_sinks:
-        for path in (args.events, args.metrics):
-            if path:
-                Path(path).parent.mkdir(parents=True, exist_ok=True)
-        observer = CampaignObserver.to_files(
-            events_path=args.events,
-            with_metrics=True,
-            system=system,
-            extra_sinks=extra_sinks,
-        )
-    campaign = InjectionCampaign(
-        system, factory, cases, config, observer=observer
-    )
     total = campaign.total_runs()
     print(f"{len(cases)} workloads x {len(campaign.targets)} signals x "
           f"{config.runs_per_target()} injections = {total} runs")

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 import time
 import zlib
 from contextlib import nullcontext
@@ -1020,12 +1021,32 @@ class InjectionCampaign:
             for module, signal in self._config.targets:
                 spec = self._system.module(module)
                 spec.input_index(signal)  # validates
-            return tuple(self._config.targets)
-        targets: list[tuple[str, str]] = []
-        for module_name in self._system.module_names():
-            for signal in self._system.module(module_name).inputs:
-                targets.append((module_name, signal))
-        return tuple(targets)
+            targets = tuple(self._config.targets)
+        else:
+            targets = tuple(
+                (module_name, signal)
+                for module_name in self._system.module_names()
+                for signal in self._system.module(module_name).inputs
+            )
+        # Probe each (model, width) once, so an error model that cannot
+        # corrupt a target fails here rather than mid-campaign; the
+        # width rule stays in the model's own apply().
+        probed = set()
+        rng = random.Random(0)
+        for module, signal in targets:
+            width = self._system.signal(signal).width
+            for index, model in enumerate(self._config.error_models):
+                if (index, width) in probed:
+                    continue
+                probed.add((index, width))
+                try:
+                    model.apply(0, width, rng)
+                except ValueError as exc:
+                    raise CampaignError(
+                        f"error model {model.name!r} cannot inject into "
+                        f"({module!r}, {signal!r}): {exc}"
+                    ) from exc
+        return targets
 
     # ------------------------------------------------------------------
     # Introspection

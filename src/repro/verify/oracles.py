@@ -120,12 +120,15 @@ class OracleReport:
     has_feedback: bool
     checks: tuple[str, ...]
     n_strategies: int = len(STRATEGIES)
+    #: Runs the obs-vs-estimator replay received as ArcsPruned rows.
+    n_pruned_runs: int = 0
 
     def render(self) -> str:
         feedback = "with feedback" if self.has_feedback else "acyclic"
+        pruned = f", {self.n_pruned_runs} pruned" if self.n_pruned_runs else ""
         return (
             f"{self.system}: {self.n_runs} runs x "
-            f"{self.n_strategies} strategies ({feedback}); "
+            f"{self.n_strategies} strategies ({feedback}{pruned}); "
             f"checks: {', '.join(self.checks)}"
         )
 
@@ -310,7 +313,7 @@ def differential_oracle(
     # arrive as ArcsPruned only) must give the estimator's matrix.
     _, reuse, fast_forward, backend = strategies[0]
     events = RingBufferSink(capacity=None)
-    InjectionCampaign(
+    pruned = InjectionCampaign(
         system,
         run_factory,
         cases,
@@ -346,6 +349,7 @@ def differential_oracle(
         has_feedback=bool(system.feedback_modules()),
         checks=tuple(checks),
         n_strategies=len(strategies),
+        n_pruned_runs=pruned.n_pruned_runs(),
     )
     return report, result
 

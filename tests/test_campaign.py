@@ -117,6 +117,26 @@ class TestCampaignExecution:
         with pytest.raises(CampaignError):
             InjectionCampaign(build_toy_model(), lambda c: build_toy_run(), {})
 
+    def test_model_wider_than_target_rejected_before_golden_run(self):
+        built = []
+
+        def factory(case):
+            built.append(case)
+            return build_toy_run()
+
+        with pytest.raises(CampaignError, match=r"'bitflip\[16\]'.*\('FILT', 'src'\)"):
+            InjectionCampaign(
+                build_toy_model(),
+                factory,
+                {"case0": None},
+                CampaignConfig(
+                    duration_ms=40,
+                    injection_times_ms=(5,),
+                    error_models=tuple(bit_flip_models(17)),
+                ),
+            )
+        assert built == []
+
     def test_determinism(self):
         first = estimate_matrix(toy_campaign().execute())
         second = estimate_matrix(toy_campaign().execute())

@@ -105,6 +105,28 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--bits", "17"], "'bitflip[16]' cannot inject into ("),
+            (["--cases", "0"], "n_cases must lie in [1, 25]"),
+            (["--cases", "-1"], "n_cases must lie in [1, 25]"),
+        ],
+    )
+    def test_campaign_invalid_configuration_exits_two(
+        self, tmp_path, capsys, argv, message
+    ):
+        events = tmp_path / "events.jsonl"
+        code = main(
+            ["campaign", "--duration", "1000", "--times", "1",
+             "--events", str(events), *argv]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid campaign configuration: " in captured.err
+        assert message in captured.err
+        assert "runs" not in captured.out
+
     def test_verify_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--backend", "warp-drive"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -89,14 +90,23 @@ class TestParallelObservation:
         )
         parallel_obs.close()
 
-        # Outcome parity between the two paths, as without observation.
-        assert [
-            (o.module, o.input_signal, o.scheduled_time_ms, o.error_model)
-            for o in parallel
-        ] == [
-            (o.module, o.input_signal, o.scheduled_time_ms, o.error_model)
-            for o in serial
+        # Both observed paths give the unobserved naive path's outcomes.
+        naive = InjectionCampaign(
+            build_toy_model(), toy_factory, ["c"],
+            dataclasses.replace(
+                build_campaign().config,
+                reuse_golden_prefix=False, fast_forward=False,
+            ),
+        ).execute()
+        records = [
+            [
+                (o.module, o.input_signal, o.scheduled_time_ms, o.error_model,
+                 o.fired_at_ms, o.comparison.first_divergence_ms)
+                for o in result
+            ]
+            for result in (naive, serial, parallel)
         ]
+        assert records[0] == records[1] == records[2]
         # Merged worker metrics equal the serial per-IR tallies.
         parallel_metrics = parallel_obs.metrics
         assert parallel_metrics.counter("outcomes.total").value == 16

@@ -43,3 +43,12 @@ def test_reproducer_filename_matches_content(path):
         "corpus filenames embed the workload hash; regenerate with "
         "write_reproducer() after editing"
     )
+
+
+def test_corpus_feeds_the_reducer_a_pruned_row():
+    """No generated verify system has a prunable row, so the corpus must
+    carry one for obs-vs-estimator to replay an ArcsPruned event."""
+    (path,) = [p for p in CORPUS_FILES if p.stem.startswith("pruned-row-")]
+    report = replay(load_reproducer(path))
+    assert "obs-vs-estimator" in report.checks
+    assert report.n_pruned_runs > 0
