@@ -221,7 +221,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             observer = CampaignObserver.to_files(
                 events_path=args.events,
                 with_metrics=True,
-                system=system,
                 extra_sinks=[dash_sink] if dash_sink is not None else [],
             )
         campaign = InjectionCampaign(

@@ -103,6 +103,21 @@ from repro.injection.selection import paper_times
 from repro.injection.traps import InputInjectionTrap
 from repro.model.errors import CampaignError
 from repro.model.system import SystemModel
+from repro.obs.events import (
+    ArcsPruned,
+    BackendSelected,
+    BudgetExhausted,
+    CheckpointReused,
+    CheckpointSaved,
+    ChunkCompleted,
+    LintReported,
+    RoundCompleted,
+    RunStarted,
+    StoreArtifactRejected,
+    TargetRetired,
+    UnitMissed,
+    UnitReused,
+)
 from repro.simulation.backend import available_backends, get_backend
 from repro.simulation.runtime import (
     GoldenReference,
@@ -788,19 +803,23 @@ class _AdaptiveSchedule:
                 )
             )
             if obs is not None:
-                obs.on_target_retired(
-                    retiree.module,
-                    retiree.signal,
-                    retiree.n_trials,
-                    retiree.half_width,
-                    retiree.reason,
-                    retiree.round_index,
+                obs.emit(
+                    TargetRetired(
+                        module=retiree.module,
+                        signal=retiree.signal,
+                        n_trials=retiree.n_trials,
+                        half_width=retiree.half_width,
+                        reason=retiree.reason,
+                        round_index=retiree.round_index,
+                    )
                 )
         if obs is not None:
-            obs.on_round_completed(
-                controller.round_index,
-                len(outcomes),
-                len(controller.open_targets()),
+            obs.emit(
+                RoundCompleted(
+                    round_index=controller.round_index,
+                    n_trials=len(outcomes),
+                    n_open=len(controller.open_targets()),
+                )
             )
         if controller.finished:
             # Report the targets that retired short of confidence.
@@ -811,7 +830,11 @@ class _AdaptiveSchedule:
                         unconverged.get(retiree.reason, 0) + 1
                     )
             if unconverged and obs is not None:
-                obs.on_budget_exhausted(unconverged)
+                obs.emit(
+                    BudgetExhausted(
+                        n_targets=sum(unconverged.values()), reasons=unconverged
+                    )
+                )
         return tuple((retiree.module, retiree.signal) for retiree in retirees)
 
 
@@ -939,18 +962,19 @@ class _PoolExecutor:
             for part, (got, obs_payload, elapsed_s) in zip(parts, results):
                 outcomes.extend(got)
                 if obs is not None:
-                    # Fold the finished task into the parent's observer.
+                    # Re-emit the finished task's events into the parent.
                     if obs_payload is not None:
                         obs.absorb_worker(obs_payload)
-                    if obs.propagation is not None:
-                        for outcome in got:
-                            obs.propagation.add_outcome(outcome)
-                    obs.on_chunk_completed(
-                        chunk_index=next(self._chunk_index),
-                        case_id=case_id,
-                        n_targets=len({(m, s) for m, s, _, _ in part}),
-                        n_runs=len(got),
-                        elapsed_s=elapsed_s,
+                    if obs.metrics is not None:
+                        obs.metrics.histogram("chunk.seconds").observe(elapsed_s)
+                    obs.emit(
+                        ChunkCompleted(
+                            chunk_index=next(self._chunk_index),
+                            case_id=case_id,
+                            n_targets=len({(m, s) for m, s, _, _ in part}),
+                            n_runs=len(got),
+                            elapsed_s=elapsed_s,
+                        )
                     )
                 self._advance(len(got))
             yield case_id, outcomes
@@ -983,10 +1007,11 @@ class InjectionCampaign:
     config:
         The campaign grid.
     observer:
-        Optional :class:`~repro.obs.observer.CampaignObserver` receiving
-        structured events, span metrics and propagation observations
-        while the campaign executes.  ``None`` (the default) disables
-        observability at the cost of one pointer test per hook site.
+        Optional :class:`~repro.obs.observer.CampaignObserver`: the
+        campaign emits its typed events into it and times its spans
+        with its registry while it executes.  ``None`` (the default)
+        disables observability at the cost of one pointer test per
+        emission site.
     """
 
     def __init__(
@@ -1150,7 +1175,7 @@ class InjectionCampaign:
         def reject(key: str, path: str, reason: str) -> None:
             stats.rejected += 1
             if obs is not None:
-                obs.on_store_artifact_rejected(key, path, reason)
+                obs.emit(StoreArtifactRejected(key=key, path=path, reason=reason))
 
         store = ResultStore(self._config.store, on_reject=reject)
         builder = UnitKeyBuilder(self._system, self._run_factory, self._config)
@@ -1255,7 +1280,11 @@ class InjectionCampaign:
                 if outcomes is None:
                     stats.misses += 1
                     if obs is not None:
-                        obs.on_store_miss(*row)
+                        obs.emit(
+                            UnitMissed(
+                                case_id=case_id, module=target[0], signal=target[1]
+                            )
+                        )
                     continue
                 stats.hits += 1
                 cache[(case_id, target)] = (
@@ -1363,7 +1392,16 @@ class InjectionCampaign:
             return
         report = self.lint()
         if self._observer is not None:
-            self._observer.on_lint_report(report)
+            self._observer.emit(
+                LintReported(
+                    system=report.system_name,
+                    errors=len(report.errors()),
+                    warnings=len(report.warnings()),
+                    info=len(report.infos()),
+                    codes=report.codes(),
+                    diagnostics=tuple(d.to_dict() for d in report),
+                )
+            )
         if report.has_errors:
             summary = "; ".join(
                 f"{d.code} {d.message}" for d in report.errors()
@@ -1476,8 +1514,8 @@ class InjectionCampaign:
         config = self._config
         started = time.perf_counter()
         if obs is not None:
-            obs.on_campaign_started(self, mode=mode)
-            obs.on_backend_selected(self._exec_backend.name)
+            obs.campaign_started(self, mode=mode)
+            obs.emit(BackendSelected(backend=self._exec_backend.name))
 
         # Plan: lint gate, static pruning, one store lookup.
         self._lint_gate()
@@ -1500,7 +1538,13 @@ class InjectionCampaign:
                 result.record_pruned(module, signal, per_target)
                 n_arcs += len(self._system.module(module).outputs)
             if obs is not None:
-                obs.on_arcs_pruned(pruned, per_target, n_arcs)
+                obs.emit(
+                    ArcsPruned(
+                        targets=pruned,
+                        n_injections_per_target=per_target,
+                        n_arcs=n_arcs,
+                    )
+                )
             advance(len(pruned) * per_target)
         schedule = (
             _AdaptiveSchedule if config.adaptive else _ExhaustiveSchedule
@@ -1588,16 +1632,19 @@ class InjectionCampaign:
                             n_cached = n_reused.pop(target, 0)
                             if n_cached:
                                 if obs is not None:
-                                    obs.on_unit_reused(
-                                        case_id,
-                                        *target,
-                                        n_cached,
-                                        cache[row][0],
+                                    obs.emit(
+                                        UnitReused(
+                                            case_id=case_id,
+                                            module=target[0],
+                                            signal=target[1],
+                                            n_runs=n_cached,
+                                            key=cache[row][0],
+                                        )
                                     )
                                 stats.runs_reused += n_cached
                                 advance(n_cached)
                             if obs is not None:
-                                obs.on_outcome(outcome)
+                                obs.run_finished(outcome)
                         if row in row_keys:
                             achieved.setdefault(row, []).append(outcome)
                         result.add(outcome)
@@ -1612,7 +1659,7 @@ class InjectionCampaign:
             executor.close()
         self.last_store_stats = stats
         if obs is not None:
-            obs.on_campaign_finished(result, time.perf_counter() - started)
+            obs.campaign_finished(result, time.perf_counter() - started)
         return result
 
     def _timer(self, name: str):
@@ -1638,7 +1685,7 @@ class InjectionCampaign:
         if obs is not None:
             if obs.metrics is not None:
                 runner.set_metrics(obs.metrics)
-            obs.on_run_started(case_id, kind="golden")
+            obs.emit(RunStarted(case_id=case_id, kind="golden"))
         with self._timer("phase.golden_run.seconds"):
             recorded = runner.run_with_checkpoints(
                 config.duration_ms,
@@ -1646,8 +1693,9 @@ class InjectionCampaign:
                 frame_digests=config.fast_forward,
             )
         golden_result, checkpoints = recorded[:2]
-        if obs is not None and checkpoints:
-            obs.on_checkpoints_saved(case_id, sorted(checkpoints))
+        if obs is not None:
+            for time_ms in sorted(checkpoints):
+                obs.emit(CheckpointSaved(case_id=case_id, time_ms=time_ms))
         golden = GoldenRun(
             case_id=case_id,
             result=golden_result,
@@ -1704,17 +1752,23 @@ class InjectionCampaign:
         obs = self._observer
         if obs is None:
             return
-        obs.on_run_started(
-            case_id,
-            kind="injection",
-            module=point.module,
-            signal=point.signal,
-            time_ms=point.time_ms,
-            error_model=point.model.name,
+        obs.emit(
+            RunStarted(
+                case_id=case_id,
+                kind="injection",
+                module=point.module,
+                signal=point.signal,
+                time_ms=point.time_ms,
+                error_model=point.model.name,
+            )
         )
         if point.checkpoint is not None:
-            obs.on_checkpoint_reused(
-                case_id, point.time_ms, skipped_ms=point.checkpoint.time_ms
+            obs.emit(
+                CheckpointReused(
+                    case_id=case_id,
+                    time_ms=point.time_ms,
+                    skipped_ms=point.checkpoint.time_ms,
+                )
             )
 
     def _finish_injection(
@@ -1739,5 +1793,5 @@ class InjectionCampaign:
             frames_fast_forwarded=injected.frames_fast_forwarded,
         )
         if self._observer is not None:
-            self._observer.on_outcome(outcome)
+            self._observer.run_finished(outcome)
         return outcome, injected

@@ -1,22 +1,27 @@
 """repro.obs — campaign observability.
 
-Three zero-dependency layers over the injection-campaign engine:
+One path: the campaign engine builds typed events and hands each to
+:meth:`~repro.obs.observer.CampaignObserver.emit`, and everything else
+is a fold of that stream.
 
-* :mod:`repro.obs.events` — a typed, versioned, JSONL-serialisable
-  event stream with pluggable sinks and a per-campaign run manifest;
-* :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
-  histograms with span timers, mergeable across worker processes;
-* a live :class:`~repro.injection.outcomes.ArcTally` — the
-  estimator's own fold of outcomes into per-arc counts, i.e. measured
-  permeability :math:`P^M_{i,k}` as a first-class observable.
+* :mod:`repro.obs.events` — the typed, versioned, JSONL-serialisable
+  events, pluggable sinks and the per-campaign run manifest;
+* :class:`~repro.obs.dash.reducer.CampaignStateReducer` — the one fold:
+  the live arc tally (the estimator's
+  :class:`~repro.injection.outcomes.ArcTally`, measured permeability
+  :math:`P^M_{i,k}` as a first-class observable), every counter and
+  gauge of ``metrics.json``, the dashboard snapshot and
+  ``repro obs summarize``;
+* :mod:`repro.obs.metrics` — the registry of what is measured rather
+  than counted (span timers, the batched kernel's instruments),
+  mergeable across worker processes.
 
-:class:`~repro.obs.observer.CampaignObserver` bundles the three behind
-the single optional hook the campaign engine calls;
-:mod:`repro.obs.summary` renders text reports from recorded streams;
-:mod:`repro.obs.dash` folds the same stream into a live browser
-dashboard (state reducer + SSE server, ``repro campaign --dash`` /
-``repro dash``).  See ``docs/OBSERVABILITY.md`` for the event schema,
-metrics catalog and dashboard endpoints.
+:class:`~repro.obs.observer.CampaignObserver` is the funnel the engine
+calls; :mod:`repro.obs.summary` renders text reports from recorded
+streams; :mod:`repro.obs.dash` serves the same fold as a live browser
+dashboard (SSE server, ``repro campaign --dash`` / ``repro dash``).
+See ``docs/OBSERVABILITY.md`` for the event schema, metrics catalog and
+dashboard endpoints.
 """
 
 from repro.obs.events import (

@@ -28,9 +28,15 @@ The reducer counts through the same fold as the post-hoc analyses:
 * The run counters match :class:`~repro.injection.outcomes.
   CampaignResult` (``n_fired``/``n_reconverged``/
   ``reconverged_fraction``/``frames_fast_forwarded_total``).
+* :meth:`CampaignStateReducer.folded_metrics` is the counted part of
+  ``metrics.json``: the observer folds every event it emits through
+  its own reducer and renders this into its registry, so a fresh
+  reducer over the recorded stream reproduces every counter and gauge
+  the campaign embedded in ``CampaignFinished``.
 
-The test suite pins all three down for serial and parallel campaigns
-under both simulation backends (``tests/test_dash.py``).
+The test suite pins these down for serial and parallel campaigns
+under both simulation backends (``tests/test_dash.py``,
+``tests/test_obs_fold.py``).
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from repro.obs.events import (
     RunStarted,
     StoreArtifactRejected,
     TargetRetired,
+    UnitMissed,
     UnitReused,
     decode_event,
     read_events,
@@ -124,30 +131,14 @@ class CampaignStateReducer:
         self.first_ts: float | None = None
         self.last_ts: float | None = None
         self.skipped_lines = 0
-        # Run counters.
-        self.n_classified = 0
-        self.n_golden = 0
-        self.n_fired = 0
-        self.n_reconverged = 0
-        self.frames_fast_forwarded = 0
-        self.checkpoints_saved = 0
-        self.checkpoint_reuses = 0
-        self.skipped_ms = 0
-        self.n_chunks = 0
-        self.n_pruned_targets = 0
-        self.n_pruned_runs = 0
-        self.n_cached_units = 0
-        self.n_cached_runs = 0
-        self.n_store_rejected = 0
+        #: Every ``metrics.json`` counter, by name, as the stream counts
+        #: it; a name appears once an event has counted it.
+        self.counts: TallyCounter = TallyCounter()
         self._reused_rows: set[tuple[str, str, str]] = set()
         self.outcome_mix: TallyCounter = TallyCounter()
         # Adaptive (sequential-stopping) state.
-        self.n_rounds = 0
         self.n_open_targets: int | None = None
-        self.adaptive_trials = 0
         self.retired_targets: list[dict] = []
-        self.retired_by_reason: TallyCounter = TallyCounter()
-        self.n_unconverged_targets = 0
         #: The matrix: one ArcTally over the manifest's module topology.
         self.arcs = ArcTally({})
         # Lifetime state: fired IRs pending reconvergence, keyed by the
@@ -201,6 +192,7 @@ class CampaignStateReducer:
         if self.first_ts is None:
             self.first_ts = parsed.ts
         event = parsed.event
+        counts = self.counts
         if isinstance(event, CampaignStarted):
             self.manifest = dict(event.manifest)
             self.mode = event.mode
@@ -208,6 +200,7 @@ class CampaignStateReducer:
             self.state = "running"
             self.backend = self.manifest.get("backend", self.backend)
             self.arcs = ArcTally.of_manifest(self.manifest)
+            self._reused_rows.clear()
         elif isinstance(event, BackendSelected):
             self.backend = event.backend
         elif isinstance(event, LintReported):
@@ -218,27 +211,28 @@ class CampaignStateReducer:
                 "info": event.info,
                 "codes": list(event.codes),
             }
+            counts["lint.errors"] += event.errors
+            counts["lint.warnings"] += event.warnings
         elif isinstance(event, ArcsPruned):
             # Pruned targets are exact zero-error measurements: their
             # injections enter the matrix denominators directly (no
             # per-IR events will arrive for them), keeping the matrix
             # equal to estimate_matrix() over the pruned campaign.
-            self.n_pruned_targets += len(event.targets)
-            self.n_pruned_runs += (
+            counts["prune.targets"] += len(event.targets)
+            counts["prune.arcs"] += event.n_arcs
+            counts["prune.runs_skipped"] += (
                 len(event.targets) * event.n_injections_per_target
             )
             for module, signal in event.targets:
                 self.arcs.add(module, signal, n=event.n_injections_per_target)
         elif isinstance(event, RunStarted):
-            if event.kind == "golden":
-                self.n_golden += 1
+            counts[f"runs.{event.kind}"] += 1
         elif isinstance(event, CheckpointSaved):
-            self.checkpoints_saved += 1
+            counts["checkpoint.saved"] += 1
         elif isinstance(event, CheckpointReused):
-            self.checkpoint_reuses += 1
-            self.skipped_ms += event.skipped_ms
+            counts["checkpoint.reused"] += 1
+            counts["simulated_ms.skipped"] += event.skipped_ms
         elif isinstance(event, InjectionFired):
-            self.n_fired += 1
             key = (
                 event.case_id,
                 event.module,
@@ -248,12 +242,16 @@ class CampaignStateReducer:
             )
             self._pending_fired[key] = event.fired_at_ms
         elif isinstance(event, OutcomeClassified):
-            self.n_classified += 1
+            counts["outcomes.total"] += 1
+            if event.fired:
+                counts["outcomes.fired"] += 1
+            if event.diverged:
+                counts["outcomes.diverged"] += 1
             self.outcome_mix[event.outcome] += 1
             self.arcs.add(event.module, event.signal, event.propagated_outputs)
         elif isinstance(event, RunReconverged):
-            self.n_reconverged += 1
-            self.frames_fast_forwarded += event.frames_fast_forwarded
+            counts["ff.runs_reconverged"] += 1
+            counts["ff.frames_fast_forwarded"] += event.frames_fast_forwarded
             key = (
                 event.case_id,
                 event.module,
@@ -272,17 +270,23 @@ class CampaignStateReducer:
             # The row's recorded outcomes are replayed right after this
             # event as ordinary OutcomeClassified events (driving the
             # matrix and progress), so only the reuse itself is counted.
-            # An adaptive row can supply cached outcomes in several rounds.
-            self._reused_rows.add((event.case_id, event.module, event.signal))
-            self.n_cached_units = len(self._reused_rows)
-            self.n_cached_runs += event.n_runs
+            # An adaptive row can supply cached outcomes in several
+            # rounds; store.hits counts distinct rows.
+            row = (event.case_id, event.module, event.signal)
+            if row not in self._reused_rows:
+                self._reused_rows.add(row)
+                counts["store.hits"] += 1
+            counts["store.runs_reused"] += event.n_runs
+        elif isinstance(event, UnitMissed):
+            counts["store.misses"] += 1
         elif isinstance(event, StoreArtifactRejected):
-            self.n_store_rejected += 1
+            counts["store.rejected"] += 1
         elif isinstance(event, ChunkCompleted):
-            self.n_chunks += 1
+            counts["chunk.completed"] += 1
         elif isinstance(event, TargetRetired):
-            self.adaptive_trials += event.n_trials
-            self.retired_by_reason[event.reason] += 1
+            counts["adaptive.targets_retired"] += 1
+            counts[f"adaptive.retired.{event.reason}"] += 1
+            counts["adaptive.trials"] += event.n_trials
             self.retired_targets.append(
                 {
                     "module": event.module,
@@ -294,10 +298,10 @@ class CampaignStateReducer:
                 }
             )
         elif isinstance(event, RoundCompleted):
-            self.n_rounds += 1
+            counts["adaptive.rounds"] += 1
             self.n_open_targets = event.n_open
         elif isinstance(event, BudgetExhausted):
-            self.n_unconverged_targets = event.n_targets
+            counts["adaptive.unconverged_targets"] += event.n_targets
         elif isinstance(event, CampaignFinished):
             self.state = "finished"
             self.elapsed_s = event.elapsed_s
@@ -345,9 +349,36 @@ class CampaignStateReducer:
 
     def reconverged_fraction(self) -> float:
         """``CampaignResult.reconverged_fraction`` from the stream."""
-        if not self.n_classified:
+        n_runs = self.counts["outcomes.total"]
+        if not n_runs:
             return 0.0
-        return self.n_reconverged / self.n_classified
+        return self.counts["ff.runs_reconverged"] / n_runs
+
+    def folded_metrics(self) -> dict:
+        """The counted part of ``metrics.json``, folded from the stream.
+
+        Every counter of :attr:`counts`, the ``campaign.total_runs`` and
+        ``adaptive.targets_open`` gauges and the ``ff.error_lifetime.ms``
+        histogram, in :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
+        form.  The observer renders exactly this into its registry
+        before embedding the registry in ``CampaignFinished``, so a
+        fresh reducer over the recorded stream reproduces it.
+        """
+        folded: dict[str, dict] = {
+            name: {"type": "counter", "value": value}
+            for name, value in self.counts.items()
+        }
+        if self.state != "empty":
+            folded["campaign.total_runs"] = {
+                "type": "gauge", "value": float(self.total_runs)
+            }
+        if self.n_open_targets is not None:
+            folded["adaptive.targets_open"] = {
+                "type": "gauge", "value": float(self.n_open_targets)
+            }
+        if self._histogram.count:
+            folded["ff.error_lifetime.ms"] = self._histogram.to_dict()
+        return folded
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -355,7 +386,8 @@ class CampaignStateReducer:
 
     def snapshot(self) -> dict:
         """The campaign's current state as one JSON-able document."""
-        done = self.n_classified + self.n_pruned_runs
+        counts = self.counts
+        done = counts["outcomes.total"] + counts["prune.runs_skipped"]
         total = self.total_runs
         rate = None
         eta_s = None
@@ -394,32 +426,34 @@ class CampaignStateReducer:
                 "done": done,
                 "total": total,
                 "fraction": done / total if total else 0.0,
-                "golden_runs": self.n_golden,
+                "golden_runs": counts["runs.golden"],
                 "rate_runs_per_s": rate,
                 "eta_s": eta_s,
                 "elapsed_s": self.elapsed_s,
             },
             "counters": {
-                "n_runs": self.n_classified,
-                "pruned": self.n_pruned_runs,
-                "cached": self.n_cached_runs,
-                "n_fired": self.n_fired,
-                "n_reconverged": self.n_reconverged,
+                "n_runs": counts["outcomes.total"],
+                "pruned": counts["prune.runs_skipped"],
+                "cached": counts["store.runs_reused"],
+                "n_fired": counts["outcomes.fired"],
+                "n_reconverged": counts["ff.runs_reconverged"],
                 "reconverged_fraction": self.reconverged_fraction(),
-                "frames_fast_forwarded": self.frames_fast_forwarded,
-                "checkpoints_saved": self.checkpoints_saved,
-                "checkpoint_reuses": self.checkpoint_reuses,
-                "skipped_ms": self.skipped_ms,
-                "chunks_completed": self.n_chunks,
+                "frames_fast_forwarded": counts["ff.frames_fast_forwarded"],
+                "checkpoints_saved": counts["checkpoint.saved"],
+                "checkpoint_reuses": counts["checkpoint.reused"],
+                "skipped_ms": counts["simulated_ms.skipped"],
+                "chunks_completed": counts["chunk.completed"],
                 "outcome_mix": dict(self.outcome_mix),
             },
             "adaptive": {
-                "rounds": self.n_rounds,
+                "rounds": counts["adaptive.rounds"],
                 "targets_retired": len(self.retired_targets),
                 "targets_open": self.n_open_targets,
-                "trials": self.adaptive_trials,
-                "unconverged": self.n_unconverged_targets,
-                "by_reason": dict(self.retired_by_reason),
+                "trials": counts["adaptive.trials"],
+                "unconverged": counts["adaptive.unconverged_targets"],
+                "by_reason": dict(
+                    TallyCounter(t["reason"] for t in self.retired_targets)
+                ),
                 "retired": list(self.retired_targets),
             },
             "matrix": self._matrix_with_intervals(),
@@ -480,11 +514,8 @@ def validate_snapshot(snapshot: Mapping[str, Any]) -> None:
             isinstance(counters.get(name), int) and counters[name] >= 0,
             f"counters.{name}",
         )
-    # Per-IR order is InjectionFired -> OutcomeClassified, so mid-stream
-    # one fired injection may not be classified yet.
-    _require(
-        counters["n_fired"] <= counters["n_runs"] + 1, "n_fired <= n_runs + 1"
-    )
+    # Both count OutcomeClassified events.
+    _require(counters["n_fired"] <= counters["n_runs"], "n_fired <= n_runs")
     _require(
         0.0 <= counters["reconverged_fraction"] <= 1.0, "reconverged_fraction"
     )

@@ -10,11 +10,15 @@ envelope:
 * fan it out to any number of SSE subscriber queues
   (``GET /api/events``).
 
+It folds the envelopes themselves, not the observer's typed events,
+so the same sink replays a recorded file (``repro dash --events``).
 Both the serial and the parallel campaign path are covered for free:
-parallel workers ship their events over the chunk-result channel and
-the parent re-emits them through its own sink chain
-(:meth:`~repro.obs.observer.CampaignObserver.absorb_worker`), so a sink
-attached to the *parent* observer sees every worker event too.
+every event goes through
+:meth:`~repro.obs.observer.CampaignObserver.emit`, and the parent
+re-emits the events parallel workers ship over the chunk-result
+channel (:meth:`~repro.obs.observer.CampaignObserver.absorb_worker`),
+so a sink attached to the *parent* observer sees every worker event
+too.
 
 Everything is guarded by one lock — the campaign thread emits while
 HTTP server threads snapshot and subscribe concurrently.

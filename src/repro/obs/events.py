@@ -21,6 +21,11 @@ Design points:
   (human-readable stderr narration) and :class:`MultiSink`.
 * **Zero cost when off.**  The campaign holds ``observer=None`` by
   default and guards every emission with one ``is None`` test.
+* **One stream, one fold.**  The campaign hands every event to
+  :meth:`~repro.obs.observer.CampaignObserver.emit`; the metrics'
+  counters and gauges, the live arc tally and the dashboard state are
+  all folds of this stream
+  (:class:`~repro.obs.dash.reducer.CampaignStateReducer`).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "RunReconverged",
     "OutcomeClassified",
     "UnitReused",
+    "UnitMissed",
     "StoreArtifactRejected",
     "ChunkCompleted",
     "TargetRetired",
@@ -242,6 +248,20 @@ class UnitReused:
 
 
 @dataclass(frozen=True)
+class UnitMissed:
+    """One target row the result store could not answer; it executes.
+
+    Emitted (parent process only) while the store is consulted, before
+    the first run, once per cacheable row that has no reusable artifact
+    (``store.misses`` counter).
+    """
+
+    case_id: str
+    module: str
+    signal: str
+
+
+@dataclass(frozen=True)
 class StoreArtifactRejected:
     """A store artifact parsed but failed content verification.
 
@@ -334,6 +354,7 @@ _EVENT_TYPES: dict[str, type] = {
         RunReconverged,
         OutcomeClassified,
         UnitReused,
+        UnitMissed,
         StoreArtifactRejected,
         ChunkCompleted,
         TargetRetired,
@@ -467,18 +488,24 @@ def validate_events(path) -> int:
 
 
 class JsonlSink:
-    """Appends one JSON envelope per line to a file."""
+    """Appends one JSON envelope per line to a file.
+
+    The file is created on the first envelope, so a campaign rejected
+    before it emits anything leaves no (empty, hence invalid) stream.
+    """
 
     def __init__(self, path) -> None:
         self._path = path
-        self._handle: IO[str] = open(path, "w", encoding="utf-8")
+        self._handle: IO[str] | None = None
 
     def emit(self, record: dict) -> None:
+        if self._handle is None:
+            self._handle = open(self._path, "w", encoding="utf-8")
         json.dump(record, self._handle, separators=(",", ":"))
         self._handle.write("\n")
 
     def close(self) -> None:
-        if not self._handle.closed:
+        if self._handle is not None and not self._handle.closed:
             self._handle.flush()
             self._handle.close()
 

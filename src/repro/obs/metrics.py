@@ -9,11 +9,15 @@ registry here is the zero-dependency answer: named :class:`Counter`,
 :meth:`MetricsRegistry.timer` span helper, all dumpable to a plain JSON
 document (``metrics.json`` next to the campaign results).
 
-Cross-process aggregation is explicit rather than magic: worker
-processes run their own registry, ship :meth:`MetricsRegistry.to_dict`
-snapshots back over the existing chunk-result channel, and the parent
-folds them in with :meth:`MetricsRegistry.merge` — counters and
-histogram buckets add, gauges keep the most recent value.
+What a campaign *counts* is not written here directly: the observer
+folds its event stream and renders the counters and gauges into the
+registry once, at the end (:meth:`MetricsRegistry.update`).  What it
+*measures* — span timers and the batched kernel's instruments — is.
+Worker processes run their own registry for those, ship
+:meth:`MetricsRegistry.to_dict` snapshots back over the existing
+chunk-result channel, and the parent folds them in with
+:meth:`MetricsRegistry.merge` — counters and histogram buckets add,
+gauges keep the most recent value.
 """
 
 from __future__ import annotations
@@ -236,6 +240,15 @@ class MetricsRegistry:
                     histogram.max = max(histogram.max, data["max"])
             else:
                 raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
+
+    def update(self, snapshot: Mapping[str, Mapping]) -> None:
+        """Set instruments to a :meth:`to_dict` snapshot's values.
+
+        Same-named instruments are replaced, where :meth:`merge` adds.
+        """
+        for name in snapshot:
+            self._instruments.pop(name, None)
+        self.merge(snapshot)
 
     def dump_json(self, path) -> None:
         """Write the snapshot as an indented ``metrics.json`` document."""

@@ -148,33 +148,35 @@ def render_summary(summary: EventsSummary, top: int = 10) -> str:
             else " (stream has no CampaignFinished event)"
         )
     )
-    if summary.n_pruned_targets:
+    counts = summary.counts
+    if counts["prune.targets"]:
         lines.append(
-            f"static pruning: {summary.n_pruned_targets} target(s) proven "
-            f"zero-permeability, {summary.n_pruned_runs} runs skipped"
+            f"static pruning: {counts['prune.targets']} target(s) proven "
+            f"zero-permeability, {counts['prune.runs_skipped']} runs skipped"
         )
-    if summary.n_cached_units:
+    if counts["store.hits"]:
         lines.append(
-            f"result store: {summary.n_cached_units} target row(s) reused, "
-            f"{summary.n_cached_runs} injection runs recomposed from cache"
+            f"result store: {counts['store.hits']} target row(s) reused, "
+            f"{counts['store.runs_reused']} injection runs recomposed from cache"
         )
-    if summary.n_store_rejected:
+    if counts["store.rejected"]:
         lines.append(
-            f"WARNING: {summary.n_store_rejected} store artifact(s) failed "
+            f"WARNING: {counts['store.rejected']} store artifact(s) failed "
             "content verification and were re-executed"
         )
-    if summary.checkpoint_reuses:
+    if counts["checkpoint.reused"]:
         lines.append(
-            f"checkpoint reuse: {summary.checkpoint_reuses} resumes, "
-            f"{summary.skipped_ms} simulated ms skipped"
+            f"checkpoint reuse: {counts['checkpoint.reused']} resumes, "
+            f"{counts['simulated_ms.skipped']} simulated ms skipped"
         )
-    if summary.n_reconverged:
+    if counts["ff.runs_reconverged"]:
         lines.append(
-            f"reconvergence fast-forward: {summary.n_reconverged} runs "
-            f"reconverged, {summary.frames_fast_forwarded} simulated ms spliced"
+            f"reconvergence fast-forward: {counts['ff.runs_reconverged']} runs "
+            f"reconverged, {counts['ff.frames_fast_forwarded']} simulated ms "
+            "spliced"
         )
-    if summary.n_chunks:
-        lines.append(f"parallel chunks completed: {summary.n_chunks}")
+    if counts["chunk.completed"]:
+        lines.append(f"parallel chunks completed: {counts['chunk.completed']}")
     kernel_line = _render_kernel_line(summary.metrics)
     if kernel_line is not None:
         lines.append(kernel_line)

@@ -126,6 +126,7 @@ class TestExitCodes:
         assert "invalid campaign configuration: " in captured.err
         assert message in captured.err
         assert "runs" not in captured.out
+        assert not events.exists()
 
     def test_verify_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -366,14 +366,12 @@ class TestRingBufferDrops:
 
     def test_observer_surfaces_drops_in_metrics(self):
         from repro.obs.events import EventStream
-        from repro.injection.outcomes import ArcTally
         from repro.obs.metrics import MetricsRegistry
 
         system = build_toy_model()
         observer = CampaignObserver(
             events=EventStream(RingBufferSink(capacity=4)),
             metrics=MetricsRegistry(),
-            propagation=ArcTally.of_system(system),
         )
         campaign = InjectionCampaign(
             system, toy_factory, {"ramp": None}, TOY_CONFIG, observer=observer

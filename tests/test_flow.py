@@ -426,8 +426,8 @@ def test_pruned_campaign_observability_round_trip(tmp_path):
     )
 
     summary = summarize_events(read_events(events_path))
-    assert summary.n_pruned_targets == len(event.targets)
-    assert summary.n_pruned_runs == result.n_pruned_runs()
+    assert summary.counts["prune.targets"] == len(event.targets)
+    assert summary.counts["prune.runs_skipped"] == result.n_pruned_runs()
     assert "static pruning:" in render_summary(summary)
 
     reducer = CampaignStateReducer.from_events_file(events_path)

@@ -568,8 +568,8 @@ class TestObservability:
         )
 
         summary = summarize_events(read_events(events_path))
-        assert summary.n_cached_units == stats.hits
-        assert summary.n_cached_runs == stats.runs_reused
+        assert summary.counts["store.hits"] == stats.hits
+        assert summary.counts["store.runs_reused"] == stats.runs_reused
         assert "result store:" in render_summary(summary)
 
         reducer = CampaignStateReducer.from_events_file(events_path)
@@ -614,10 +614,10 @@ class TestObservability:
         assert stats.runs_reused == len(warm)
         summary = summarize_events(read_events(events_path))
         snapshot = CampaignStateReducer.from_events_file(events_path).snapshot()
-        assert summary.n_cached_units == stats.hits
+        assert summary.counts["store.hits"] == stats.hits
         assert observer.metrics.counter("store.hits").value == stats.hits
         assert (
-            summary.n_cached_runs
+            summary.counts["store.runs_reused"]
             == snapshot["counters"]["cached"]
             == stats.runs_reused
         )
