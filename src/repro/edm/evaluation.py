@@ -152,7 +152,7 @@ def evaluate_detectors(
             golden_checked.add(golden.case_id)
             for detector in detectors:
                 fired = detector.first_detection(
-                    golden.result.traces[detector.signal].samples
+                    golden.traces[detector.signal].samples
                 )
                 if fired is not None:
                     stats[detector.name].false_alarm_cases.append(golden.case_id)
@@ -160,6 +160,7 @@ def evaluate_detectors(
             return
         counters["detectable"] += 1
         assert outcome.fired_at_ms is not None
+        assert injected.traces is not None, "an inspected run has traces"
         for detector in detectors:
             item = stats[detector.name]
             item.n_detectable += 1

@@ -561,7 +561,9 @@ class _CaseContext:
     specs — a whole case grid or any subset a schedule picked — and
     owns observer emission, Golden-Run comparison and outcome records
     for one test case, so backends only decide *how* runs execute (see
-    :mod:`repro.simulation.backend`).
+    :mod:`repro.simulation.backend`).  ``keep_traces`` is set when an
+    inspector will read each run's traces; otherwise a backend that
+    compares runs while stepping may hand out none.
     """
 
     def __init__(
@@ -571,12 +573,14 @@ class _CaseContext:
         golden: GoldenRun,
         specs: Sequence[tuple[str, str, int, int]],
         checkpoints: Mapping[int, RunCheckpoint],
+        keep_traces: bool = False,
     ) -> None:
         self._campaign = campaign
         self.runner = runner
         self.golden = golden
         self.golden_ref = golden.reference
         self.config = campaign.config
+        self.keep_traces = keep_traces
         models = self.config.error_models
         self._points = tuple(
             _InjectionPoint(
@@ -842,10 +846,11 @@ class _InlineExecutor:
     """Runs a round's trials in this process, case by case.
 
     Golden Runs are recorded lazily, on a case's first batch.  Every
-    run reaches the ``inspector`` with its full traces and advances
-    progress by one.  With ``keep_cases`` off (a single-round schedule)
-    a case's runtime and checkpoints are dropped right after its batch,
-    so a multi-case campaign never holds every case's trace prefixes.
+    run reaches the ``inspector`` with its full traces (recorded only
+    when there is one) and advances progress by one.  With
+    ``keep_cases`` off (a single-round schedule) a case's runtime and
+    checkpoints are dropped right after its batch, so a multi-case
+    campaign never holds every case's trace prefixes.
     """
 
     def __init__(
@@ -884,7 +889,14 @@ class _InlineExecutor:
             case_id, campaign._test_cases[case_id]
         )
         runner, golden, checkpoints = entry
-        context = _CaseContext(campaign, runner, golden, specs, checkpoints)
+        context = _CaseContext(
+            campaign,
+            runner,
+            golden,
+            specs,
+            checkpoints,
+            keep_traces=self._inspector is not None,
+        )
         outcomes = []
         for outcome, injected in campaign._exec_backend.case_injections(
             context
@@ -1318,7 +1330,7 @@ class InjectionCampaign:
 
         case = self._test_cases[case_id]
         runner, golden, checkpoints = self._golden_for_case(case_id, case)
-        signals, duration_ms, flat = pack_trace_samples(golden.result.traces)
+        signals, duration_ms, flat = pack_trace_samples(golden.traces)
         n_bytes = len(flat) * flat.itemsize
         shm_name = None
         raw = None
@@ -1438,12 +1450,15 @@ class InjectionCampaign:
             Golden Run.  Used e.g. by the EDM evaluation layer to replay
             detectors over the traces.  With a result store configured,
             only freshly *executed* runs reach the inspector — reused
-            rows carry outcome records, not traces.  Under the batched
-            backend each trace is a read-only view into one buffer
-            shared by a whole lane batch; an inspector that keeps a
-            :class:`RunResult` beyond the call should copy the traces it
-            needs (e.g. ``array("q", trace.samples)``), or it keeps the
-            whole buffer alive.
+            rows carry outcome records, not traces.  The batched
+            backend runs the Golden Run Comparison of each lane inside
+            its kernel and records lane traces only for an inspector:
+            without one, its runs carry ``traces=None``.  With one, each
+            trace is a read-only view into one buffer shared by a whole
+            lane batch; an inspector that keeps a :class:`RunResult`
+            beyond the call should copy the traces it needs (e.g.
+            ``array("q", trace.samples)``), or it keeps the whole buffer
+            alive.
         """
         return self._execute(_InlineExecutor(self, inspector), progress, "serial")
 

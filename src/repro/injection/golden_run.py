@@ -22,6 +22,7 @@ from typing import Mapping
 from repro.model.errors import TraceMismatchError
 from repro.simulation.runtime import GoldenReference, RunResult
 from repro.simulation.snapshot import FrameDigests
+from repro.simulation.traces import TraceSet
 
 __all__ = ["GoldenRun", "GoldenRunComparison", "compare_to_golden_run"]
 
@@ -46,9 +47,16 @@ class GoldenRun:
     def duration_ms(self) -> int:
         return self.result.duration_ms
 
+    @property
+    def traces(self) -> TraceSet:
+        """The reference traces (a Golden Run always records them)."""
+        traces = self.result.traces
+        assert traces is not None, "a Golden Run always records its traces"
+        return traces
+
     def signal_trace(self, signal: str):
         """The reference trace of one signal."""
-        return self.result.traces[signal]
+        return self.traces[signal]
 
     @cached_property
     def reference(self) -> GoldenReference | None:
@@ -139,9 +147,17 @@ class GoldenRunComparison:
 def compare_to_golden_run(
     golden: GoldenRun, injected: RunResult, case_id: str | None = None
 ) -> GoldenRunComparison:
-    """Run the GRC of one injection run against its Golden Run."""
-    divergences = injected.traces.first_divergences(golden.result.traces)
+    """Run the GRC of one injection run against its Golden Run.
+
+    A run whose backend compared it while stepping (a batched lane)
+    carries its own first divergences; any other run's traces are
+    scanned against the Golden Run's.
+    """
+    divergences = injected.first_divergence_ms
+    if divergences is None:
+        assert injected.traces is not None, "a run without divergences has traces"
+        divergences = injected.traces.first_divergences(golden.traces)
     return GoldenRunComparison(
         case_id=case_id if case_id is not None else golden.case_id,
-        first_divergence_ms=divergences,
+        first_divergence_ms=dict(divergences),
     )

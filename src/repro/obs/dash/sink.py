@@ -1,27 +1,29 @@
-"""DashboardSink: tee the live event stream into reducer + subscribers.
+"""DashboardSink: serve one event fold and tee the stream to subscribers.
 
 A :class:`DashboardSink` plugs into a
 :class:`~repro.obs.observer.CampaignObserver`'s sink chain (next to the
-``JsonlSink`` writing ``events.jsonl``) and does two things with every
-envelope:
+``JsonlSink`` writing ``events.jsonl``).  It serves a
+:class:`~repro.obs.dash.reducer.CampaignStateReducer`'s snapshot
+(``GET /api/snapshot``) and fans every envelope out to any number of
+SSE subscriber queues (``GET /api/events``).
 
-* fold it into a :class:`~repro.obs.dash.reducer.CampaignStateReducer`
-  (the ``GET /api/snapshot`` payload), and
-* fan it out to any number of SSE subscriber queues
-  (``GET /api/events``).
-
-It folds the envelopes themselves, not the observer's typed events,
-so the same sink replays a recorded file (``repro dash --events``).
-Both the serial and the parallel campaign path are covered for free:
-every event goes through
+Live, the fold it serves is the observer's own
+(:attr:`~repro.obs.observer.CampaignObserver.state`):
+:meth:`CampaignObserver.to_files
+<repro.obs.observer.CampaignObserver.to_files>` hands it to
+:meth:`DashboardSink.serve`, and the observer folds each typed event
+once, under the sink's lock.  A sink that serves no one else's fold
+folds the envelopes itself, which is how ``repro dash --events``
+replays a recorded file.  Both the serial and the parallel campaign
+path are covered for free: every event goes through
 :meth:`~repro.obs.observer.CampaignObserver.emit`, and the parent
 re-emits the events parallel workers ship over the chunk-result
 channel (:meth:`~repro.obs.observer.CampaignObserver.absorb_worker`),
 so a sink attached to the *parent* observer sees every worker event
 too.
 
-Everything is guarded by one lock — the campaign thread emits while
-HTTP server threads snapshot and subscribe concurrently.
+Everything is guarded by one lock — the campaign thread emits and
+folds while HTTP server threads snapshot and subscribe concurrently.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class DashboardSink:
 
     def __init__(self, reducer: CampaignStateReducer | None = None) -> None:
         self._reducer = reducer if reducer is not None else CampaignStateReducer()
+        #: Whether :meth:`emit` folds envelopes (off once :meth:`serve`
+        #: hands the sink a fold its owner feeds).
+        self._folds = True
         self._lock = threading.Lock()
         self._history: list[dict] = []
         self._subscribers: list[queue.SimpleQueue] = []
@@ -52,14 +57,26 @@ class DashboardSink:
     # Sink protocol
     # ------------------------------------------------------------------
 
+    def serve(self, reducer: CampaignStateReducer) -> threading.Lock:
+        """Serve ``reducer``, which its owner folds, instead of folding.
+
+        Returns the sink's lock: the owner holds it while folding, so
+        a snapshot never sees half an event.
+        """
+        with self._lock:
+            self._reducer = reducer
+            self._folds = False
+        return self._lock
+
     def emit(self, record: dict) -> None:
         with self._lock:
-            try:
-                self._reducer.feed(record)
-            except (ValueError, KeyError):
-                # A malformed envelope must not kill the campaign; the
-                # reducer tracks the damage for the snapshot instead.
-                self._reducer.skipped_lines += 1
+            if self._folds:
+                try:
+                    self._reducer.feed(record)
+                except (ValueError, KeyError):
+                    # A malformed envelope must not kill the campaign;
+                    # the reducer tracks the damage for the snapshot.
+                    self._reducer.skipped_lines += 1
             self._history.append(record)
             subscribers = list(self._subscribers)
         for subscriber in subscribers:

@@ -14,7 +14,9 @@ renders from the reducer into the optional
 :class:`~repro.obs.metrics.MetricsRegistry`.  The registry otherwise
 only measures: span timers, the batched kernel's ``kernel.*``
 instruments, ``chunk.seconds``, ``campaign.elapsed_seconds`` and
-``events.dropped``.
+``events.dropped``.  A live dashboard serves the same fold: the
+observer folds under the dashboard sink's lock instead of the sink
+folding each event again.
 
 Three helpers build events that apply a rule: the ``CampaignStarted``
 manifest, the per-IR ``InjectionFired``/``OutcomeClassified``/
@@ -36,10 +38,12 @@ re-sequencing them into its own stream.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.injection.outcomes import ArcTally, direct_outputs
 from repro.obs.dash.reducer import CampaignStateReducer
+from repro.obs.dash.sink import DashboardSink
 from repro.obs.events import (
     CampaignFinished,
     CampaignStarted,
@@ -76,6 +80,9 @@ class CampaignObserver:
         #: The one fold of every event this observer emits; ``None`` in
         #: a worker, whose events the parent folds as it re-emits them.
         self.state: CampaignStateReducer | None = CampaignStateReducer()
+        #: Held while folding: a live dashboard's lock once one serves
+        #: :attr:`state`.
+        self._fold_lock: Any = nullcontext()
         #: Module -> outputs, for the direct-error rule.
         self._outputs: dict[str, tuple[str, ...]] = {}
 
@@ -107,10 +114,12 @@ class CampaignObserver:
 
         ``events_path=None`` keeps events in a bounded ring buffer
         instead of a file; ``pretty=True`` adds stderr narration;
-        ``extra_sinks`` are appended to the fan-out (e.g. a live
-        :class:`~repro.obs.dash.sink.DashboardSink`).  ``system`` is
-        accepted and ignored: the topology of the live tally and of the
-        direct-error rule comes from the observed campaign.
+        ``extra_sinks`` are appended to the fan-out; a live
+        :class:`~repro.obs.dash.sink.DashboardSink` among them serves
+        this observer's :attr:`state` rather than a fold of its own.
+        ``system`` is accepted and ignored: the topology of the live
+        tally and of the direct-error rule comes from the observed
+        campaign.
         """
         sinks = []
         if events_path is not None:
@@ -121,10 +130,16 @@ class CampaignObserver:
             sinks.append(PrettyPrintSink())
         sinks.extend(extra_sinks)
         sink = sinks[0] if len(sinks) == 1 else MultiSink(*sinks)
-        return cls(
+        observer = cls(
             events=EventStream(sink),
             metrics=MetricsRegistry() if with_metrics else None,
         )
+        state = observer.state
+        assert state is not None
+        for dashboard in sinks:
+            if isinstance(dashboard, DashboardSink):
+                observer._fold_lock = dashboard.serve(state)
+        return observer
 
     @classmethod
     def for_worker(cls, system=None) -> "CampaignObserver":
@@ -159,7 +174,10 @@ class CampaignObserver:
         if self.events is not None:
             self.events.emit(event, ts=ts)
         if self.state is not None:
-            self.state.feed_parsed(ParsedEvent(self.state.n_events, ts, event))
+            with self._fold_lock:
+                self.state.feed_parsed(
+                    ParsedEvent(self.state.n_events, ts, event)
+                )
 
     def campaign_started(self, campaign, mode: str) -> None:
         """Emit ``CampaignStarted`` with the campaign's run manifest."""

@@ -61,12 +61,16 @@ class CaseContext(Protocol):
     Golden-Run reference (``None`` without a recorded Golden Run),
     ``config`` the campaign configuration and ``metrics`` the
     observer's metrics registry (``None`` without observability).
+    ``keep_traces`` says whether anyone reads the runs' traces; when it
+    is false a backend may return runs with ``traces=None`` that carry
+    their ``first_divergence_ms`` instead.
     """
 
     runner: Any
     golden_ref: Any
     config: Any
     metrics: Any
+    keep_traces: bool
 
     def injection_points(self) -> Iterator[Any]: ...
 

@@ -20,7 +20,7 @@ order to the identity.  :func:`_apply` evaluates every map.
 
 **One batch per case.**  Every vectorizable run of a case joins one
 lane group, sorted by injection instant; the group is cut into
-sub-batches whose trace buffers fit :data:`_MAX_HISTORY_BYTES`.  A
+sub-batches whose frame memory fits :data:`_MAX_HISTORY_BYTES`.  A
 sub-batch resumes from the Golden-Run checkpoint of its earliest lane
 (frame 0 without prefix reuse).  A lane whose instant comes later
 follows the Golden Run exactly until its own trap fires, so the frames
@@ -33,9 +33,10 @@ A case with a scalar-fallback module keeps one group per instant, so
 those modules never step dormant lanes in Python.
 
 Correctness contract: results are **byte-identical** to the reference
-backend — same traces, same final signals/telemetry, same per-lane
-reconvergence instants.  The kernel achieves that by reproducing the
-reference semantics exactly rather than approximating them:
+backend — same first divergences, same traces (when kept), same final
+signals/telemetry, same per-lane reconvergence instants.  The kernel
+achieves that by reproducing the reference semantics exactly rather
+than approximating them:
 
 * every lane starts from a Golden-Run checkpoint at or before its
   instant; the per-lane bit-flip is one XOR applied to the value the
@@ -53,14 +54,22 @@ reference semantics exactly rather than approximating them:
 * the environment must be *lane-invariant* (its evolution cannot read
   the store): one shared instance is stepped per frame and its writes
   are broadcast to every lane;
-* traces are recorded straight into the results' memory: one
-  ``(n_lanes, n_traced, duration_ms)`` buffer per sub-batch whose
-  frames before the start are the Golden Run's.  Each frame's traced
-  rows are gathered into a small ``(_BLOCK_FRAMES, n_traced, n_lanes)``
-  block, which the retirement compare reads too, and the block is
-  written into the buffer with one transposed assignment every
-  :data:`_BLOCK_FRAMES` frames.  Each result's trace is a read-only
-  ``'q'`` memoryview of its lane's row, with no per-lane copy;
+* the Golden Run Comparison of every lane runs in the kernel: each
+  frame's traced rows are gathered into a small
+  ``(_BLOCK_FRAMES, n_traced, n_lanes)`` block, which the retirement
+  compare reads too, and every :data:`_BLOCK_FRAMES` frames the block
+  is compared with the Golden Run's samples, setting each lane's first
+  divergence per signal once (``RunResult.first_divergence_ms``).
+  Frames taken from the Golden Run (before the start, skipped between
+  instants, spliced after retirement) never diverge;
+* traces exist only for a campaign inspector
+  (``CaseContext.keep_traces``).  Then they are recorded straight into
+  the results' memory: one ``(n_lanes, n_traced, duration_ms)`` buffer
+  per sub-batch whose frames before the start are the Golden Run's,
+  written from the block with one transposed assignment per flush.
+  Each result's trace is a read-only ``'q'`` memoryview of its lane's
+  row, with no per-lane copy.  Without an inspector there is no
+  buffer and ``RunResult.traces`` is ``None``;
 * fast-forward retirement mirrors
   :meth:`~repro.simulation.runtime.SimulationRun._execute_frames`
   per lane — the traced-signal row compare against the Golden Run,
@@ -108,17 +117,19 @@ __all__ = [
     "unpack_state_row",
 ]
 
-#: Soft cap on one sub-batch's trace buffer: lanes x traced signals x
-#: ``duration_ms`` x 8 bytes.  Lanes beyond the cap split into further
-#: sub-batches (identical semantics, bounded peak memory).
+#: Soft cap on one sub-batch's frame memory: lanes x traced signals x
+#: frames x 8 bytes, where a lane holds ``duration_ms`` frames when its
+#: traces are kept and :data:`_BLOCK_FRAMES` otherwise.  Lanes beyond
+#: the cap split into further sub-batches (identical semantics, bounded
+#: peak memory).
 _MAX_HISTORY_BYTES = 256 * 1024 * 1024
 
-#: Frames gathered into the per-frame block before it is written into
-#: the trace buffer with one transposed assignment.
+#: Frames gathered into the per-frame block before it is compared with
+#: the Golden Run (and written into a kept trace buffer).
 _BLOCK_FRAMES = 256
 
-#: Sentinel frame for "this lane's trap never fires" (compares greater
-#: than every valid frame index).
+#: Sentinel frame for "never": a lane's trap that never fires, a signal
+#: that never diverges (compares greater than every valid frame index).
 _NEVER = np.iinfo(np.int64).max
 
 
@@ -393,7 +404,9 @@ class BatchedBackend:
         results: dict[int, tuple[RunResult, int | None]] = {}
         for lanes in groups.values():
             lanes.sort(key=lambda lane: lane[1].time_ms)
-            for chunk in _lane_chunks(plan, lanes, duration_ms):
+            for chunk in _lane_chunks(
+                plan, lanes, duration_ms, context.keep_traces
+            ):
                 results.update(_run_batch(context, plan, chunk, duration_ms))
 
         for index, point in enumerate(points):
@@ -411,13 +424,16 @@ def _lane_chunks(
     plan: _CasePlan,
     lanes: list[tuple[int, Any, int]],
     duration_ms: int,
+    keep_traces: bool,
 ) -> Iterator[list[tuple[int, Any, int]]]:
-    """Split a lane group so one trace buffer stays under the cap.
+    """Split a lane group so one sub-batch's frame memory stays under the cap.
 
-    The buffer holds every frame of every lane's traces, from frame 0
-    whatever checkpoint the sub-batch starts from.
+    With traces kept, a lane's trace buffer row holds every frame from
+    0, whatever checkpoint the sub-batch starts from; without, a lane
+    holds only its :data:`_BLOCK_FRAMES` frames of the block.
     """
-    bytes_per_lane = max(1, duration_ms * len(plan.trace_signals) * 8)
+    frames = duration_ms if keep_traces else _BLOCK_FRAMES
+    bytes_per_lane = max(1, frames * len(plan.trace_signals) * 8)
     cap = max(1, _MAX_HISTORY_BYTES // bytes_per_lane)
     for start in range(0, len(lanes), cap):
         yield lanes[start : start + cap]
@@ -432,7 +448,8 @@ def _run_batch(
     """Step one lane batch to completion; returns results by point index.
 
     ``lanes`` is sorted by instant; the batch resumes from the first
-    lane's checkpoint.
+    lane's checkpoint.  Each result carries its lane's first divergence
+    per traced signal, and its traces only when ``context.keep_traces``.
     """
     runner = plan.runner
     golden = plan.golden_ref
@@ -448,12 +465,17 @@ def _run_batch(
     # --- lane state (signal-major: one contiguous row per signal) -----
     base_row = pack_state_row(cp.store["values"], signals)
     state = np.repeat(base_row[:, None], n_lanes, axis=1)
-    # The results' trace memory ('q': memoryviews of it are 'q' too),
-    # its prefix the Golden Run's, and the block each frame's traced
-    # rows are gathered into.
-    traces = np.empty((n_lanes, n_traced, duration_ms), dtype="q")
-    traces[:, :, :start_ms] = golden_traces[:, :start_ms]
+    # The block each frame's traced rows are gathered into, the lanes'
+    # first divergences from the Golden Run per traced signal (frames
+    # before the start are the Golden Run's, so none lies there) and,
+    # for an inspector, the results' trace memory ('q': memoryviews of
+    # it are 'q' too) with the Golden Run's prefix.
     block = np.empty((_BLOCK_FRAMES, n_traced, n_lanes), dtype=np.int64)
+    first_div = np.full((n_traced, n_lanes), _NEVER, dtype=np.int64)
+    traces = None
+    if context.keep_traces:
+        traces = np.empty((n_lanes, n_traced, duration_ms), dtype="q")
+        traces[:, :, :start_ms] = golden_traces[:, :start_ms]
 
     env = runner.environment
     restore_state(env, cp.environment)
@@ -509,7 +531,8 @@ def _run_batch(
     traced_idx = plan.traced_idx
     wmask = plan.wmask
     lanes_retired = 0
-    # Frames [0, recorded) are in ``traces``; the block holds the rest.
+    # Frames [0, recorded) are compared (and in ``traces``); the block
+    # holds the rest.
     recorded = start_ms
     t = start_ms
 
@@ -564,7 +587,7 @@ def _run_batch(
             was_empty = sig_eq
         t += 1
         if t - recorded == _BLOCK_FRAMES:
-            traces[:, :, recorded:t] = block.transpose(2, 1, 0)
+            _flush_block(block, recorded, t, golden_traces, first_div, traces)
             recorded = t
         if metrics is not None:
             metrics.histogram("kernel.batch_step.seconds").observe(
@@ -582,32 +605,47 @@ def _run_batch(
         cp = plan.start_checkpoint(lanes[int(np.argmax(alive))][1])
         if cp.time_ms <= t:
             continue
-        traces[:, :, recorded:t] = block[: t - recorded].transpose(2, 1, 0)
-        traces[:, :, t : cp.time_ms] = golden_traces[:, t : cp.time_ms]
+        _flush_block(block, recorded, t, golden_traces, first_div, traces)
+        if traces is not None:
+            traces[:, :, t : cp.time_ms] = golden_traces[:, t : cp.time_ms]
         t = recorded = cp.time_ms
         state[:] = pack_state_row(cp.store["values"], signals)[:, None]
         restore_state(env, cp.environment)
-    traces[:, :, recorded:t] = block[: t - recorded].transpose(2, 1, 0)
+    _flush_block(block, recorded, t, golden_traces, first_div, traces)
 
     if metrics is not None and lanes_retired:
         metrics.counter("kernel.lanes.retired").inc(lanes_retired)
         metrics.gauge("kernel.lanes.active").set(int(alive.sum()))
 
+    # A retired lane's rows are the Golden Run's from its reconvergence
+    # on, so any later divergence comes from rows scalar-fallback
+    # modules stopped updating: drop it.
+    first_div[first_div > np.where(alive, _NEVER, reconverged)] = _NEVER
+    divergences = first_div.T.tolist()
+
     # --- splice Golden suffixes, hand out views of the lane rows ------
-    for lane in np.flatnonzero(~alive).tolist():
-        after = int(reconverged[lane]) + 1
-        traces[lane, :, after:] = golden_traces[:, after:]
-    traces.flags.writeable = False
+    if traces is not None:
+        for lane in np.flatnonzero(~alive).tolist():
+            after = int(reconverged[lane]) + 1
+            traces[lane, :, after:] = golden_traces[:, after:]
+        traces.flags.writeable = False
 
     results: dict[int, tuple[RunResult, int | None]] = {}
     for lane, (index, _, _) in enumerate(lanes):
         fired_at = None if fired[lane] == _NEVER else int(fired[lane])
         reconverged_at = None if reconverged[lane] < 0 else int(reconverged[lane])
-        lane_traces = traces[lane]
-        trace_set = TraceSet(
-            SignalTrace(signal, memoryview(lane_traces[j]))
-            for j, signal in enumerate(plan.trace_signals)
-        )
+        trace_set = None
+        if traces is not None:
+            trace_set = TraceSet(
+                SignalTrace(signal, memoryview(traces[lane, j]))
+                for j, signal in enumerate(plan.trace_signals)
+            )
+        first_divergence_ms = {
+            signal: None if frame == _NEVER else frame
+            for signal, frame in zip(
+                plan.trace_signals, divergences[lane], strict=True
+            )
+        }
         if reconverged_at is not None:
             final_signals = dict(golden.final_signals)
             telemetry = dict(golden.telemetry)
@@ -624,10 +662,34 @@ def _run_batch(
                 telemetry=telemetry,
                 reconverged_at_ms=reconverged_at,
                 frames_fast_forwarded=fast_forwarded,
+                first_divergence_ms=first_divergence_ms,
             ),
             fired_at,
         )
     return results
+
+
+def _flush_block(
+    block: np.ndarray,
+    start: int,
+    end: int,
+    golden_traces: np.ndarray,
+    first_div: np.ndarray,
+    traces: np.ndarray | None,
+) -> None:
+    """Fold the block's frames ``[start, end)`` into the lanes' GRC.
+
+    Sets each lane's first divergence per traced signal once, at the
+    first frame whose sample differs from the Golden Run's, and writes
+    the frames into ``traces`` when the batch keeps them.
+    """
+    frames = block[: end - start]
+    differs = frames != golden_traces[:, start:end].T[:, :, None]
+    new = differs.any(axis=0) & (first_div == _NEVER)
+    if new.any():
+        first_div[new] = start + differs[:, new].argmax(axis=0)
+    if traces is not None:
+        traces[:, :, start:end] = frames.transpose(2, 1, 0)
 
 
 def _step_vector_module(

@@ -315,10 +315,12 @@ class GoldenReference:
         initials: Mapping[str, int],
     ) -> "GoldenReference":
         """Build a reference from a Golden :class:`RunResult`."""
+        traces = result.traces
+        assert traces is not None, "a Golden Run always records its traces"
         return cls(
-            signals=result.traces.signals,
+            signals=traces.signals,
             duration_ms=result.duration_ms,
-            samples={trace.signal: trace.samples for trace in result.traces},
+            samples={trace.signal: trace.samples for trace in traces},
             digests=digests,
             initials=initials,
             final_signals=result.final_signals,
@@ -410,10 +412,12 @@ class StoreMutator(Protocol):
 class RunResult:
     """Everything recorded during one simulation run."""
 
-    #: Per-signal, per-millisecond traces.  The batched backend's are
-    #: read-only views into a buffer shared by the whole lane batch:
-    #: copy a trace's samples to keep them without keeping the buffer.
-    traces: TraceSet
+    #: Per-signal, per-millisecond traces.  The batched backend records
+    #: them only for a campaign inspector (``None`` otherwise: its lanes
+    #: carry :attr:`first_divergence_ms` instead), as read-only views
+    #: into a buffer shared by the whole lane batch: copy a trace's
+    #: samples to keep them without keeping the buffer.
+    traces: TraceSet | None
     #: Total simulated duration in milliseconds.
     duration_ms: int
     #: Final raw value of every signal.
@@ -428,6 +432,11 @@ class RunResult:
     reconverged_at_ms: int | None = None
     #: Frames *not* simulated thanks to reconvergence fast-forward.
     frames_fast_forwarded: int = 0
+    #: Per traced signal (trace order), the first frame whose sample
+    #: differs from the Golden Run's, or ``None`` — the Golden Run
+    #: Comparison, when the backend ran it while stepping (the batched
+    #: kernel's lanes).  ``None`` when only the traces tell.
+    first_divergence_ms: dict[str, int | None] | None = None
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,7 @@ def default_campaign(generated: GeneratedSystem) -> VerifyCampaign:
 def run_digest(result: RunResult) -> str:
     """Digest of every recorded trace of a run (order-sensitive)."""
     h = hashlib.blake2b(digest_size=16)
+    assert result.traces is not None, "only a run with traces has a digest"
     for trace in result.traces:
         h.update(trace.signal.encode())
         h.update(b"\x00")
@@ -264,6 +265,10 @@ def differential_oracle(
 ):
     """Run the campaign under every strategy and cross-check the results.
 
+    Every strategy runs with an inspector, so each run's traces are
+    compared too; a ``batched`` strategy runs once more without one,
+    the production path where lanes keep no traces and the kernel
+    compares them, and its outcomes must equal the baseline's.
     Returns ``(OracleReport, CampaignResult)`` — the result is the
     naive strategy's, for callers wanting further analysis.  Raises
     :class:`OracleFailure` on the first violated invariant.
@@ -273,6 +278,7 @@ def differential_oracle(
     checks: list[str] = []
     results = {}
     fingerprints = {}
+    uninspected = {}
     strategies = select_strategies(backends)
     for label, reuse, fast_forward, backend in strategies:
         config = campaign.to_config(
@@ -293,6 +299,9 @@ def differential_oracle(
         )
         results[label] = result
         fingerprints[label] = (tuple(ir_prints), golden_prints)
+        if backend == "batched":
+            bare = InjectionCampaign(system, run_factory, cases, config).execute()
+            uninspected[label] = tuple(_outcome_fingerprint(o) for o in bare)
 
     reference_label = strategies[0][0]
     reference = fingerprints[reference_label]
@@ -302,6 +311,17 @@ def differential_oracle(
                 "strategy-identity",
                 f"{label} diverged from {reference_label} on {system.name!r}: "
                 f"{_first_difference(reference, fingerprints[label])}",
+            )
+    reference_outcomes = tuple(
+        _outcome_fingerprint(o) for o in results[reference_label]
+    )
+    for label, outcomes in uninspected.items():
+        if outcomes != reference_outcomes:
+            raise OracleFailure(
+                "strategy-identity",
+                f"{label} without an inspector diverged from "
+                f"{reference_label} on {system.name!r}: "
+                f"{_first_outcome_difference(reference_outcomes, outcomes)}",
             )
     checks.append("strategy-identity")
 
@@ -366,6 +386,13 @@ def _first_difference(reference, candidate) -> str:
                 f"{cand_item[0]!r}/{cand_item[1]} vs {ref_item[1]}"
             )
     return f"IR count differs: {len(ref_irs)} vs {len(cand_irs)}"
+
+
+def _first_outcome_difference(reference, candidate) -> str:
+    for index, (ref_item, cand_item) in enumerate(zip(reference, candidate)):
+        if ref_item != cand_item:
+            return f"outcome #{index}: {cand_item!r} vs {ref_item!r}"
+    return f"outcome count differs: {len(reference)} vs {len(candidate)}"
 
 
 def _check_against_analytical(

@@ -585,6 +585,79 @@ class TestCaseBatches:
                 assert bytes(samples) == bytes(ref_run.traces[trace.signal].samples)
 
 
+class TestKernelComparison:
+    """The Golden Run Comparison of batched lanes runs in the kernel."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        generated_executable_systems(),
+        st.integers(0, 2**8 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_uninspected_outcomes_equal_the_reference(
+        self, generated, opaque_bits, reuse, fast_forward, long_run
+    ):
+        """Without an inspector, lanes keep no traces: outcomes still match.
+
+        A long run spans several block flushes and instants far apart.
+        """
+        modules = tuple(
+            dataclasses.replace(module, opaque=bool(opaque_bits >> index & 1))
+            for index, module in enumerate(generated.spec.modules)
+        )
+        generated = GeneratedSystem(
+            dataclasses.replace(generated.spec, modules=modules)
+        )
+        campaign = default_campaign(generated)
+        overrides = dict(
+            duration_ms=700 if long_run else campaign.duration_ms,
+            injection_times_ms=campaign.injection_times_ms
+            + ((260, 520) if long_run else ()),
+            error_models=tuple(
+                BitFlip(bit) for bit in range(min(4, campaign.n_bits))
+            ),
+            reuse_golden_prefix=reuse,
+            fast_forward=fast_forward,
+        )
+        outcomes = {
+            backend: [
+                outcome.to_jsonable()
+                for outcome in _campaign(generated, backend, **overrides).execute()
+            ]
+            for backend in ("reference", "batched")
+        }
+        assert outcomes["batched"] == outcomes["reference"]
+
+    def test_uninspected_batch_keeps_no_trace_buffer(self):
+        """Without an inspector the traced peak stays below one case's
+        trace buffer (lanes x traced signals x frames x 8 bytes)."""
+        import tracemalloc
+
+        generated = generate_system(seed=7)
+        overrides = dict(
+            duration_ms=2000,
+            injection_times_ms=(100, 1000),
+            error_models=tuple(BitFlip(bit) for bit in range(8)),
+        )
+
+        def peak(inspector):
+            campaign = _campaign(generated, "batched", **overrides)
+            tracemalloc.start()
+            try:
+                result = campaign.execute(inspector=inspector)
+                return len(result), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n_runs, untraced = peak(None)
+        buffer_bytes = n_runs * len(generated.build_run().trace_signals) * 2000 * 8
+        _, traced = peak(lambda outcome, injected, golden: None)
+        assert traced > buffer_bytes, "the measurement misses the trace buffer"
+        assert untraced < buffer_bytes
+
+
 class TestHistoryCap:
     @pytest.mark.parametrize("reuse", [True, False])
     def test_history_counts_frames_from_the_batch_start(self, monkeypatch, reuse):

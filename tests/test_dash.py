@@ -350,6 +350,44 @@ class TestDashboardServer:
         assert got == records
 
 
+class TestLiveFold:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_live_sink_serves_the_observer_fold_once(self, monkeypatch, workers):
+        """A live campaign folds each event once: the observer's fold,
+        which the dashboard serves, and no second one in the sink."""
+        folds = []
+        feed_parsed = CampaignStateReducer.feed_parsed
+
+        def counting(self, parsed):
+            folds.append(self)
+            feed_parsed(self, parsed)
+
+        monkeypatch.setattr(CampaignStateReducer, "feed_parsed", counting)
+        sink = DashboardSink()
+        observer = CampaignObserver.to_files(events_path=None, extra_sinks=[sink])
+        campaign = InjectionCampaign(
+            build_toy_model(), toy_factory, {"ramp": None}, TOY_CONFIG,
+            observer=observer,
+        )
+        if workers > 1:
+            campaign.execute_parallel(max_workers=workers)
+        else:
+            campaign.execute()
+        observer.close()
+        history, _ = sink.subscribe()
+        assert len(folds) == len(history) > 0
+        assert all(reducer is observer.state for reducer in folds)
+
+        live = sink.snapshot()
+        replayed = CampaignStateReducer()
+        for record in history:
+            replayed.feed(record)
+        assert live["stream"]["n_events"] == len(history)
+        assert live["state"] == "finished"
+        assert live["matrix"] == replayed.snapshot()["matrix"]
+        validate_snapshot(live)
+
+
 class TestRingBufferDrops:
     def test_dropped_counter(self):
         sink = RingBufferSink(capacity=3)

@@ -104,6 +104,28 @@ class TestOracleCatchesBugs:
             verify_generated(GeneratedSystem(spec), campaign)
         assert excinfo.value.check == "obs-vs-estimator"
 
+    def test_uninspected_batched_divergence_is_caught(self, monkeypatch):
+        """A kernel GRC bug on lanes without traces fails strategy-identity
+        although every inspected strategy agrees."""
+        batched = pytest.importorskip("repro.simulation.batched")
+        run_batch = batched._run_batch
+
+        def late_divergences(context, plan, lanes, duration_ms):
+            results = run_batch(context, plan, lanes, duration_ms)
+            if not context.keep_traces:
+                for run, _ in results.values():
+                    run.first_divergence_ms = {
+                        signal: None for signal in run.first_divergence_ms
+                    }
+            return results
+
+        monkeypatch.setattr(batched, "_run_batch", late_divergences)
+        spec, campaign = small_passing_triple()
+        with pytest.raises(OracleFailure) as excinfo:
+            verify_generated(GeneratedSystem(spec), campaign)
+        assert excinfo.value.check == "strategy-identity"
+        assert "without an inspector" in str(excinfo.value)
+
     def test_biased_point_estimate_is_caught(self, monkeypatch):
         """An off-by-one in n_err/n_inj escapes the Wilson CI at n~16 but
         not the exact-agreement check."""
