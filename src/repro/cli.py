@@ -204,7 +204,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             fast_forward=not args.no_fast_forward,
             lint=not args.no_lint,
             backend=args.backend,
-            dashboard=args.dash,
             static_prune=args.static_prune,
             store=args.store,
             no_cache=args.no_cache,

@@ -49,15 +49,17 @@ byte-for-byte identical to a full re-run (see
 reconvergence instant is recorded on each outcome as the paper's
 error-lifetime measurement (:mod:`repro.injection.latency`).
 
-Zero-copy golden-run sharing
-----------------------------
-:meth:`InjectionCampaign.execute_parallel` packs each Golden Run's
-trace set into one flat ``array('q')`` published through
-``multiprocessing.shared_memory`` and ships system/config/checkpoints
-once per *worker* (pool initializer) instead of once per task;
-checkpoints travel without their trace prefixes (reconstructed from
-the shared Golden Run), and workers keep their runtime and Golden-Run
-views cached across tasks.
+One worker protocol
+-------------------
+:meth:`InjectionCampaign.execute_parallel` hands every worker, once,
+through the pool initializer, the system, the config and each case
+with its :class:`~repro.injection.golden_run.GoldenRun` as recorded
+and its checkpoints stripped of their trace prefixes (rebuilt from the
+Golden Run); a task is then just ``(case_id, specs)``.  Workers return
+outcomes and emit nothing: the parent narrates every executed run
+from its outcome, through the same helper as the serial path, so one
+process stamps every event.  The outcomes cannot depend on which
+process ran a trial: every run executes in simulated time.
 
 Pipeline
 --------
@@ -124,12 +126,6 @@ from repro.simulation.runtime import (
     RunCheckpoint,
     RunResult,
     SimulationRun,
-)
-from repro.simulation.traces import (
-    SignalTrace,
-    TraceSet,
-    pack_trace_samples,
-    trace_views,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -209,16 +205,6 @@ class CampaignConfig:
         escape the (stateless, ``vector_plan``-certified) module — see
         docs/STATIC_ANALYSIS.md.  Off by default (CLI:
         ``--static-prune``).
-    dashboard:
-        Optional ``host:port`` address for the live resilience
-        dashboard (CLI: ``repro campaign --dash``, see
-        docs/OBSERVABILITY.md).  Pure presentation wiring — the engine
-        itself never opens sockets (the CLI starts the
-        :class:`~repro.obs.dash.server.DashboardServer` and tees a
-        :class:`~repro.obs.dash.sink.DashboardSink` into the
-        observer), so the field does not participate in the config
-        hash: two campaigns differing only in ``dashboard`` produce
-        identical results and identical manifests.
     store:
         Optional directory of a content-addressed campaign result
         store (CLI: ``--store DIR``, see docs/INCREMENTAL.md).  Each
@@ -227,9 +213,9 @@ class CampaignConfig:
         already stored are *reused* instead of injected, and freshly
         executed rows are published for the next campaign.  The
         recomposed result is byte-identical to a cold run (pinned by
-        the ``incremental-parity`` verify oracle).  Like
-        ``dashboard``, the field is pure execution strategy and does
-        not participate in the config hash or the unit keys.
+        the ``incremental-parity`` verify oracle).  The field is pure
+        execution strategy and does not participate in the config hash
+        or the unit keys.
     no_cache:
         With a ``store`` configured, skip *reads* (every unit
         re-executes) but still publish results — a forced refresh
@@ -278,7 +264,6 @@ class CampaignConfig:
     backend: str = field(
         default_factory=lambda: os.environ.get("REPRO_BACKEND", "reference")
     )
-    dashboard: str | None = None
     static_prune: bool = False
     store: str | None = None
     no_cache: bool = False
@@ -372,105 +357,24 @@ def _derive_seed(
 
 
 #: Per-worker state built by :func:`_worker_init` and reused across all
-#: chunks the worker processes: the campaign-wide payload (shipped once
-#: per worker through the pool initializer, not once per chunk) plus
-#: lazily materialised per-case runtimes and zero-copy Golden-Run views.
+#: slices the worker runs: the campaign payload (shipped once per worker
+#: through the pool initializer, not once per slice) plus each case's
+#: runtime, built on the case's first slice.
 _WORKER_STATE: dict | None = None
 
 
 def _worker_init(payload: tuple) -> None:
     """Pool initializer: receive the campaign payload once per worker."""
     global _WORKER_STATE
-    system, run_factory, config, observe, case_blobs = payload
+    system, run_factory, config, observe, cases = payload
     _WORKER_STATE = {
         "system": system,
         "run_factory": run_factory,
         "config": config,
         "observe": observe,
-        "blobs": {blob["case_id"]: blob for blob in case_blobs},
-        "cases": {},
-        "segments": [],
-        "views": [],
+        "cases": cases,
+        "runners": {},
     }
-    import atexit
-
-    atexit.register(_worker_shutdown)
-
-
-def _worker_shutdown() -> None:
-    """Release Golden-Run views before the shared segments detach.
-
-    The worker's cached traces are ``memoryview``\\ s into shared
-    memory; the segment cannot be closed while any view is exported, so
-    drop the caches, release the root views and only then close.
-    """
-    state = _WORKER_STATE
-    if state is None:
-        return
-    state["cases"].clear()
-    state["blobs"].clear()
-    for view in state["views"]:
-        try:
-            view.release()
-        except BufferError:  # pragma: no cover - stray derived view
-            pass
-    state["views"].clear()
-    for segment in state["segments"]:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - stray derived view
-            pass
-    state["segments"].clear()
-
-
-def _materialize_case(state: dict, case_id: str) -> dict:
-    """Build (once per worker) a case's runtime and Golden-Run views."""
-    blob = state["blobs"][case_id]
-    if blob["shm_name"] is not None:
-        import multiprocessing
-        from multiprocessing import resource_tracker, shared_memory
-
-        segment = shared_memory.SharedMemory(name=blob["shm_name"])
-        if multiprocessing.get_start_method(allow_none=True) != "fork":
-            # The parent owns the segment's lifetime.  A spawned worker
-            # runs its own resource tracker, which would unlink the
-            # segment when this worker exits — deregister it there.
-            # (Forked workers share the parent's tracker: attaching
-            # added nothing, so there is nothing to deregister.)
-            try:
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker API is private
-                pass
-        state["segments"].append(segment)
-        buffer = segment.buf
-    else:
-        buffer = blob["raw"]
-    views = trace_views(buffer, blob["signals"], blob["duration_ms"])
-    state["views"].extend(views.values())
-    traces = TraceSet(
-        SignalTrace(signal, view) for signal, view in views.items()
-    )
-    golden = GoldenRun(
-        case_id=case_id,
-        result=RunResult(
-            traces=traces,
-            duration_ms=blob["duration_ms"],
-            final_signals=dict(blob["final_signals"]),
-            telemetry=dict(blob["telemetry"]),
-        ),
-        digests=blob["digests"],
-        initials=blob["initials"],
-    )
-    runner = state["run_factory"](blob["case"])
-    runner.clear_hooks()
-    entry = {
-        "case": blob["case"],
-        "runner": runner,
-        "golden": golden,
-        "checkpoints": blob["checkpoints"],
-    }
-    state["cases"][case_id] = entry
-    return entry
 
 
 def _run_shard(
@@ -480,45 +384,49 @@ def _run_shard(
 
     Each spec is ``(module, signal, time_ms, model_index)``; the
     parent's schedule decides the exact points, so no grid expansion
-    happens worker-side.  The campaign payload (system, config, Golden
-    Runs, checkpoints) is already worker-resident: the case is
-    materialised on first use and the slice runs under a per-task
-    campaign (and worker observer when the parent observes).  Returns
-    the outcomes in spec order (IR traces stay worker-local), the
-    worker's observability payload and the task's wall-clock seconds.
+    happens worker-side.  The case's Golden Run and stripped
+    checkpoints are already worker-resident; its runtime is built on
+    first use.  The worker emits no events: it returns the outcomes in
+    spec order (IR traces stay worker-local), the slice's timers when
+    the parent observes (``None`` otherwise) and the task's wall-clock
+    seconds, and the parent narrates each run from its outcome.
     """
     started = time.perf_counter()
     case_id, specs = task
     state = _WORKER_STATE
     assert state is not None, "worker used before _worker_init ran"
-    entry = state["cases"].get(case_id) or _materialize_case(state, case_id)
+    case, golden, checkpoints = state["cases"][case_id]
+    runner = state["runners"].get(case_id)
+    if runner is None:
+        runner = state["runners"][case_id] = state["run_factory"](case)
+        runner.clear_hooks()
+    metrics = None
     observer = None
     if state["observe"]:
+        from repro.obs.metrics import MetricsRegistry
         from repro.obs.observer import CampaignObserver
 
-        observer = CampaignObserver.for_worker(state["system"])
-    runner = entry["runner"]
-    if observer is not None and observer.metrics is not None:
-        runner.set_metrics(observer.metrics)
+        # Nothing emits into it: it only carries the slice's timers.
+        metrics = MetricsRegistry()
+        observer = CampaignObserver(metrics=metrics)
+    runner.set_metrics(metrics)
     try:
         campaign = InjectionCampaign(
             state["system"],
             state["run_factory"],
-            {case_id: entry["case"]},
+            {case_id: case},
             state["config"],
             observer=observer,
         )
-        context = _CaseContext(
-            campaign, runner, entry["golden"], specs, entry["checkpoints"]
-        )
+        context = _CaseContext(campaign, runner, golden, specs, checkpoints)
         outcomes = [
             outcome
             for outcome, _ in campaign._exec_backend.case_injections(context)
         ]
     finally:
         runner.set_metrics(None)
-    obs_payload = observer.worker_payload() if observer is not None else None
-    return outcomes, obs_payload, time.perf_counter() - started
+    timers = metrics.to_dict() if metrics is not None else None
+    return outcomes, timers, time.perf_counter() - started
 
 
 # perfbench/layers.py patches both ``_run_shard`` and this name at run
@@ -559,8 +467,8 @@ class _CaseContext:
 
     Built from explicit ``(module, signal, time_ms, model_index)``
     specs — a whole case grid or any subset a schedule picked — and
-    owns observer emission, Golden-Run comparison and outcome records
-    for one test case, so backends only decide *how* runs execute (see
+    owns Golden-Run comparison and outcome records for one test case,
+    so backends only decide *how* runs execute (see
     :mod:`repro.simulation.backend`).  ``keep_traces`` is set when an
     inspector will read each run's traces; otherwise a backend that
     compares runs while stepping may hand out none.
@@ -619,19 +527,13 @@ class _CaseContext:
             self.golden_ref,
         )
 
-    def emit_result(
+    def record_result(
         self,
         point: _InjectionPoint,
         injected: RunResult,
         fired_at_ms: int | None,
     ) -> tuple[InjectionOutcome, RunResult]:
-        """Fold a backend-computed run into the campaign record.
-
-        Emits the same observer event sequence as the reference path
-        (``RunStarted``, ``CheckpointReused``, then the outcome chain),
-        so event streams stay comparable across backends.
-        """
-        self._campaign._announce_injection(self.golden.case_id, point)
+        """Fold a backend-computed run into the campaign record."""
         return self._campaign._finish_injection(
             self.golden, point, injected, fired_at_ms
         )
@@ -846,8 +748,9 @@ class _InlineExecutor:
     """Runs a round's trials in this process, case by case.
 
     Golden Runs are recorded lazily, on a case's first batch.  Every
-    run reaches the ``inspector`` with its full traces (recorded only
-    when there is one) and advances progress by one.  With
+    run is narrated from its outcome, then reaches the ``inspector``
+    with its full traces (recorded only when there is one) and
+    advances progress by one.  With
     ``keep_cases`` off (a single-round schedule) a case's runtime and
     checkpoints are dropped right after its batch, so a multi-case
     campaign never holds every case's trace prefixes.
@@ -901,6 +804,7 @@ class _InlineExecutor:
         for outcome, injected in campaign._exec_backend.case_injections(
             context
         ):
+            campaign._narrate_run(outcome)
             if self._inspector is not None:
                 self._inspector(outcome, injected, golden)
             outcomes.append(outcome)
@@ -918,12 +822,14 @@ class _PoolExecutor:
     """Runs each round's trials over one long-lived worker pool.
 
     :meth:`start` records the Golden Runs of the cases that may execute
-    at all (rows the result store cannot fully answer), packs them into
-    shared memory and starts the pool once; workers keep their per-case
-    runtimes cached across rounds.  Each case's trials are cut into
-    contiguous slices (:func:`_default_chunk_size`), so every worker
-    has work even when the grid has one case; progress advances per
-    slice.
+    at all (rows the result store cannot fully answer) and starts the
+    pool once, handing each worker every such case with its Golden Run
+    and stripped checkpoints; workers keep their per-case runtimes
+    cached across rounds.  Each case's trials are cut into contiguous
+    slices (:func:`_default_chunk_size`), so every worker has work even
+    when the grid has one case.  Workers emit no events: the parent
+    narrates each slice's runs from their outcomes, merges the slice's
+    timers and advances progress per slice.
     """
 
     def __init__(
@@ -931,7 +837,6 @@ class _PoolExecutor:
     ) -> None:
         self._campaign = campaign
         self._max_workers = max_workers
-        self._segments: list = []
         self._pool = None
         self._chunk_index = itertools.count()
         self._advance: Callable[[int], None] = lambda n_runs: None
@@ -942,23 +847,31 @@ class _PoolExecutor:
         advance: Callable[[int], None],
         keep_cases: bool,
     ) -> None:
-        """Record and share the Golden Runs of ``need_cases``; start the pool."""
+        """Record the Golden Runs of ``need_cases``; start the pool."""
         self._advance = advance
-        case_blobs = [
-            self._campaign._golden_blob(case_id, self._segments)
-            for case_id in need_cases
-        ]
-        if case_blobs:
-            self._pool = self._campaign._worker_pool(
-                self._max_workers, case_blobs
+        campaign = self._campaign
+        cases = {}
+        for case_id in need_cases:
+            case = campaign._test_cases[case_id]
+            _, golden, checkpoints = campaign._golden_for_case(case_id, case)
+            cases[case_id] = (
+                case,
+                golden,
+                {
+                    time_ms: checkpoint.without_trace_prefix()
+                    for time_ms, checkpoint in checkpoints.items()
+                },
             )
+        if cases:
+            self._pool = campaign._worker_pool(self._max_workers, cases)
 
     def run(
         self, batches: Sequence[tuple[str, Sequence]]
     ) -> Iterator[tuple[str, list[InjectionOutcome]]]:
         """Dispatch every slice at once; yield per case, in batch order."""
-        assert self._pool is not None, "fresh trials without worker blobs"
-        obs = self._campaign.observer
+        assert self._pool is not None, "fresh trials without worker cases"
+        campaign = self._campaign
+        obs = campaign.observer
         sliced = []
         for case_id, specs in batches:
             size = _default_chunk_size(len(specs), self._max_workers)
@@ -971,13 +884,14 @@ class _PoolExecutor:
         )
         for case_id, parts in sliced:
             outcomes: list[InjectionOutcome] = []
-            for part, (got, obs_payload, elapsed_s) in zip(parts, results):
+            for part, (got, timers, elapsed_s) in zip(parts, results):
                 outcomes.extend(got)
                 if obs is not None:
-                    # Re-emit the finished task's events into the parent.
-                    if obs_payload is not None:
-                        obs.absorb_worker(obs_payload)
+                    for outcome in got:
+                        campaign._narrate_run(outcome)
                     if obs.metrics is not None:
+                        if timers is not None:
+                            obs.metrics.merge(timers)
                         obs.metrics.histogram("chunk.seconds").observe(elapsed_s)
                     obs.emit(
                         ChunkCompleted(
@@ -992,15 +906,9 @@ class _PoolExecutor:
             yield case_id, outcomes
 
     def close(self) -> None:
-        """Stop the pool; close and unlink the shared-memory segments."""
+        """Stop the pool."""
         if self._pool is not None:
             self._pool.shutdown()
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
 
 
 class InjectionCampaign:
@@ -1318,50 +1226,12 @@ class InjectionCampaign:
                     )
         return cache, row_keys
 
-    def _golden_blob(self, case_id: str, segments: list) -> dict:
-        """Record one case's Golden Run and pack it for the worker pool.
+    def _worker_pool(self, max_workers: int | None, cases: dict[str, tuple]):
+        """A process pool whose workers receive the campaign payload once.
 
-        The traces go into a new shared-memory segment, appended to
-        ``segments`` for :meth:`_PoolExecutor.close`; when shared memory
-        is unavailable the packed bytes ride along in the blob instead.
-        Checkpoints travel stripped of their trace prefixes.
+        ``cases`` maps each case id to ``(case, GoldenRun, stripped
+        checkpoints)``.
         """
-        from multiprocessing import shared_memory
-
-        case = self._test_cases[case_id]
-        runner, golden, checkpoints = self._golden_for_case(case_id, case)
-        signals, duration_ms, flat = pack_trace_samples(golden.traces)
-        n_bytes = len(flat) * flat.itemsize
-        shm_name = None
-        raw = None
-        try:
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, n_bytes)
-            )
-            segment.buf[:n_bytes] = memoryview(flat).cast("B")
-            segments.append(segment)
-            shm_name = segment.name
-        except OSError:
-            raw = flat.tobytes()
-        return {
-            "case_id": case_id,
-            "case": case,
-            "signals": signals,
-            "duration_ms": duration_ms,
-            "shm_name": shm_name,
-            "raw": raw,
-            "checkpoints": {
-                time_ms: cp.without_trace_prefix()
-                for time_ms, cp in checkpoints.items()
-            },
-            "digests": golden.digests,
-            "initials": golden.initials,
-            "final_signals": golden.result.final_signals,
-            "telemetry": golden.result.telemetry,
-        }
-
-    def _worker_pool(self, max_workers: int | None, case_blobs: Sequence[dict]):
-        """A process pool whose workers receive the campaign payload once."""
         import concurrent.futures
 
         payload = (
@@ -1369,7 +1239,7 @@ class InjectionCampaign:
             self._run_factory,
             self._config,
             self._observer is not None,
-            tuple(case_blobs),
+            cases,
         )
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=max_workers,
@@ -1479,15 +1349,13 @@ class InjectionCampaign:
         the workers replay only the injection suffixes.
 
         The campaign-wide payload is shipped *once per worker* through
-        the pool initializer, not once per slice: each Golden-Run trace
-        set is packed into one flat ``array('q')`` published via
-        ``multiprocessing.shared_memory`` (workers map it zero-copy;
-        when shared memory is unavailable the packed bytes ride along
-        in the payload instead), checkpoints travel stripped of their
-        trace prefixes (reconstructed worker-side from the shared
-        Golden Run), and each worker keeps its runtime and Golden-Run
-        views cached across slices.  A slice task is then just
-        ``(case_id, specs)``.
+        the pool initializer, not once per slice: each case with its
+        Golden Run as recorded and its checkpoints stripped of their
+        trace prefixes (rebuilt worker-side from the Golden Run).  Each
+        worker builds a case's runtime on its first slice and keeps it
+        across slices.  A slice task is then just ``(case_id, specs)``;
+        it returns the outcomes, and the parent emits every run's
+        events from them.
 
         Produces bit-identical outcomes to :meth:`execute` (per-run
         seeds are derived from the configuration, not from execution
@@ -1739,7 +1607,6 @@ class InjectionCampaign:
                 "refusing to arm a trap on a dirty runtime"
             )
         point = _InjectionPoint(module, signal, time_ms, model, checkpoint)
-        self._announce_injection(case_id, point)
         trap = InputInjectionTrap.for_system(
             self._system,
             module=module,
@@ -1762,30 +1629,6 @@ class InjectionCampaign:
             runner.clear_hooks()
         return self._finish_injection(golden, point, injected, trap.fired_at_ms)
 
-    def _announce_injection(self, case_id: str, point: _InjectionPoint) -> None:
-        """Emit one IR's ``RunStarted`` (and ``CheckpointReused``)."""
-        obs = self._observer
-        if obs is None:
-            return
-        obs.emit(
-            RunStarted(
-                case_id=case_id,
-                kind="injection",
-                module=point.module,
-                signal=point.signal,
-                time_ms=point.time_ms,
-                error_model=point.model.name,
-            )
-        )
-        if point.checkpoint is not None:
-            obs.emit(
-                CheckpointReused(
-                    case_id=case_id,
-                    time_ms=point.time_ms,
-                    skipped_ms=point.checkpoint.time_ms,
-                )
-            )
-
     def _finish_injection(
         self,
         golden: GoldenRun,
@@ -1807,6 +1650,37 @@ class InjectionCampaign:
             reconverged_at_ms=injected.reconverged_at_ms,
             frames_fast_forwarded=injected.frames_fast_forwarded,
         )
-        if self._observer is not None:
-            self._observer.run_finished(outcome)
         return outcome, injected
+
+    def _narrate_run(self, outcome: InjectionOutcome) -> None:
+        """Emit one executed IR's events, in this process, from its outcome.
+
+        ``RunStarted``, then ``CheckpointReused`` when the run resumed
+        from the Golden-Run checkpoint at its injection instant (every
+        IR does under :attr:`CampaignConfig.reuse_golden_prefix`), then
+        the outcome chain of :meth:`CampaignObserver.run_finished`.
+        Both executors call it for every run they execute, whichever
+        process ran it; a no-op without an observer.
+        """
+        obs = self._observer
+        if obs is None:
+            return
+        obs.emit(
+            RunStarted(
+                case_id=outcome.case_id,
+                kind="injection",
+                module=outcome.module,
+                signal=outcome.input_signal,
+                time_ms=outcome.scheduled_time_ms,
+                error_model=outcome.error_model,
+            )
+        )
+        if self._config.reuse_golden_prefix:
+            obs.emit(
+                CheckpointReused(
+                    case_id=outcome.case_id,
+                    time_ms=outcome.scheduled_time_ms,
+                    skipped_ms=outcome.scheduled_time_ms,
+                )
+            )
+        obs.run_finished(outcome)

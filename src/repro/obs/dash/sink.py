@@ -16,11 +16,9 @@ once, under the sink's lock.  A sink that serves no one else's fold
 folds the envelopes itself, which is how ``repro dash --events``
 replays a recorded file.  Both the serial and the parallel campaign
 path are covered for free: every event goes through
-:meth:`~repro.obs.observer.CampaignObserver.emit`, and the parent
-re-emits the events parallel workers ship over the chunk-result
-channel (:meth:`~repro.obs.observer.CampaignObserver.absorb_worker`),
-so a sink attached to the *parent* observer sees every worker event
-too.
+:meth:`~repro.obs.observer.CampaignObserver.emit` in the campaign's
+own process (pool workers emit nothing; the parent narrates their
+runs), so a sink attached to that observer sees every event.
 
 Everything is guarded by one lock — the campaign thread emits and
 folds while HTTP server threads snapshot and subscribe concurrently.

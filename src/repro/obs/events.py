@@ -16,9 +16,9 @@ Design points:
   versions, so an events file either parses into typed records or
   fails loudly (CI round-trips the file through this parser).
 * **Pluggable sinks.**  :class:`JsonlSink` (durable),
-  :class:`RingBufferSink` (in-memory, bounded — workers use an
-  unbounded one as the return channel), :class:`PrettyPrintSink`
-  (human-readable stderr narration) and :class:`MultiSink`.
+  :class:`RingBufferSink` (in-memory, bounded by default),
+  :class:`PrettyPrintSink` (human-readable stderr narration) and
+  :class:`MultiSink`.
 * **Zero cost when off.**  The campaign holds ``observer=None`` by
   default and guards every emission with one ``is None`` test.
 * **One stream, one fold.**  The campaign hands every event to
@@ -146,7 +146,13 @@ class LintReported:
 
 @dataclass(frozen=True)
 class RunStarted:
-    """One run begins: a Golden Run (``kind="golden"``) or one IR."""
+    """One run: a Golden Run (``kind="golden"``) or one IR.
+
+    A Golden Run's is emitted as it starts.  An IR's is emitted with the
+    rest of its narration once its outcome is recorded, by the
+    campaign's process whichever process executed it, so its ``ts`` is
+    when the run was recorded, not when it started.
+    """
 
     case_id: str
     kind: str  # "golden" | "injection"
@@ -513,8 +519,8 @@ class JsonlSink:
 class RingBufferSink:
     """Keeps the last ``capacity`` envelopes in memory.
 
-    ``capacity=None`` keeps everything — that is the return channel the
-    parallel campaign workers use to ship their events to the parent.
+    ``capacity=None`` keeps everything (e.g. a verify oracle that
+    re-reads a whole campaign's stream).
     """
 
     def __init__(self, capacity: int | None = 1024) -> None:

@@ -25,14 +25,10 @@ manifest, the per-IR ``InjectionFired``/``OutcomeClassified``/
 over the observed campaign's module topology) and ``CampaignFinished``,
 which embeds the metrics.
 
-The parallel campaign path cannot share an observer across processes.
-Each worker builds its own with :meth:`CampaignObserver.for_worker`
-(events into an unbounded ring buffer, a private registry for its
-timers, no fold) and ships :meth:`~CampaignObserver.worker_payload`
-back over the chunk-result channel.  The parent re-emits the worker's
-events through :meth:`~CampaignObserver.absorb_worker`, so each is
-folded exactly once, keeping the workers' timestamps while
-re-sequencing them into its own stream.
+Only the campaign's own process emits.  Pool workers return outcomes
+and their slice's timers; the parent emits each executed run's events
+from its outcome and merges the timers into its registry, so every
+event of a parallel campaign is stamped, sequenced and folded here.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from repro.obs.events import (
     RingBufferSink,
     RunReconverged,
     build_manifest,
-    decode_event,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -77,9 +72,8 @@ class CampaignObserver:
     ) -> None:
         self.events = events
         self.metrics = metrics
-        #: The one fold of every event this observer emits; ``None`` in
-        #: a worker, whose events the parent folds as it re-emits them.
-        self.state: CampaignStateReducer | None = CampaignStateReducer()
+        #: The one fold of every event this observer emits.
+        self.state = CampaignStateReducer()
         #: Held while folding: a live dashboard's lock once one serves
         #: :attr:`state`.
         self._fold_lock: Any = nullcontext()
@@ -94,7 +88,6 @@ class CampaignObserver:
     @property
     def propagation(self) -> ArcTally:
         """The live arc tally: the fold's ``arcs``, measured P^M so far."""
-        assert self.state is not None, "a worker observer keeps no fold"
         return self.state.arcs
 
     # ------------------------------------------------------------------
@@ -134,50 +127,22 @@ class CampaignObserver:
             events=EventStream(sink),
             metrics=MetricsRegistry() if with_metrics else None,
         )
-        state = observer.state
-        assert state is not None
         for dashboard in sinks:
             if isinstance(dashboard, DashboardSink):
-                observer._fold_lock = dashboard.serve(state)
-        return observer
-
-    @classmethod
-    def for_worker(cls, system=None) -> "CampaignObserver":
-        """Worker-side observer: unbounded buffer + private registry.
-
-        A worker sees no ``CampaignStarted``, so ``system`` supplies the
-        module topology its per-IR events apply the direct-error rule
-        over.  It keeps no fold: the parent folds the worker's events
-        when it re-emits them.
-        """
-        observer = cls(
-            events=EventStream(RingBufferSink(capacity=None)),
-            metrics=MetricsRegistry(),
-        )
-        observer.state = None
-        if system is not None:
-            observer._use_system(system)
+                observer._fold_lock = dashboard.serve(observer.state)
         return observer
 
     # ------------------------------------------------------------------
     # The funnel
     # ------------------------------------------------------------------
 
-    def emit(self, event: Any, ts: float | None = None) -> None:
-        """Hand one typed event to the sink chain, then to the fold.
-
-        ``ts`` overrides the emission time (re-emitted worker events
-        keep their own).
-        """
-        if ts is None:
-            ts = time.time()
+    def emit(self, event: Any) -> None:
+        """Hand one typed event to the sink chain, then to the fold."""
+        ts = time.time()
         if self.events is not None:
             self.events.emit(event, ts=ts)
-        if self.state is not None:
-            with self._fold_lock:
-                self.state.feed_parsed(
-                    ParsedEvent(self.state.n_events, ts, event)
-                )
+        with self._fold_lock:
+            self.state.feed_parsed(ParsedEvent(self.state.n_events, ts, event))
 
     def campaign_started(self, campaign, mode: str) -> None:
         """Emit ``CampaignStarted`` with the campaign's run manifest."""
@@ -255,7 +220,6 @@ class CampaignObserver:
     ) -> None:
         """Render the fold into the registry; emit ``CampaignFinished``."""
         if self.metrics is not None:
-            assert self.state is not None, "a worker observer keeps no fold"
             self.metrics.update(self.state.folded_metrics())
             self.metrics.gauge("campaign.elapsed_seconds").set(elapsed_s)
             dropped = self.dropped_events()
@@ -290,32 +254,3 @@ class CampaignObserver:
     def close(self) -> None:
         if self.events is not None:
             self.events.close()
-
-    # ------------------------------------------------------------------
-    # Worker aggregation (parallel campaigns)
-    # ------------------------------------------------------------------
-
-    def worker_payload(self) -> dict:
-        """Snapshot a worker observer for the chunk-result channel."""
-        records: list[dict] = []
-        if self.events is not None:
-            sink = self.events.sink
-            if isinstance(sink, RingBufferSink):
-                records = sink.records
-        return {
-            "events": records,
-            "metrics": self.metrics.to_dict() if self.metrics is not None else {},
-        }
-
-    def absorb_worker(self, payload: dict) -> None:
-        """Fold a worker's :meth:`worker_payload` into this observer.
-
-        The worker's events are re-emitted (re-sequenced, timestamps
-        preserved), which folds each exactly once; its registry, which
-        holds only timers and ``kernel.*`` instruments, is merged.
-        """
-        for record in payload.get("events", ()):
-            parsed = decode_event(record)
-            self.emit(parsed.event, ts=parsed.ts)
-        if self.metrics is not None and payload.get("metrics"):
-            self.metrics.merge(payload["metrics"])

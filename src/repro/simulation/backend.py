@@ -77,7 +77,7 @@ class CaseContext(Protocol):
     def run_reference(self, point: Any) -> tuple[Any, "RunResult"]:
         """Execute one injection with the reference runtime."""
 
-    def emit_result(
+    def record_result(
         self,
         point: Any,
         injected: "RunResult",

@@ -417,7 +417,7 @@ class BatchedBackend:
                 yield context.run_reference(point)
             else:
                 injected, fired_at_ms = computed
-                yield context.emit_result(point, injected, fired_at_ms)
+                yield context.record_result(point, injected, fired_at_ms)
 
 
 def _lane_chunks(

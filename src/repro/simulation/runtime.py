@@ -264,16 +264,18 @@ class SignalStore:
 class GoldenReference:
     """A Golden Run prepared for reconvergence fast-forward.
 
-    Holds zero-copy-capable sample buffers (``array('q')`` or
-    ``memoryview`` of format ``'q'``, e.g. views into a shared-memory
-    segment), the per-frame state digests recorded alongside the Golden
-    Run, and the run's final store/telemetry so a fast-forwarded
-    injection run can splice the Golden-Run suffix and still report
-    byte-identical results.
+    Holds the Golden Run's sample buffers (``array('q')`` or read-only
+    ``memoryview`` of format ``'q'``, referenced, not copied), the
+    per-frame state digests recorded alongside the Golden Run, and the
+    run's final store/telemetry so a fast-forwarded injection run can
+    splice the Golden-Run suffix and still report byte-identical
+    results.
 
-    Not picklable by design (views aren't): worker processes build
-    their own instance over the shared buffer via
-    :func:`repro.simulation.traces.trace_views`.
+    Derived, never shipped: each process builds its own from a
+    :class:`~repro.injection.golden_run.GoldenRun`
+    (:attr:`GoldenRun.reference <repro.injection.golden_run.GoldenRun.reference>`,
+    cached per Golden Run), so pool workers receive the Golden Run
+    itself.
     """
 
     def __init__(
@@ -468,13 +470,13 @@ class RunCheckpoint:
     modules: dict[str, Any]
     #: Recorded samples up to ``time_ms``, per traced signal — or
     #: ``None`` for a *stripped* checkpoint whose prefix is
-    #: reconstructed from the shared Golden-Run traces at resume time
+    #: reconstructed from the Golden-Run traces at resume time
     #: (the IR prefix is bit-identical to the GR prefix by
     #: construction, so shipping it per checkpoint is pure redundancy).
     trace_prefix: tuple[tuple[str, array], ...] | None
 
     def without_trace_prefix(self) -> "RunCheckpoint":
-        """A stripped copy for shipping alongside a shared Golden Run.
+        """A stripped copy for shipping alongside its Golden Run.
 
         :meth:`SimulationRun.run_from` rebuilds the prefix from the
         ``golden`` reference, so worker payloads need not repeat the

@@ -29,14 +29,16 @@ an injection run that believes its error has died out proves it by
 matching its own digest against the Golden Run's at the same instant —
 the reconvergence test of the fast-forward optimisation (see
 :meth:`repro.simulation.runtime.SimulationRun.run_from`).  Digests are
-computed by pickling the state payload with a pinned protocol, so two
-processes holding bit-identical state produce bit-identical digests.
+computed by pickling the state payload with a pinned protocol and no
+memo, so two processes holding equal state produce bit-identical
+digests however that state's objects are shared.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import pickle
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
@@ -114,9 +116,18 @@ def state_digest(payload: Any) -> bytes:
     Determinism contract: equal payloads (same values, same dict
     insertion orders — which checkpoint restore preserves) digest to
     equal bytes in any process, because the pickle protocol is pinned.
+    The payload must be acyclic: without a memo, pickle refuses cycles.
     """
-    raw = pickle.dumps(payload, protocol=_DIGEST_PICKLE_PROTOCOL)
-    return hashlib.blake2b(raw, digest_size=DIGEST_SIZE).digest()
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=_DIGEST_PICKLE_PROTOCOL)
+    # No memo: with it, two references to one object pickle differently
+    # from two equal objects, so a state restored from a pickled
+    # checkpoint would never digest equal to the Golden Run's.
+    pickler.fast = True
+    pickler.dump(payload)
+    return hashlib.blake2b(
+        buffer.getbuffer(), digest_size=DIGEST_SIZE
+    ).digest()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.model.errors import TraceMismatchError
 
-__all__ = ["SignalTrace", "TraceSet", "pack_trace_samples", "trace_views"]
+__all__ = ["SignalTrace", "TraceSet"]
 
 @dataclass
 class SignalTrace:
@@ -38,13 +38,11 @@ class SignalTrace:
     ``append``, iteration) is unchanged.
 
     A ``memoryview`` of format ``'q'`` is kept as-is instead of being
-    copied, so a Golden-Run trace set published through
-    ``multiprocessing.shared_memory`` can be read zero-copy by worker
-    processes (see :func:`trace_views`), and the batched backend hands
-    out each injection run's traces as views of its lane's row in one
-    shared trace buffer (:mod:`repro.simulation.batched`).  View-backed
-    traces are read-only: ``append`` raises, and the batched views
-    reject item assignment too.
+    copied: the batched backend hands out each injection run's traces
+    as views of its lane's row in one shared trace buffer
+    (:mod:`repro.simulation.batched`).  View-backed traces are
+    read-only: ``append`` raises, and the batched views reject item
+    assignment too.
     """
 
     signal: str
@@ -55,7 +53,7 @@ class SignalTrace:
         if isinstance(samples, array) and samples.typecode == "q":
             return
         if isinstance(samples, memoryview) and samples.format == "q":
-            return  # zero-copy view (e.g. into a shared-memory buffer)
+            return  # zero-copy view (e.g. a batched lane's row)
         self.samples = array("q", samples)
 
     def append(self, value: int) -> None:
@@ -183,56 +181,3 @@ class TraceSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TraceSet signals={len(self._traces)} duration={self.duration_ms}ms>"
-
-
-def pack_trace_samples(traces: TraceSet) -> tuple[tuple[str, ...], int, array]:
-    """Pack a rectangular trace set into one flat ``array('q')``.
-
-    Layout: signal ``i`` (in recording order) occupies elements
-    ``[i * duration, (i + 1) * duration)``.  The flat buffer is what a
-    campaign publishes through ``multiprocessing.shared_memory`` so
-    worker processes can read the Golden Run without a per-chunk copy;
-    :func:`trace_views` is the reading side.
-
-    Returns ``(signals, duration_ms, flat)``.
-    """
-    traces.check_rectangular()
-    duration = traces.duration_ms
-    flat = array("q")
-    for trace in traces:
-        flat.extend(trace.samples)
-    return traces.signals, duration, flat
-
-
-def trace_views(
-    buffer, signals: Sequence[str], duration_ms: int
-) -> dict[str, memoryview]:
-    """Zero-copy per-signal views into a :func:`pack_trace_samples` buffer.
-
-    ``buffer`` is anything exporting a contiguous buffer — the packed
-    ``array('q')`` itself, a ``bytes`` copy, or a
-    ``multiprocessing.shared_memory.SharedMemory.buf``  (which may be
-    longer than the payload; the excess is ignored).  Each returned
-    ``memoryview`` has format ``'q'`` and can back a read-only
-    :class:`SignalTrace` directly.
-    """
-    n_bytes = len(signals) * duration_ms * 8
-    mv = memoryview(buffer)
-    if mv.format != "q":
-        if mv.format != "B":
-            mv = mv.cast("B")
-        if len(mv) < n_bytes:
-            raise TraceMismatchError(
-                f"packed trace buffer holds {len(mv)} bytes, need {n_bytes} "
-                f"for {len(signals)} signals x {duration_ms} ms"
-            )
-        mv = mv[:n_bytes].cast("q")
-    elif len(mv) < len(signals) * duration_ms:
-        raise TraceMismatchError(
-            f"packed trace buffer holds {len(mv)} samples, need "
-            f"{len(signals) * duration_ms}"
-        )
-    return {
-        signal: mv[index * duration_ms : (index + 1) * duration_ms]
-        for index, signal in enumerate(signals)
-    }

@@ -73,3 +73,49 @@ class TestExecuteParallel:
         assert set(campaign.golden_runs()) == {"c0", "c1", "c2"}
         for golden in campaign.golden_runs().values():
             assert golden.duration_ms == 30
+
+    def test_spawned_workers_identical_to_serial(self, monkeypatch):
+        """Workers that receive the payload pickled give the serial outcomes.
+
+        Under a spawn start method (macOS, Windows; forkserver on Linux
+        from Python 3.14) every Golden Run, checkpoint and case reaches
+        the workers through pickle.  Fast-forward must still fire there,
+        so reconvergence instants and spliced frames match too.
+        """
+        import concurrent.futures
+        import functools
+        import multiprocessing
+
+        from repro.arrestment import (
+            build_arrestment_model,
+            build_arrestment_run,
+            reduced_test_cases,
+        )
+        from repro.injection.error_models import bit_flip_models
+
+        def arrestment_campaign() -> InjectionCampaign:
+            return InjectionCampaign(
+                build_arrestment_model(),
+                build_arrestment_run,
+                reduced_test_cases(2),
+                CampaignConfig(
+                    duration_ms=2000,
+                    injection_times_ms=(500, 1500),
+                    error_models=tuple(bit_flip_models(2)),
+                ),
+            )
+
+        serial = arrestment_campaign().execute()
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            functools.partial(
+                concurrent.futures.ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn"),
+            ),
+        )
+        spawned = arrestment_campaign().execute_parallel(max_workers=2)
+        assert [o.to_jsonable() for o in spawned] == [
+            o.to_jsonable() for o in serial
+        ]
+        assert any(o.reconverged for o in serial)

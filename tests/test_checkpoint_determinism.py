@@ -111,6 +111,24 @@ class TestRuntimeCheckpoints:
         revived = pickle.loads(pickle.dumps(checkpoints[100]))
         assert_identical_results(runner.run_from(revived, self.DURATION), full)
 
+    def test_pickled_checkpoint_digests_like_the_golden_run(self):
+        """A checkpoint that crossed a process boundary still reconverges.
+
+        Pickling breaks the sharing of objects inside the state, so the
+        state digest must not depend on object identity: one frame
+        stepped from the revived checkpoint digests equal to the Golden
+        Run's frame.
+        """
+        import pickle
+
+        runner = build_arrestment_run()
+        _, checkpoints, digests = runner.run_with_checkpoints(
+            1000, [500], frame_digests=True
+        )
+        runner.restore(pickle.loads(pickle.dumps(checkpoints[500])))
+        runner.step_ms()
+        assert runner._state_digest() == digests.at(500)
+
     def test_run_from_rejects_past_duration(self):
         runner = build_toy_run()
         _, checkpoints = runner.run_with_checkpoints(50, [30])

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.errors import TraceMismatchError
-from repro.simulation.traces import (
-    SignalTrace,
-    TraceSet,
-    pack_trace_samples,
-    trace_views,
-)
+from repro.simulation.traces import SignalTrace, TraceSet
 
 
 def naive_first_divergence(a: SignalTrace, b: SignalTrace) -> int | None:
@@ -130,36 +125,27 @@ class TestChunkedDivergenceScan:
         )
 
     def test_shared_memory_backed_reference(self):
-        """A reference read zero-copy from a shared-memory segment."""
-        from multiprocessing import shared_memory
-
-        golden = TraceSet(
-            [
-                SignalTrace("a", array("q", range(5000))),
-                SignalTrace("b", array("q", [3] * 5000)),
-            ]
-        )
-        signals, duration, flat = pack_trace_samples(golden)
-        segment = shared_memory.SharedMemory(create=True, size=len(flat) * 8)
-        try:
-            segment.buf[: len(flat) * 8] = flat.tobytes()
-            views = trace_views(segment.buf, signals, duration)
-            reference = {s: SignalTrace(s, view) for s, view in views.items()}
-            samples = array("q", range(5000))
-            samples[4321] = -1
-            assert SignalTrace("a", samples).first_divergence(
-                reference["a"]
-            ) == 4321
-            assert SignalTrace("b", [3] * 5000).first_divergence(
-                reference["b"]
-            ) is None
-            del views, reference
-        finally:
-            segment.close()
-            segment.unlink()
+        """A reference read zero-copy from a read-only shared buffer."""
+        flat = array("q", range(5000))
+        flat.extend([3] * 5000)
+        view = memoryview(flat.tobytes()).cast("q")
+        assert view.readonly
+        reference = {"a": SignalTrace("a", view[:5000]),
+                     "b": SignalTrace("b", view[5000:])}
+        assert all(trace.samples.obj is view.obj for trace in reference.values())
+        samples = array("q", range(5000))
+        samples[4321] = -1
+        assert SignalTrace("a", samples).first_divergence(
+            reference["a"]
+        ) == 4321
+        assert SignalTrace("b", [3] * 5000).first_divergence(
+            reference["b"]
+        ) is None
+        with pytest.raises((BufferError, TypeError, AttributeError)):
+            reference["a"].append(5)
 
     def test_memoryview_backed_trace_compares(self):
-        """View-backed traces (shared-memory reads) use the same scan."""
+        """View-backed traces (batched lane rows) use the same scan."""
         backing = array("q", [1, 2, 3, 4])
         view = memoryview(backing)
         trace = SignalTrace("s", view)
@@ -168,59 +154,6 @@ class TestChunkedDivergenceScan:
         assert trace.first_divergence(reference) == 2
         with pytest.raises((BufferError, TypeError, AttributeError)):
             trace.append(5)
-
-
-class TestPackAndViews:
-    def make(self) -> TraceSet:
-        return TraceSet(
-            [SignalTrace("a", [1, 2, 3]), SignalTrace("b", [-4, 5, 6])]
-        )
-
-    def test_round_trip_through_flat_buffer(self):
-        traces = self.make()
-        signals, duration, flat = pack_trace_samples(traces)
-        assert signals == ("a", "b")
-        assert duration == 3
-        assert list(flat) == [1, 2, 3, -4, 5, 6]
-        views = trace_views(flat, signals, duration)
-        assert {s: list(v) for s, v in views.items()} == traces.to_mapping()
-
-    def test_views_from_bytes_buffer(self):
-        traces = self.make()
-        signals, duration, flat = pack_trace_samples(traces)
-        views = trace_views(flat.tobytes(), signals, duration)
-        assert list(views["b"]) == [-4, 5, 6]
-
-    def test_views_ignore_trailing_slack(self):
-        """Shared-memory segments may be longer than the payload."""
-        traces = self.make()
-        signals, duration, flat = pack_trace_samples(traces)
-        padded = flat.tobytes() + b"\x00" * 13
-        views = trace_views(padded, signals, duration)
-        assert list(views["a"]) == [1, 2, 3]
-
-    def test_short_buffer_rejected(self):
-        signals, duration, flat = pack_trace_samples(self.make())
-        with pytest.raises(TraceMismatchError):
-            trace_views(flat.tobytes()[:-8], signals, duration)
-        with pytest.raises(TraceMismatchError):
-            trace_views(array("q", [1, 2]), signals, duration)
-
-    def test_pack_requires_rectangular(self):
-        traces = self.make()
-        traces.add(SignalTrace("c", [9]))
-        with pytest.raises(TraceMismatchError):
-            pack_trace_samples(traces)
-
-    def test_view_backed_trace_set_round_trip(self):
-        traces = self.make()
-        signals, duration, flat = pack_trace_samples(traces)
-        views = trace_views(flat, signals, duration)
-        rebuilt = TraceSet(
-            SignalTrace(signal, view) for signal, view in views.items()
-        )
-        assert rebuilt.to_mapping() == traces.to_mapping()
-        assert rebuilt.first_divergences(traces) == {"a": None, "b": None}
 
 
 class TestTraceSet:
