@@ -5,15 +5,17 @@ runs on *every* (module, input) target, no matter how quickly its
 per-arc estimates tighten.  The adaptive controller instead runs the
 grid in *rounds*:
 
-1. each round, the configured :class:`~repro.adaptive.policy.BudgetPolicy`
-   splits ``round_size`` trials over the still-open targets;
+1. each round, ``round_size`` trials are handed out one at a time to
+   the open target with the widest *projected* Wilson half-width (the
+   half-width it would still have after the trials already handed out
+   this round); ties go to the earlier target, so a round in which
+   every target is equally ignorant is round-robin;
 2. a target's trials are drawn (without replacement) from its own
    deterministically shuffled pool of the full exhaustive grid, so any
    prefix is a simple random sample of the grid;
 3. after the round's outcomes are folded into live per-arc counts, a
    target *retires* once the widest Wilson interval across its output
-   arcs has half-width below ``ci_width`` — or its per-target trial cap
-   is hit, or its pool runs dry.
+   arcs has half-width below ``ci_width`` — or its pool runs dry.
 
 The controller is engine-agnostic: trials are opaque tokens (the
 campaign uses ``(case_id, time_ms, model_index)`` triples), and the
@@ -36,16 +38,36 @@ import random
 from dataclasses import dataclass
 from typing import Generic, Mapping, Sequence, TypeVar
 
-from repro.adaptive.policy import BudgetPolicy, TargetSnapshot, WidestFirstPolicy
+from repro.core.stats import wilson_interval
 
-__all__ = ["AdaptiveController", "RetiredTarget", "TargetMeasurement"]
+__all__ = [
+    "AdaptiveController",
+    "RetiredTarget",
+    "TargetMeasurement",
+    "projected_half_width",
+]
 
 TrialT = TypeVar("TrialT")
 
 #: Retirement reasons, in the order they are checked.
 REASON_CONFIDENCE = "confidence"
-REASON_CAP = "cap"
 REASON_EXHAUSTED = "exhausted"
+
+
+def projected_half_width(
+    point_estimate: float, n_trials: int, z: float = 1.96
+) -> float:
+    """Wilson half-width a target would have after ``n_trials`` trials.
+
+    Holds the point estimate fixed and rescales the counts — the
+    allocator's look-ahead for "how much would one more trial shrink
+    this target".  With no trials there is no information: the
+    half-width is the full-uncertainty 0.5.
+    """
+    if n_trials <= 0:
+        return 0.5
+    lo, hi = wilson_interval(point_estimate * n_trials, n_trials, z)
+    return (hi - lo) / 2.0
 
 
 @dataclass(frozen=True)
@@ -80,25 +102,20 @@ class AdaptiveController(Generic[TrialT]):
     ----------
     pools:
         Per-target trial pools in canonical grid order (the controller
-        shuffles a copy; the caller's sequences are not mutated).
+        shuffles a copy; the caller's sequences are not mutated).  A
+        target's pool is the only cap on its trials.
     ci_width:
         Retire a target once its widest arc's Wilson half-width drops
         below this (requires at least one trial, so every target always
         contributes to the estimate matrix).
     round_size:
-        Trials distributed per round.
-    max_trials_per_target:
-        Optional per-target cap; a target reaching it retires with
-        reason ``"cap"`` even if still wide.  ``None``: the pool is the
-        only cap (reason ``"exhausted"``).
+        Trials handed out per round.
     seed:
         Campaign master seed; each target's pool shuffle is seeded from
         it plus the target identity, so schedules are reproducible and
         independent of target enumeration order.
     z:
         Normal quantile of the interval (1.96: 95%).
-    policy:
-        The budget allocator; default widest-first.
     """
 
     def __init__(
@@ -107,10 +124,8 @@ class AdaptiveController(Generic[TrialT]):
         *,
         ci_width: float,
         round_size: int,
-        max_trials_per_target: int | None = None,
         seed: int = 0,
         z: float = 1.96,
-        policy: BudgetPolicy | None = None,
     ) -> None:
         if not 0.0 < ci_width < 0.5:
             raise ValueError(
@@ -119,18 +134,9 @@ class AdaptiveController(Generic[TrialT]):
             )
         if round_size < 1:
             raise ValueError(f"round_size must be >= 1, got {round_size}")
-        if max_trials_per_target is not None and max_trials_per_target < 1:
-            raise ValueError(
-                "max_trials_per_target must be >= 1, "
-                f"got {max_trials_per_target}"
-            )
         self._ci_width = ci_width
         self._round_size = round_size
-        self._cap = max_trials_per_target
         self._z = z
-        self._policy: BudgetPolicy = (
-            policy if policy is not None else WidestFirstPolicy()
-        )
         self._pools: dict[tuple[str, str], list[TrialT]] = {}
         for key, pool in pools.items():
             if not pool:
@@ -149,33 +155,15 @@ class AdaptiveController(Generic[TrialT]):
         }
         self._retired: dict[tuple[str, str], RetiredTarget] = {}
         self._round_index = 0
-        self._n_scheduled = 0
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     @property
-    def policy(self) -> BudgetPolicy:
-        return self._policy
-
-    @property
-    def z(self) -> float:
-        return self._z
-
-    @property
-    def ci_width(self) -> float:
-        return self._ci_width
-
-    @property
     def round_index(self) -> int:
         """Completed rounds so far."""
         return self._round_index
-
-    @property
-    def n_scheduled(self) -> int:
-        """Trials scheduled across all rounds so far."""
-        return self._n_scheduled
 
     def open_targets(self) -> tuple[tuple[str, str], ...]:
         """Targets still accumulating trials, in canonical order."""
@@ -193,12 +181,6 @@ class AdaptiveController(Generic[TrialT]):
         """Trials scheduled so far for one target."""
         return self._taken[key]
 
-    def _capacity(self, key: tuple[str, str]) -> int:
-        limit = len(self._pools[key])
-        if self._cap is not None:
-            limit = min(limit, self._cap)
-        return limit - self._taken[key]
-
     # ------------------------------------------------------------------
     # The round loop
     # ------------------------------------------------------------------
@@ -206,37 +188,42 @@ class AdaptiveController(Generic[TrialT]):
     def next_round(self) -> dict[tuple[str, str], list[TrialT]]:
         """Schedule the next round: target -> trials, in target order.
 
+        Hands out ``min(round_size, remaining pool)`` trials one at a
+        time, each to the open target with the widest projected
+        half-width that still has pool left (ties: the earlier target).
         Trials come off each target's shuffled pool in order, so a
         target's accumulated trials are always a prefix of its own
         deterministic permutation of the exhaustive grid.
         """
-        snapshots = [
-            TargetSnapshot(
-                module=key[0],
-                signal=key[1],
-                point_estimate=self._measure[key].point_estimate,
-                n_trials=self._taken[key],
-                capacity=self._capacity(key),
+        open_keys = self.open_targets()
+        counts = {key: self._taken[key] for key in open_keys}
+        widths = {
+            key: projected_half_width(
+                self._measure[key].point_estimate, counts[key], self._z
             )
-            for key in self.open_targets()
-        ]
-        allocation = self._policy.allocate(
-            self._round_size, snapshots, self._z
+            for key in open_keys
+        }
+        budget = min(
+            self._round_size,
+            sum(len(self._pools[key]) - counts[key] for key in open_keys),
         )
+        for _ in range(budget):
+            best = None
+            for key in open_keys:
+                if counts[key] < len(self._pools[key]) and (
+                    best is None or widths[key] > widths[best]
+                ):
+                    best = key
+            counts[best] += 1
+            widths[best] = projected_half_width(
+                self._measure[best].point_estimate, counts[best], self._z
+            )
         schedule: dict[tuple[str, str], list[TrialT]] = {}
-        for key in self.open_targets():
-            n = allocation.get(key, 0)
-            if n <= 0:
-                continue
-            if n > self._capacity(key):
-                raise ValueError(
-                    f"policy {self._policy.name!r} over-allocated {key}: "
-                    f"{n} > capacity {self._capacity(key)}"
-                )
+        for key in open_keys:
             taken = self._taken[key]
-            schedule[key] = self._pools[key][taken : taken + n]
-            self._taken[key] = taken + n
-            self._n_scheduled += n
+            if counts[key] > taken:
+                schedule[key] = self._pools[key][taken : counts[key]]
+                self._taken[key] = counts[key]
         return schedule
 
     def complete_round(
@@ -245,8 +232,7 @@ class AdaptiveController(Generic[TrialT]):
         """Fold the round's measurements; retire targets; return retirees.
 
         ``measurements`` must cover every open target.  Retirement
-        checks confidence first (a tight interval beats hitting a cap),
-        then the per-target cap, then pool exhaustion — so a retiree's
+        checks confidence first, then pool exhaustion — so a retiree's
         ``reason`` tells whether the requested confidence was reached.
         """
         retirees: list[RetiredTarget] = []
@@ -256,14 +242,11 @@ class AdaptiveController(Generic[TrialT]):
         for key in self.open_targets():
             measurement = self._measure[key]
             taken = self._taken[key]
-            reason = None
             if taken >= 1 and measurement.half_width < self._ci_width:
                 reason = REASON_CONFIDENCE
-            elif self._cap is not None and taken >= self._cap:
-                reason = REASON_CAP
             elif taken >= len(self._pools[key]):
                 reason = REASON_EXHAUSTED
-            if reason is None:
+            else:
                 continue
             record = RetiredTarget(
                 module=key[0],

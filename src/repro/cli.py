@@ -209,9 +209,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             no_cache=args.no_cache,
             adaptive=args.adaptive,
             ci_width=args.ci_width,
-            round_size=args.round_size,
-            max_trials_per_target=args.max_trials_per_target,
-            budget_policy=args.budget_policy,
         )
         if args.events or args.metrics or dash_sink is not None:
             for path in (args.events, args.metrics):
@@ -723,7 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="injection instants between 0.5s and 5s")
     campaign.add_argument("--bits", type=int, default=16,
                           help="bit positions to flip")
-    campaign.add_argument("--duration", type=int, default=6000, help="run ms")
+    campaign.add_argument("--duration", type=int,
+                          default=CampaignConfig.duration_ms,
+                          help="run ms (default %(default)s)")
     campaign.add_argument("--seed", type=int, default=2001)
     campaign.add_argument("--monitors", type=int, default=3,
                           help="EDM subset size for the [18] baseline")
@@ -775,17 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="with --adaptive: retire a target when "
                           "every output arc's Wilson half-width drops "
                           "below W (default 0.05)")
-    campaign.add_argument("--round-size", type=int, default=None, metavar="N",
-                          help="with --adaptive: injection budget per "
-                          "round (default: 2x the open target count)")
-    campaign.add_argument("--max-trials-per-target", type=int, default=None,
-                          metavar="N",
-                          help="with --adaptive: hard trial cap per "
-                          "target (default: the full grid)")
-    campaign.add_argument("--budget-policy",
-                          choices=("widest-first", "uniform"), default=None,
-                          help="with --adaptive: round budget allocator "
-                          "(default widest-first)")
     campaign.add_argument("--static-prune", action="store_true",
                           help="skip injection targets whose arcs the "
                           "static flow analysis proves zero-permeability, "

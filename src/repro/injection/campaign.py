@@ -235,20 +235,12 @@ class CampaignConfig:
         :meth:`~InjectionCampaign.execute_parallel` byte-identical to
         their exhaustive behaviour.
     ci_width:
-        Adaptive stopping threshold: retire a target once its widest
-        output-arc Wilson half-width drops below this.  ``None``
-        resolves to 0.05.  Requires ``adaptive=True``.
-    round_size:
-        Trials distributed per adaptive round.  ``None`` resolves to
-        twice the live-target count.  Requires ``adaptive=True``.
-    max_trials_per_target:
-        Per-target adaptive trial cap; a target hitting it retires with
-        reason ``"cap"`` even while still wide.  ``None``: only pool
-        exhaustion caps a target.  Requires ``adaptive=True``.
-    budget_policy:
-        Name of the :class:`repro.adaptive.BudgetPolicy` splitting each
-        round's budget (``"widest-first"`` or ``"uniform"``).  ``None``
-        resolves to ``"widest-first"``.  Requires ``adaptive=True``.
+        Adaptive stopping threshold, and the only adaptive setting:
+        retire a target once its widest output-arc Wilson half-width
+        drops below this.  Each round hands out twice as many trials as
+        there are live targets, widest interval first; a target's own
+        grid is the only cap on its trials.  ``None`` resolves to 0.05.
+        Requires ``adaptive=True``.
     """
 
     duration_ms: int = 8000
@@ -269,9 +261,6 @@ class CampaignConfig:
     no_cache: bool = False
     adaptive: bool = False
     ci_width: float | None = None
-    round_size: int | None = None
-    max_trials_per_target: int | None = None
-    budget_policy: str | None = None
 
     def __post_init__(self) -> None:
         if self.duration_ms < 1:
@@ -286,51 +275,31 @@ class CampaignConfig:
                 f"({max(self.injection_times_ms)} ms) must fall inside the "
                 f"run duration ({self.duration_ms} ms)"
             )
+        if min(self.injection_times_ms) < 0:
+            raise CampaignError(
+                f"injection time {min(self.injection_times_ms)} ms is negative"
+            )
+        # A repeated grid coordinate re-runs the same IR under the same
+        # seed and would count twice in every n_inj.
+        if len(set(self.injection_times_ms)) != len(self.injection_times_ms):
+            raise CampaignError(
+                f"injection times repeat: {list(self.injection_times_ms)}"
+            )
+        names = [model.name for model in self.error_models]
+        if len(set(names)) != len(names):
+            raise CampaignError(f"error model names repeat: {names}")
         if self.backend not in available_backends():
             raise CampaignError(
                 f"unknown simulation backend {self.backend!r}; expected one "
                 f"of {', '.join(available_backends())}"
             )
-        if not self.adaptive:
-            stray = [
-                name
-                for name, value in (
-                    ("ci_width", self.ci_width),
-                    ("round_size", self.round_size),
-                    ("max_trials_per_target", self.max_trials_per_target),
-                    ("budget_policy", self.budget_policy),
-                )
-                if value is not None
-            ]
-            if stray:
+        if self.ci_width is not None:
+            if not self.adaptive:
+                raise CampaignError("ci_width requires adaptive=True (--adaptive)")
+            if not 0.0 < self.ci_width < 0.5:
                 raise CampaignError(
-                    f"{', '.join(stray)} require(s) adaptive=True "
-                    "(--adaptive)"
+                    f"ci_width must lie in (0, 0.5), got {self.ci_width}"
                 )
-            return
-        if self.ci_width is not None and not 0.0 < self.ci_width < 0.5:
-            raise CampaignError(
-                f"ci_width must lie in (0, 0.5), got {self.ci_width}"
-            )
-        if self.round_size is not None and self.round_size < 1:
-            raise CampaignError(
-                f"round_size must be >= 1, got {self.round_size}"
-            )
-        if (
-            self.max_trials_per_target is not None
-            and self.max_trials_per_target < 1
-        ):
-            raise CampaignError(
-                "max_trials_per_target must be >= 1, "
-                f"got {self.max_trials_per_target}"
-            )
-        if self.budget_policy is not None:
-            from repro.adaptive import get_policy
-
-            try:
-                get_policy(self.budget_policy)
-            except ValueError as exc:
-                raise CampaignError(str(exc)) from None
 
     def runs_per_target(self) -> int:
         """IRs per targeted signal per test case (the paper: 16·10 = 160)."""
@@ -601,7 +570,7 @@ class _AdaptiveSchedule:
         live_targets: Sequence[tuple[str, str]],
         result: CampaignResult,
     ) -> None:
-        from repro.adaptive import AdaptiveController, get_policy
+        from repro.adaptive import AdaptiveController
 
         config = campaign.config
         self._system = campaign._system
@@ -612,35 +581,17 @@ class _AdaptiveSchedule:
         # share adaptive rows).
         self._z = z = 1.96
         ci_width = config.ci_width if config.ci_width is not None else 0.05
-        round_size = (
-            config.round_size
-            if config.round_size is not None
-            else max(1, 2 * len(live_targets))
-        )
-        cap = config.max_trials_per_target
-        policy_name = (
-            config.budget_policy
-            if config.budget_policy is not None
-            else "widest-first"
-        )
+        round_size = max(1, 2 * len(live_targets))
         pool = campaign._grid_trials()
         self._n_pool = len(pool)
-        self._key_params = {
-            "ci_width": ci_width,
-            "round_size": round_size,
-            "max_trials_per_target": cap if cap is not None else len(pool),
-            "z": z,
-            "policy": policy_name,
-        }
+        self._key_params = {"ci_width": ci_width, "round_size": round_size, "z": z}
         self._controller: AdaptiveController[tuple[str, int, int]] = (
             AdaptiveController(
                 {target: pool for target in live_targets},
                 ci_width=ci_width,
                 round_size=round_size,
-                max_trials_per_target=cap,
                 seed=config.seed,
                 z=z,
-                policy=get_policy(policy_name),
             )
         )
         self._tally = ArcTally.of_system(self._system)

@@ -37,8 +37,8 @@ class AdaptiveRow:
     (``CampaignConfig(adaptive=True)``): how many of the target's grid
     trials actually ran, the achieved Wilson half-width of its widest
     output arc at retirement, and why sampling stopped
-    (``"confidence"``: the interval got tight enough; ``"cap"``: the
-    per-target trial cap; ``"exhausted"``: the full grid ran).  Lets
+    (``"confidence"``: the interval got tight enough; ``"exhausted"``:
+    the full grid ran).  Lets
     reports annotate each estimate with its achieved confidence.
     """
 

@@ -539,7 +539,7 @@ def validate_snapshot(snapshot: Mapping[str, Any]) -> None:
             0.0 <= entry["half_width"] <= 0.5, "adaptive retiree half-width"
         )
         _require(
-            entry.get("reason") in ("confidence", "cap", "exhausted"),
+            entry.get("reason") in ("confidence", "exhausted"),
             "adaptive retiree reason",
         )
     matrix = snapshot["matrix"]

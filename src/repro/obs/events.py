@@ -300,9 +300,8 @@ class TargetRetired:
     Emitted once per target by adaptive campaigns (``--adaptive``; see
     docs/ADAPTIVE.md).  ``reason`` is ``"confidence"`` when the widest
     Wilson interval across the target's output arcs reached the
-    requested ``ci_width``, ``"cap"`` when the per-target trial cap cut
-    sampling short, ``"exhausted"`` when the target's full exhaustive
-    pool was spent first.
+    requested ``ci_width``, ``"exhausted"`` when the target's full
+    exhaustive pool was spent first.
     """
 
     module: str
@@ -714,9 +713,6 @@ def _hash_config(config, targets: tuple[tuple[str, str], ...]) -> str:
     if getattr(config, "adaptive", False):
         keys["adaptive"] = True
         keys["ci_width"] = config.ci_width
-        keys["round_size"] = config.round_size
-        keys["max_trials_per_target"] = config.max_trials_per_target
-        keys["budget_policy"] = config.budget_policy
     canonical = json.dumps(keys, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

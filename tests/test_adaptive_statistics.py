@@ -4,9 +4,9 @@ Three layers, cheapest first:
 
 * the shared Wilson interval of :mod:`repro.core.stats` — edge cases
   and agreement across every call site that wraps it;
-* the round-budget allocators of :mod:`repro.adaptive.policy` and the
-  retirement bookkeeping of :class:`AdaptiveController` — exact unit
-  properties (ordering, conservation, monotonicity);
+* the widest-first round allocation and the retirement bookkeeping of
+  :class:`AdaptiveController` — exact unit properties (ordering,
+  conservation, monotonicity);
 * seeded Monte-Carlo coverage (``@pytest.mark.statistical``): across
   hundreds of fixed-seed experiments the achieved 95% Wilson interval
   must contain the true parameter at the nominal rate within a
@@ -27,10 +27,6 @@ from repro.adaptive import (
     REASON_CONFIDENCE,
     AdaptiveController,
     TargetMeasurement,
-    TargetSnapshot,
-    UniformPolicy,
-    WidestFirstPolicy,
-    get_policy,
     projected_half_width,
 )
 from repro.core.permeability import PermeabilityEstimate
@@ -102,63 +98,76 @@ def test_wilson_call_sites_agree():
 
 
 # ---------------------------------------------------------------------------
-# Budget allocators
+# Round allocation: widest projected interval first
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(key, n_trials, capacity, p=0.5):
-    module, signal = key
-    return TargetSnapshot(
-        module=module,
-        signal=signal,
-        point_estimate=p,
-        n_trials=n_trials,
-        capacity=capacity,
-    )
+def _measured(point_estimates):
+    """Measurements that keep every target open, at the given points."""
+    return {
+        key: TargetMeasurement(half_width=0.49, point_estimate=p)
+        for key, p in point_estimates.items()
+    }
 
 
 def test_widest_first_funds_widest_interval_first():
-    wide = _snapshot(("M", "narrow"), n_trials=40, capacity=8)
-    narrow = _snapshot(("M", "wide"), n_trials=2, capacity=8)
-    allocation = WidestFirstPolicy().allocate(8, [wide, narrow])
-    assert allocation[narrow.key] == 8
-    assert allocation.get(wide.key, 0) == 0
+    pools = {("M", "narrow"): list(range(64)), ("M", "wide"): list(range(64))}
+    controller = AdaptiveController(pools, ci_width=0.01, round_size=16)
+    first = controller.next_round()
+    # Every target equally ignorant: round-robin, 8 trials each.
+    assert {key: len(trials) for key, trials in first.items()} == {
+        ("M", "narrow"): 8,
+        ("M", "wide"): 8,
+    }
+    controller.complete_round(
+        _measured({("M", "narrow"): 0.0, ("M", "wide"): 0.5})
+    )
+    second = controller.next_round()
+    assert len(second[("M", "wide")]) == 16
+    assert ("M", "narrow") not in second
 
 
 def test_widest_first_spills_over_after_capacity():
-    first = _snapshot(("M", "a"), n_trials=0, capacity=3)
-    second = _snapshot(("M", "b"), n_trials=10, capacity=5)
-    allocation = WidestFirstPolicy().allocate(6, [first, second])
-    assert allocation[first.key] == 3
-    assert allocation[second.key] == 3
+    pools = {("M", "a"): list(range(4)), ("M", "b"): list(range(20))}
+    controller = AdaptiveController(pools, ci_width=0.01, round_size=6)
+    controller.next_round()  # round-robin: 3 trials each
+    controller.complete_round(_measured({("M", "a"): 0.5, ("M", "b"): 0.0}))
+    second = controller.next_round()
+    assert len(second[("M", "a")]) == 1  # the widest, until its pool ends
+    assert len(second[("M", "b")]) == 5
 
 
-@pytest.mark.parametrize("policy_name", ["widest-first", "uniform"])
-def test_allocators_conserve_budget(policy_name):
+def test_widest_first_conserves_budget():
     rng = random.Random(1234)
-    policy = get_policy(policy_name)
     for _ in range(50):
-        targets = [
-            _snapshot(
-                ("M", f"s{i}"),
-                n_trials=rng.randrange(0, 20),
-                capacity=rng.randrange(1, 10),
-                p=rng.random(),
-            )
+        pools = {
+            ("M", f"s{i}"): list(range(rng.randrange(1, 10)))
             for i in range(rng.randrange(1, 8))
-        ]
-        budget = rng.randrange(0, 40)
-        allocation = policy.allocate(budget, targets)
-        spendable = min(budget, sum(t.capacity for t in targets))
-        assert sum(allocation.values()) == spendable
-        for target in targets:
-            assert 0 <= allocation.get(target.key, 0) <= target.capacity
-
-
-def test_uniform_round_robins_across_targets():
-    targets = [_snapshot(("M", f"s{i}"), 0, 10) for i in range(3)]
-    allocation = UniformPolicy().allocate(7, targets)
-    assert sorted(allocation.values(), reverse=True) == [3, 2, 2]
+        }
+        round_size = rng.randrange(1, 40)
+        controller = AdaptiveController(
+            pools, ci_width=0.05, round_size=round_size, seed=rng.randrange(99)
+        )
+        while not controller.finished:
+            remaining = {
+                key: len(pools[key]) - controller.n_taken(key)
+                for key in controller.open_targets()
+            }
+            schedule = controller.next_round()
+            assert sum(map(len, schedule.values())) == min(
+                round_size, sum(remaining.values())
+            )
+            for key, trials in schedule.items():
+                assert 1 <= len(trials) <= remaining[key]
+            controller.complete_round(
+                {
+                    key: TargetMeasurement(
+                        half_width=rng.uniform(0.0, 0.5),
+                        point_estimate=rng.random(),
+                    )
+                    for key in controller.open_targets()
+                }
+            )
 
 
 def test_projected_half_width_matches_wilson():
@@ -221,21 +230,6 @@ def test_controller_exhausts_pool_when_interval_stays_wide():
     for retiree in controller.retired():
         assert retiree.reason == "exhausted"
         assert retiree.n_trials == 16
-
-
-def test_controller_cap_retires_before_pool_end():
-    controller = _controller(ci_width=0.01, max_trials_per_target=5)
-    while not controller.finished:
-        schedule = controller.next_round()
-        controller.complete_round(
-            {
-                key: TargetMeasurement(half_width=0.4, point_estimate=0.5)
-                for key in schedule
-            }
-        )
-    for retiree in controller.retired():
-        assert retiree.reason == "cap"
-        assert retiree.n_trials == 5
 
 
 # ---------------------------------------------------------------------------

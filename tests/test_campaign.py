@@ -8,6 +8,9 @@ estimation — is verified against analytic ground truth.
 
 from __future__ import annotations
 
+import pathlib
+import runpy
+
 import pytest
 
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
@@ -59,6 +62,40 @@ class TestConfig:
             CampaignConfig(injection_times_ms=())
         with pytest.raises(CampaignError):
             CampaignConfig(error_models=())
+
+    def test_negative_injection_time_rejected(self):
+        with pytest.raises(CampaignError, match="negative"):
+            CampaignConfig(duration_ms=40, injection_times_ms=(-5, 10))
+
+    def test_repeated_injection_time_rejected(self):
+        # A repeat is the same IR under the same seed, counted twice.
+        with pytest.raises(CampaignError, match="repeat"):
+            CampaignConfig(duration_ms=40, injection_times_ms=(5, 5))
+
+    def test_repeated_error_model_rejected(self):
+        with pytest.raises(CampaignError, match="repeat"):
+            CampaignConfig(
+                duration_ms=40,
+                injection_times_ms=(5,),
+                error_models=(BitFlip(0), BitFlip(0)),
+            )
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "benchmarks/bench_ablation_error_models.py",
+            "examples/error_model_sensitivity.py",
+        ],
+    )
+    def test_shipped_model_sets_are_valid(self, script):
+        # The error-model ablations build one campaign per model set; each
+        # set must pass the same validation as any other config.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        model_sets = runpy.run_path(str(root / script), run_name="model_sets")[
+            "MODEL_SETS"
+        ]
+        for models in model_sets.values():
+            CampaignConfig(error_models=tuple(models))
 
     def test_selection_helpers(self):
         grid = paper_grid()

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.injection.campaign import CampaignConfig
 
 
 class TestParser:
@@ -23,6 +24,7 @@ class TestParser:
         assert args.cases == 2
         assert args.bits == 16
         assert args.seed == 2001
+        assert args.duration == CampaignConfig().duration_ms
 
     def test_simulate_options(self):
         args = build_parser().parse_args(

@@ -77,7 +77,7 @@ def recorded(request, tmp_path_factory):
         gen.system,
         gen.run_factory,
         {"gen": None},
-        dataclasses.replace(config, adaptive=True, ci_width=0.3, round_size=4),
+        dataclasses.replace(config, adaptive=True, ci_width=0.3),
         observer=observer,
     )
     if request.param == "parallel":
