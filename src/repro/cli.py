@@ -244,10 +244,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
 
     workers = args.workers if args.workers is not None else 1
-    if workers > 1:
-        result = campaign.execute_parallel(max_workers=workers, progress=progress)
-    else:
-        result = campaign.execute(progress=progress)
+    try:
+        if workers > 1:
+            result = campaign.execute_parallel(
+                max_workers=workers, progress=progress
+            )
+        else:
+            result = campaign.execute(progress=progress)
+    finally:
+        # Flush the stream on every exit path: an aborted campaign's
+        # CampaignAborted must reach disk.
+        if observer is not None:
+            observer.close()
     print(f"done in {time.time() - started:.0f}s")
     stats = campaign.last_store_stats
     if stats is not None and args.no_cache:
@@ -298,7 +306,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
 
     if observer is not None:
-        observer.close()
         if args.events:
             print(f"events written to {args.events}")
         if args.metrics:
@@ -409,13 +416,26 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 
 def _cmd_obs_tail(args: argparse.Namespace) -> int:
     from repro.obs.dash import tail_lines
-    from repro.obs.events import PrettyPrintSink, decode_event
+    from repro.obs.events import (
+        EVENT_SCHEMA_VERSION,
+        EVENT_TYPES,
+        PrettyPrintSink,
+        decode_event,
+    )
 
     wanted = (
         {name.strip() for name in args.type.split(",") if name.strip()}
         if args.type
         else None
     )
+    unknown = sorted((wanted or set()) - set(EVENT_TYPES))
+    if unknown:
+        print(
+            f"unknown event type(s) {', '.join(unknown)}; known types: "
+            + ", ".join(sorted(EVENT_TYPES)),
+            file=sys.stderr,
+        )
+        return 2
     printer = PrettyPrintSink(stream=sys.stdout, verbose=True)
     skipped = 0
     try:
@@ -426,10 +446,17 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
             try:
                 record = json.loads(line)
                 decode_event(record)
-            except (json.JSONDecodeError, ValueError, KeyError, TypeError):
+            except (json.JSONDecodeError, KeyError, TypeError):
                 skipped += 1
                 continue
-            if wanted is not None and record.get("type") not in wanted:
+            except ValueError as exc:
+                # Another schema's record is a wrong file, not a torn line.
+                if record.get("v") != EVENT_SCHEMA_VERSION:
+                    print(f"INVALID: {args.events}: {exc}", file=sys.stderr)
+                    return 1
+                skipped += 1
+                continue
+            if wanted is not None and record["type"] not in wanted:
                 continue
             printer.emit(record)
     except KeyboardInterrupt:
@@ -877,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "running campaign appends them (Ctrl-C to stop)")
     tail.add_argument("--type", metavar="TYPES", default=None,
                       help="comma-separated event types to keep "
-                      "(e.g. InjectionFired,RunReconverged)")
+                      "(e.g. RunFinished,ChunkCompleted)")
     tail.set_defaults(func=_cmd_obs_tail)
 
     store = commands.add_parser(

@@ -109,11 +109,12 @@ from repro.obs.events import (
     ArcsPruned,
     BackendSelected,
     BudgetExhausted,
-    CheckpointReused,
+    CampaignAborted,
     CheckpointSaved,
     ChunkCompleted,
     LintReported,
     RoundCompleted,
+    RunFinished,
     RunStarted,
     StoreArtifactRejected,
     TargetRetired,
@@ -1306,7 +1307,7 @@ class InjectionCampaign:
         worker builds a case's runtime on its first slice and keeps it
         across slices.  A slice task is then just ``(case_id, specs)``;
         it returns the outcomes, and the parent emits every run's
-        events from them.
+        ``RunFinished`` from them.
 
         Produces bit-identical outcomes to :meth:`execute` (per-run
         seeds are derived from the configuration, not from execution
@@ -1342,7 +1343,8 @@ class InjectionCampaign:
         both fold into the result in schedule order.  A row is published
         as soon as it is final: after its case is recomposed for the
         exhaustive schedule, when its target retires for the adaptive
-        one.
+        one.  An exception escaping after ``CampaignStarted`` is
+        narrated as one ``CampaignAborted`` and re-raised.
         """
         obs = self._observer
         config = self._config
@@ -1351,72 +1353,72 @@ class InjectionCampaign:
             obs.campaign_started(self, mode=mode)
             obs.emit(BackendSelected(backend=self._exec_backend.name))
 
-        # Plan: lint gate, static pruning, one store lookup.
-        self._lint_gate()
-        live_targets, pruned = self._plan_pruning()
-        result = CampaignResult(self._system)
-        total = self.total_runs()
-        completed = 0
-
-        def advance(n_runs: int) -> None:
-            nonlocal completed
-            completed += n_runs
-            if progress is not None:
-                progress(completed, total)
-
-        if pruned:
-            # Pruned targets are exact zero-error counts.
-            per_target = len(self._test_cases) * config.runs_per_target()
-            n_arcs = 0
-            for module, signal in pruned:
-                result.record_pruned(module, signal, per_target)
-                n_arcs += len(self._system.module(module).outputs)
-            if obs is not None:
-                obs.emit(
-                    ArcsPruned(
-                        targets=pruned,
-                        n_injections_per_target=per_target,
-                        n_arcs=n_arcs,
-                    )
-                )
-            advance(len(pruned) * per_target)
-        schedule = (
-            _AdaptiveSchedule if config.adaptive else _ExhaustiveSchedule
-        )(self, live_targets, result)
-        session = self._store_session()
-        cache, row_keys = self._plan_store(
-            session, live_targets, pruned, schedule
-        )
-        stats = session[2] if session is not None else None
-        case_ids = self.case_ids()
-        model_names = [model.name for model in config.error_models]
-        no_hit: tuple[None, dict] = (None, {})
-        need_cases = tuple(
-            case_id
-            for case_id in case_ids
-            if any(
-                len(cache.get((case_id, target), no_hit)[1])
-                < config.runs_per_target()
-                for target in live_targets
-            )
-        )
-
-        # Every outcome so far of each cacheable row; a row is published
-        # only if it ran at least one fresh trial (``fresh_rows``).
-        achieved: dict[tuple[str, tuple[str, str]], list] = {}
-        fresh_rows: set[tuple[str, tuple[str, str]]] = set()
-
-        def publish(row: tuple[str, tuple[str, str]]) -> None:
-            outcomes = achieved.pop(row, None)
-            if outcomes is not None and row in fresh_rows:
-                session[0].put(
-                    row_keys[row],
-                    self._encode_unit(
-                        schedule.row_kind, row[0], *row[1], outcomes
-                    ),
-                )
-
         try:
+            # Plan: lint gate, static pruning, one store lookup.
+            self._lint_gate()
+            live_targets, pruned = self._plan_pruning()
+            result = CampaignResult(self._system)
+            total = self.total_runs()
+            completed = 0
+
+            def advance(n_runs: int) -> None:
+                nonlocal completed
+                completed += n_runs
+                if progress is not None:
+                    progress(completed, total)
+
+            if pruned:
+                # Pruned targets are exact zero-error counts.
+                per_target = len(self._test_cases) * config.runs_per_target()
+                n_arcs = 0
+                for module, signal in pruned:
+                    result.record_pruned(module, signal, per_target)
+                    n_arcs += len(self._system.module(module).outputs)
+                if obs is not None:
+                    obs.emit(
+                        ArcsPruned(
+                            targets=pruned,
+                            n_injections_per_target=per_target,
+                            n_arcs=n_arcs,
+                        )
+                    )
+                advance(len(pruned) * per_target)
+            schedule = (
+                _AdaptiveSchedule if config.adaptive else _ExhaustiveSchedule
+            )(self, live_targets, result)
+            session = self._store_session()
+            cache, row_keys = self._plan_store(
+                session, live_targets, pruned, schedule
+            )
+            stats = session[2] if session is not None else None
+            case_ids = self.case_ids()
+            model_names = [model.name for model in config.error_models]
+            no_hit: tuple[None, dict] = (None, {})
+            need_cases = tuple(
+                case_id
+                for case_id in case_ids
+                if any(
+                    len(cache.get((case_id, target), no_hit)[1])
+                    < config.runs_per_target()
+                    for target in live_targets
+                )
+            )
+
+            # Every outcome so far of each cacheable row; a row is published
+            # only if it ran at least one fresh trial (``fresh_rows``).
+            achieved: dict[tuple[str, tuple[str, str]], list] = {}
+            fresh_rows: set[tuple[str, tuple[str, str]]] = set()
+
+            def publish(row: tuple[str, tuple[str, str]]) -> None:
+                outcomes = achieved.pop(row, None)
+                if outcomes is not None and row in fresh_rows:
+                    session[0].put(
+                        row_keys[row],
+                        self._encode_unit(
+                            schedule.row_kind, row[0], *row[1], outcomes
+                        ),
+                    )
+
             executor.start(need_cases, advance, keep_cases=not schedule.rows_final)
             while not schedule.finished:
                 # Schedule: regroup the round per case; split cached
@@ -1477,8 +1479,7 @@ class InjectionCampaign:
                                     )
                                 stats.runs_reused += n_cached
                                 advance(n_cached)
-                            if obs is not None:
-                                obs.run_finished(outcome)
+                            self._narrate_run(outcome, cached=True)
                         if row in row_keys:
                             achieved.setdefault(row, []).append(outcome)
                         result.add(outcome)
@@ -1489,6 +1490,10 @@ class InjectionCampaign:
                 for target in schedule.complete_round(round_outcomes):
                     for case_id in case_ids:
                         publish((case_id, target))
+        except BaseException as exc:
+            if obs is not None:
+                obs.emit(CampaignAborted(reason=f"{type(exc).__name__}: {exc}"))
+            raise
         finally:
             executor.close()
         self.last_store_stats = stats
@@ -1519,7 +1524,7 @@ class InjectionCampaign:
         if obs is not None:
             if obs.metrics is not None:
                 runner.set_metrics(obs.metrics)
-            obs.emit(RunStarted(case_id=case_id, kind="golden"))
+            obs.emit(RunStarted(case_id=case_id))
         with self._timer("phase.golden_run.seconds"):
             recorded = runner.run_with_checkpoints(
                 config.duration_ms,
@@ -1603,35 +1608,13 @@ class InjectionCampaign:
         )
         return outcome, injected
 
-    def _narrate_run(self, outcome: InjectionOutcome) -> None:
-        """Emit one executed IR's events, in this process, from its outcome.
+    def _narrate_run(self, outcome: InjectionOutcome, cached: bool = False) -> None:
+        """Emit one IR's ``RunFinished``, in this process, from its outcome.
 
-        ``RunStarted``, then ``CheckpointReused`` when the run resumed
-        from the Golden-Run checkpoint at its injection instant (every
-        IR does under :attr:`CampaignConfig.reuse_golden_prefix`), then
-        the outcome chain of :meth:`CampaignObserver.run_finished`.
         Both executors call it for every run they execute, whichever
-        process ran it; a no-op without an observer.
+        process ran it, and the recompose loop for every run replayed
+        from the result store (``cached``); a no-op without an observer.
         """
         obs = self._observer
-        if obs is None:
-            return
-        obs.emit(
-            RunStarted(
-                case_id=outcome.case_id,
-                kind="injection",
-                module=outcome.module,
-                signal=outcome.input_signal,
-                time_ms=outcome.scheduled_time_ms,
-                error_model=outcome.error_model,
-            )
-        )
-        if self._config.reuse_golden_prefix:
-            obs.emit(
-                CheckpointReused(
-                    case_id=outcome.case_id,
-                    time_ms=outcome.scheduled_time_ms,
-                    skipped_ms=outcome.scheduled_time_ms,
-                )
-            )
-        obs.run_finished(outcome)
+        if obs is not None:
+            obs.emit(RunFinished(outcome=outcome.to_jsonable(), cached=cached))

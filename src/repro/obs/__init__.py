@@ -26,19 +26,18 @@ dashboard endpoints.
 
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
+    CampaignAborted,
     CampaignFinished,
     CampaignStarted,
-    CheckpointReused,
     CheckpointSaved,
     ChunkCompleted,
     EventStream,
-    InjectionFired,
     JsonlSink,
     MultiSink,
-    OutcomeClassified,
     ParsedEvent,
     PrettyPrintSink,
     RingBufferSink,
+    RunFinished,
     RunManifest,
     RunStarted,
     build_manifest,
@@ -69,13 +68,13 @@ from repro.obs.summary import (
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
+    "CampaignAborted",
     "CampaignFinished",
     "CampaignObserver",
     "CampaignStarted",
     "CampaignStateReducer",
     "DashboardServer",
     "DashboardSink",
-    "CheckpointReused",
     "CheckpointSaved",
     "ChunkCompleted",
     "Counter",
@@ -83,14 +82,13 @@ __all__ = [
     "EventsSummary",
     "Gauge",
     "Histogram",
-    "InjectionFired",
     "JsonlSink",
     "MetricsRegistry",
     "MultiSink",
-    "OutcomeClassified",
     "ParsedEvent",
     "PrettyPrintSink",
     "RingBufferSink",
+    "RunFinished",
     "RunManifest",
     "RunStarted",
     "build_manifest",

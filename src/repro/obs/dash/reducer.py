@@ -1,7 +1,8 @@
 """Pure event-stream state reducer: one live JSON-able campaign snapshot.
 
 :class:`CampaignStateReducer` folds the recorded campaign event stream
-(:class:`~repro.obs.events.CampaignStarted` ...
+(schema v2: :class:`~repro.obs.events.CampaignStarted` ... one
+:class:`~repro.obs.events.RunFinished` per injection run ...
 :class:`~repro.obs.events.CampaignFinished`) into a single snapshot
 dict — progress and ETA, the evolving observed permeability matrix with
 Wilson intervals per arc, the error-lifetime histogram, reconvergence
@@ -17,10 +18,10 @@ The reducer counts through the same fold as the post-hoc analyses:
 
 * :meth:`CampaignStateReducer.matrix_jsonable` is an
   :class:`~repro.injection.outcomes.ArcTally` over the manifest's
-  module topology — every classified outcome and every pruned run
-  counts one injection, each ``OutcomeClassified.propagated_outputs``
-  entry (the observer's Section 7.3 verdict) one error — so over a
-  complete stream it equals ``estimate_matrix(result).to_jsonable()``.
+  module topology — every ``RunFinished`` outcome record and every
+  pruned run counts one injection, ``add_outcome`` applies the Section
+  7.3 direct-error rule — so over a complete stream it equals
+  ``estimate_matrix(result).to_jsonable()``.
 * :meth:`CampaignStateReducer.lifetime_statistics` summarises through
   :func:`repro.injection.latency.input_lifetime`, so it equals
   :func:`~repro.injection.latency.lifetime_statistics` field for
@@ -48,22 +49,20 @@ from typing import Any, Iterable, Mapping
 
 from repro.core.stats import wilson_interval
 from repro.injection.latency import input_lifetime
-from repro.injection.outcomes import ArcTally
+from repro.injection.outcomes import ArcTally, InjectionOutcome
 from repro.obs.events import (
     ArcsPruned,
     BackendSelected,
     BudgetExhausted,
+    CampaignAborted,
     CampaignFinished,
     CampaignStarted,
-    CheckpointReused,
     CheckpointSaved,
     ChunkCompleted,
-    InjectionFired,
     LintReported,
-    OutcomeClassified,
     ParsedEvent,
     RoundCompleted,
-    RunReconverged,
+    RunFinished,
     RunStarted,
     StoreArtifactRejected,
     TargetRetired,
@@ -81,7 +80,7 @@ __all__ = ["CampaignStateReducer", "validate_snapshot", "SNAPSHOT_SCHEMA_VERSION
 #: v2: ``counters.pruned`` (runs skipped by static pruning) and pruned
 #: targets folded into the matrix denominators.
 #: v3: ``counters.cached`` (runs reused from the result store; their
-#: replayed OutcomeClassified events still drive the matrix, so the
+#: replayed RunFinished events still drive the matrix, so the
 #: counter is informational, not a denominator).
 #: v4: ``adaptive`` section (rounds, retired targets with their
 #: achieved Wilson half-widths and stopping reasons, open-target count)
@@ -121,7 +120,8 @@ class CampaignStateReducer:
         self.mode: str = "?"
         self.backend: str | None = None
         self.total_runs: int = 0
-        self.state: str = "empty"  # "empty" | "running" | "finished"
+        self.state: str = "empty"  # "empty" | "running" | "finished" | "aborted"
+        self.abort_reason: str | None = None
         self.elapsed_s: float | None = None
         self.metrics: dict = {}
         self.lint: dict | None = None
@@ -141,10 +141,9 @@ class CampaignStateReducer:
         self.retired_targets: list[dict] = []
         #: The matrix: one ArcTally over the manifest's module topology.
         self.arcs = ArcTally({})
-        # Lifetime state: fired IRs pending reconvergence, keyed by the
-        # grid coordinates that uniquely identify one IR.
-        self._pending_fired: dict[tuple[str, str, str, int, str], int] = {}
+        # Per fired input: observed lifetimes, right-censored count.
         self._lifetimes: dict[tuple[str, str], list[int]] = {}
+        self._censored: TallyCounter = TallyCounter()
         self._histogram = Histogram("ff.error_lifetime.ms", DEFAULT_MS_BUCKETS)
 
     # ------------------------------------------------------------------
@@ -226,50 +225,17 @@ class CampaignStateReducer:
             for module, signal in event.targets:
                 self.arcs.add(module, signal, n=event.n_injections_per_target)
         elif isinstance(event, RunStarted):
-            counts[f"runs.{event.kind}"] += 1
+            counts["runs.golden"] += 1
         elif isinstance(event, CheckpointSaved):
             counts["checkpoint.saved"] += 1
-        elif isinstance(event, CheckpointReused):
-            counts["checkpoint.reused"] += 1
-            counts["simulated_ms.skipped"] += event.skipped_ms
-        elif isinstance(event, InjectionFired):
-            key = (
-                event.case_id,
-                event.module,
-                event.signal,
-                event.scheduled_ms,
-                event.error_model,
+        elif isinstance(event, RunFinished):
+            self._fold_run(
+                InjectionOutcome.from_jsonable(event.outcome), event.cached
             )
-            self._pending_fired[key] = event.fired_at_ms
-        elif isinstance(event, OutcomeClassified):
-            counts["outcomes.total"] += 1
-            if event.fired:
-                counts["outcomes.fired"] += 1
-            if event.diverged:
-                counts["outcomes.diverged"] += 1
-            self.outcome_mix[event.outcome] += 1
-            self.arcs.add(event.module, event.signal, event.propagated_outputs)
-        elif isinstance(event, RunReconverged):
-            counts["ff.runs_reconverged"] += 1
-            counts["ff.frames_fast_forwarded"] += event.frames_fast_forwarded
-            key = (
-                event.case_id,
-                event.module,
-                event.signal,
-                event.time_ms,
-                event.error_model,
-            )
-            fired_at = self._pending_fired.pop(key, None)
-            if fired_at is not None:
-                lifetime = event.reconverged_at_ms - fired_at
-                self._lifetimes.setdefault(
-                    (event.module, event.signal), []
-                ).append(lifetime)
-                self._histogram.observe(lifetime)
         elif isinstance(event, UnitReused):
             # The row's recorded outcomes are replayed right after this
-            # event as ordinary OutcomeClassified events (driving the
-            # matrix and progress), so only the reuse itself is counted.
+            # event as cached RunFinished events (driving the matrix and
+            # progress), so only the reuse itself is counted.
             # An adaptive row can supply cached outcomes in several
             # rounds; store.hits counts distinct rows.
             row = (event.case_id, event.module, event.signal)
@@ -306,6 +272,38 @@ class CampaignStateReducer:
             self.state = "finished"
             self.elapsed_s = event.elapsed_s
             self.metrics = dict(event.metrics)
+        elif isinstance(event, CampaignAborted):
+            self.state = "aborted"
+            self.abort_reason = event.reason
+
+    def _fold_run(self, outcome: InjectionOutcome, cached: bool) -> None:
+        """Count one IR.  An executed one resumed from its instant's
+        checkpoint when the manifest's ``reuse_golden_prefix`` is set."""
+        counts = self.counts
+        if not cached:
+            counts["runs.injection"] += 1
+            if self.manifest.get("reuse_golden_prefix"):
+                counts["checkpoint.reused"] += 1
+                counts["simulated_ms.skipped"] += outcome.scheduled_time_ms
+        counts["outcomes.total"] += 1
+        if not outcome.comparison.error_free():
+            counts["outcomes.diverged"] += 1
+        if outcome.reconverged:
+            counts["ff.runs_reconverged"] += 1
+            counts["ff.frames_fast_forwarded"] += outcome.frames_fast_forwarded
+        propagated = self.arcs.add_outcome(outcome)
+        if not outcome.fired:
+            self.outcome_mix["not_fired"] += 1
+            return
+        counts["outcomes.fired"] += 1
+        self.outcome_mix["propagated" if propagated else "no_effect"] += 1
+        key = (outcome.module, outcome.input_signal)
+        lifetimes = self._lifetimes.setdefault(key, [])
+        if outcome.error_lifetime_ms is None:  # never reconverged: censored
+            self._censored[key] += 1
+        else:
+            lifetimes.append(outcome.error_lifetime_ms)
+            self._histogram.observe(outcome.error_lifetime_ms)
 
     # ------------------------------------------------------------------
     # Derived views (the parity surfaces)
@@ -336,15 +334,9 @@ class CampaignStateReducer:
         over a complete stream: fired-but-never-reconverged IRs are
         right-censored, medians interpolate linearly.
         """
-        censored: dict[tuple[str, str], int] = {}
-        for (_case, module, signal, _t, _m), _fired in self._pending_fired.items():
-            key = (module, signal)
-            censored[key] = censored.get(key, 0) + 1
         return {
-            key: asdict(
-                input_lifetime(*key, self._lifetimes.get(key, ()), censored.get(key, 0))
-            )
-            for key in {**dict.fromkeys(self._lifetimes), **dict.fromkeys(censored)}
+            key: asdict(input_lifetime(*key, samples, self._censored[key]))
+            for key, samples in self._lifetimes.items()
         }
 
     def reconverged_fraction(self) -> float:
@@ -490,7 +482,7 @@ def validate_snapshot(snapshot: Mapping[str, Any]) -> None:
     """
     _require(snapshot.get("schema") == SNAPSHOT_SCHEMA_VERSION, "schema version")
     _require(
-        snapshot.get("state") in ("empty", "running", "finished"),
+        snapshot.get("state") in ("empty", "running", "finished", "aborted"),
         f"state {snapshot.get('state')!r}",
     )
     for section in (
@@ -514,7 +506,7 @@ def validate_snapshot(snapshot: Mapping[str, Any]) -> None:
             isinstance(counters.get(name), int) and counters[name] >= 0,
             f"counters.{name}",
         )
-    # Both count OutcomeClassified events.
+    # Both count RunFinished events.
     _require(counters["n_fired"] <= counters["n_runs"], "n_fired <= n_runs")
     _require(
         0.0 <= counters["reconverged_fraction"] <= 1.0, "reconverged_fraction"

@@ -1,8 +1,10 @@
 """Structured campaign event stream: typed events, sinks and manifests.
 
 Every campaign execution can narrate itself as a stream of typed events
-(:class:`CampaignStarted` ... :class:`CampaignFinished`), each encoded
-as one JSON object per line.  The stream makes campaigns *attributable*
+(:class:`CampaignStarted` ... :class:`CampaignFinished`, or
+:class:`CampaignAborted` when it raised), each encoded as one JSON
+object per line; an injection run is one :class:`RunFinished` carrying
+its outcome record.  The stream makes campaigns *attributable*
 and *replayable for analysis*: an ``events.jsonl`` plus the embedded
 :class:`RunManifest` answers "what exactly produced this matrix, on
 which host, with which grid, and where did the time and the errors go"
@@ -47,10 +49,7 @@ __all__ = [
     "LintReported",
     "RunStarted",
     "CheckpointSaved",
-    "CheckpointReused",
-    "InjectionFired",
-    "RunReconverged",
-    "OutcomeClassified",
+    "RunFinished",
     "UnitReused",
     "UnitMissed",
     "StoreArtifactRejected",
@@ -59,6 +58,8 @@ __all__ = [
     "RoundCompleted",
     "BudgetExhausted",
     "CampaignFinished",
+    "CampaignAborted",
+    "EVENT_TYPES",
     "ParsedEvent",
     "EventStream",
     "JsonlSink",
@@ -75,7 +76,8 @@ __all__ = [
 
 #: Version of the on-disk event schema; recorded in every envelope and
 #: in the run manifest.  Bump when an event's fields change shape.
-EVENT_SCHEMA_VERSION = 1
+#: v2: one ``RunFinished`` per injection run; ``CampaignAborted``.
+EVENT_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +134,7 @@ class LintReported:
     Emitted between :class:`CampaignStarted` and the first
     :class:`RunStarted`; ``diagnostics`` carries the JSON form of every
     finding.  On error-level findings the campaign aborts right after
-    this event, so an ``events.jsonl`` that stops here is
+    this event, so the :class:`CampaignAborted` that follows is
     self-explaining.
     """
 
@@ -146,20 +148,9 @@ class LintReported:
 
 @dataclass(frozen=True)
 class RunStarted:
-    """One run: a Golden Run (``kind="golden"``) or one IR.
-
-    A Golden Run's is emitted as it starts.  An IR's is emitted with the
-    rest of its narration once its outcome is recorded, by the
-    campaign's process whichever process executed it, so its ``ts`` is
-    when the run was recorded, not when it started.
-    """
+    """A test case's Golden Run starts."""
 
     case_id: str
-    kind: str  # "golden" | "injection"
-    module: str | None = None
-    signal: str | None = None
-    time_ms: int | None = None
-    error_model: str | None = None
 
 
 @dataclass(frozen=True)
@@ -171,65 +162,19 @@ class CheckpointSaved:
 
 
 @dataclass(frozen=True)
-class CheckpointReused:
-    """An IR resumed from a Golden-Run checkpoint instead of time zero."""
+class RunFinished:
+    """One injection run: its outcome record, the one event per IR.
 
-    case_id: str
-    time_ms: int
-    skipped_ms: int
-
-
-@dataclass(frozen=True)
-class InjectionFired:
-    """The one-shot trap of an IR actually corrupted a read."""
-
-    case_id: str
-    module: str
-    signal: str
-    scheduled_ms: int
-    fired_at_ms: int
-    error_model: str
-
-
-@dataclass(frozen=True)
-class RunReconverged:
-    """An IR provably re-matched its Golden Run and was fast-forwarded.
-
-    ``reconverged_at_ms`` is the frame at which the injected error's
-    effect set became empty (verified by a complete-state digest match)
-    — the paper-relevant error-lifetime instant;
-    ``frames_fast_forwarded`` counts the simulated milliseconds spliced
-    from the Golden Run instead of executed.
+    ``outcome`` is :meth:`~repro.injection.outcomes.InjectionOutcome.to_jsonable`,
+    the record the result store persists; a fold rebuilds it with
+    ``InjectionOutcome.from_jsonable`` and applies the Section 7.3 rule
+    itself.  ``cached``: the run was recomposed from the result store,
+    not executed.  Emitted by the campaign's process, whichever process
+    ran the IR.
     """
 
-    case_id: str
-    module: str
-    signal: str
-    time_ms: int
-    error_model: str
-    reconverged_at_ms: int
-    frames_fast_forwarded: int
-
-
-@dataclass(frozen=True)
-class OutcomeClassified:
-    """The Golden-Run comparison verdict of one finished IR.
-
-    ``diverged`` maps every deviating signal to its first-divergence
-    millisecond; ``propagated_outputs`` are the injected module's
-    output signals counting as *direct* errors under the paper's
-    Section 7.3 rule — the numerators of measured permeability.
-    """
-
-    case_id: str
-    module: str
-    signal: str
-    time_ms: int
-    error_model: str
-    fired: bool
-    outcome: str  # "propagated" | "no_effect" | "not_fired"
-    diverged: dict[str, int] = field(default_factory=dict)
-    propagated_outputs: tuple[str, ...] = ()
+    outcome: dict
+    cached: bool
 
 
 @dataclass(frozen=True)
@@ -237,7 +182,7 @@ class UnitReused:
     """One target row was recomposed from the result store, not executed.
 
     Emitted (parent process only) before the row's replayed
-    :class:`OutcomeClassified` events when an incremental campaign
+    ``cached`` :class:`RunFinished` events when an incremental campaign
     (``--store DIR``, see docs/INCREMENTAL.md) found the row's content
     key already stored — its ``n_runs`` injection runs were skipped and
     their recorded outcomes fed into the result instead.  An adaptive
@@ -345,7 +290,20 @@ class CampaignFinished:
     metrics: dict = field(default_factory=dict)
 
 
-_EVENT_TYPES: dict[str, type] = {
+@dataclass(frozen=True)
+class CampaignAborted:
+    """Last event of a campaign that raised: ``"ExcType: message"``.
+
+    Emitted once when any exception (a lint error, a worker failure,
+    ``KeyboardInterrupt``) escapes the campaign after
+    :class:`CampaignStarted`; the exception is then re-raised.
+    """
+
+    reason: str
+
+
+#: Every registered event class, by name.
+EVENT_TYPES: dict[str, type] = {
     cls.__name__: cls
     for cls in (
         CampaignStarted,
@@ -354,10 +312,7 @@ _EVENT_TYPES: dict[str, type] = {
         LintReported,
         RunStarted,
         CheckpointSaved,
-        CheckpointReused,
-        InjectionFired,
-        RunReconverged,
-        OutcomeClassified,
+        RunFinished,
         UnitReused,
         UnitMissed,
         StoreArtifactRejected,
@@ -366,6 +321,7 @@ _EVENT_TYPES: dict[str, type] = {
         RoundCompleted,
         BudgetExhausted,
         CampaignFinished,
+        CampaignAborted,
     )
 }
 
@@ -391,7 +347,7 @@ class ParsedEvent:
 def encode_event(event: Any, seq: int, ts: float) -> dict:
     """Wrap a typed event in its versioned JSON envelope."""
     name = type(event).__name__
-    if name not in _EVENT_TYPES:
+    if name not in EVENT_TYPES:
         raise TypeError(f"{name} is not a registered campaign event")
     return {
         "v": EVENT_SCHEMA_VERSION,
@@ -415,7 +371,7 @@ def decode_event(record: Mapping) -> ParsedEvent:
             f"(this build reads v{EVENT_SCHEMA_VERSION})"
         )
     name = record.get("type")
-    cls = _EVENT_TYPES.get(name)
+    cls = EVENT_TYPES.get(name)
     if cls is None:
         raise ValueError(f"unknown event type {name!r}")
     data = dict(record["data"])
@@ -428,11 +384,7 @@ def decode_event(record: Mapping) -> ParsedEvent:
     except TypeError as exc:
         raise ValueError(f"{name}: {exc}") from None
     # Restore tuple-typed fields lost in JSON round-trips.
-    if isinstance(event, OutcomeClassified):
-        event = dataclasses.replace(
-            event, propagated_outputs=tuple(event.propagated_outputs)
-        )
-    elif isinstance(event, LintReported):
+    if isinstance(event, LintReported):
         event = dataclasses.replace(
             event,
             codes=tuple(event.codes),

@@ -18,17 +18,17 @@ instruments, ``chunk.seconds``, ``campaign.elapsed_seconds`` and
 observer folds under the dashboard sink's lock instead of the sink
 folding each event again.
 
-Three helpers build events that apply a rule: the ``CampaignStarted``
-manifest, the per-IR ``InjectionFired``/``OutcomeClassified``/
-``RunReconverged`` triple (the Section 7.3 verdict, through the same
-:func:`~repro.injection.outcomes.direct_outputs` the estimator applies,
-over the observed campaign's module topology) and ``CampaignFinished``,
-which embeds the metrics.
+Two helpers build events that need more than the campaign hands over:
+the ``CampaignStarted`` manifest and ``CampaignFinished``, which embeds
+the metrics.  An injection run is one ``RunFinished`` carrying its
+outcome record; the fold, not the observer, applies the Section 7.3
+direct-error rule to it.
 
 Only the campaign's own process emits.  Pool workers return outcomes
-and their slice's timers; the parent emits each executed run's events
-from its outcome and merges the timers into its registry, so every
-event of a parallel campaign is stamped, sequenced and folded here.
+and their slice's timers; the parent emits each executed run's
+``RunFinished`` from its outcome and merges the timers into its
+registry, so every event of a parallel campaign is stamped, sequenced
+and folded here.
 """
 
 from __future__ import annotations
@@ -37,27 +37,24 @@ import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.injection.outcomes import ArcTally, direct_outputs
+from repro.injection.outcomes import ArcTally
 from repro.obs.dash.reducer import CampaignStateReducer
 from repro.obs.dash.sink import DashboardSink
 from repro.obs.events import (
     CampaignFinished,
     CampaignStarted,
     EventStream,
-    InjectionFired,
     JsonlSink,
     MultiSink,
-    OutcomeClassified,
     ParsedEvent,
     PrettyPrintSink,
     RingBufferSink,
-    RunReconverged,
     build_manifest,
 )
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.injection.outcomes import CampaignResult, InjectionOutcome
+    from repro.injection.outcomes import CampaignResult
 
 __all__ = ["CampaignObserver"]
 
@@ -77,13 +74,6 @@ class CampaignObserver:
         #: Held while folding: a live dashboard's lock once one serves
         #: :attr:`state`.
         self._fold_lock: Any = nullcontext()
-        #: Module -> outputs, for the direct-error rule.
-        self._outputs: dict[str, tuple[str, ...]] = {}
-
-    def _use_system(self, system) -> None:
-        self._outputs = {
-            name: system.module(name).outputs for name in system.module_names()
-        }
 
     @property
     def propagation(self) -> ArcTally:
@@ -110,9 +100,8 @@ class CampaignObserver:
         ``extra_sinks`` are appended to the fan-out; a live
         :class:`~repro.obs.dash.sink.DashboardSink` among them serves
         this observer's :attr:`state` rather than a fold of its own.
-        ``system`` is accepted and ignored: the topology of the live
-        tally and of the direct-error rule comes from the observed
-        campaign.
+        ``system`` is accepted and ignored: the live tally's topology
+        comes from the observed campaign's manifest.
         """
         sinks = []
         if events_path is not None:
@@ -146,7 +135,6 @@ class CampaignObserver:
 
     def campaign_started(self, campaign, mode: str) -> None:
         """Emit ``CampaignStarted`` with the campaign's run manifest."""
-        self._use_system(campaign._system)
         self.emit(
             CampaignStarted(
                 manifest=build_manifest(campaign).to_dict(),
@@ -157,63 +145,6 @@ class CampaignObserver:
                 mode=mode,
             )
         )
-
-    def run_finished(self, outcome: "InjectionOutcome") -> None:
-        """Emit one finished IR: fired, classified, reconverged.
-
-        ``InjectionFired`` only when the trap fired, ``OutcomeClassified``
-        with the run's direct-error outputs and verdict, then
-        ``RunReconverged`` only when the run was fast-forwarded.
-        """
-        propagated = direct_outputs(outcome, self._outputs[outcome.module])
-        if outcome.fired:
-            assert outcome.fired_at_ms is not None
-            self.emit(
-                InjectionFired(
-                    case_id=outcome.case_id,
-                    module=outcome.module,
-                    signal=outcome.input_signal,
-                    scheduled_ms=outcome.scheduled_time_ms,
-                    fired_at_ms=outcome.fired_at_ms,
-                    error_model=outcome.error_model,
-                )
-            )
-        if not outcome.fired:
-            verdict = "not_fired"
-        elif propagated:
-            verdict = "propagated"
-        else:
-            verdict = "no_effect"
-        self.emit(
-            OutcomeClassified(
-                case_id=outcome.case_id,
-                module=outcome.module,
-                signal=outcome.input_signal,
-                time_ms=outcome.scheduled_time_ms,
-                error_model=outcome.error_model,
-                fired=outcome.fired,
-                outcome=verdict,
-                diverged={
-                    signal: time
-                    for signal, time in outcome.comparison.first_divergence_ms.items()
-                    if time is not None
-                },
-                propagated_outputs=propagated,
-            )
-        )
-        if outcome.reconverged:
-            assert outcome.reconverged_at_ms is not None
-            self.emit(
-                RunReconverged(
-                    case_id=outcome.case_id,
-                    module=outcome.module,
-                    signal=outcome.input_signal,
-                    time_ms=outcome.scheduled_time_ms,
-                    error_model=outcome.error_model,
-                    reconverged_at_ms=outcome.reconverged_at_ms,
-                    frames_fast_forwarded=outcome.frames_fast_forwarded,
-                )
-            )
 
     def campaign_finished(
         self, result: "CampaignResult", elapsed_s: float

@@ -148,6 +148,8 @@ def render_summary(summary: EventsSummary, top: int = 10) -> str:
             else " (stream has no CampaignFinished event)"
         )
     )
+    if summary.abort_reason is not None:
+        lines.append(f"ABORTED: {summary.abort_reason}")
     counts = summary.counts
     if counts["prune.targets"]:
         lines.append(
@@ -196,9 +198,6 @@ def render_summary(summary: EventsSummary, top: int = 10) -> str:
             rows.append(
                 (verdict, count, f"{count / n_classified:.1%}")
             )
-        for verdict, count in sorted(summary.outcome_mix.items()):
-            if verdict not in ("propagated", "no_effect", "not_fired"):
-                rows.append((verdict, count, f"{count / n_classified:.1%}"))
         lines.append(
             format_table(
                 headers=("Outcome", "runs", "share"),

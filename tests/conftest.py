@@ -155,3 +155,25 @@ def toy_model() -> SystemModel:
 @pytest.fixture()
 def toy_run() -> SimulationRun:
     return build_toy_run()
+
+
+def assert_aborted_stream(events_path, reason: str) -> None:
+    """The stream of a campaign that raised ends in ``CampaignAborted``.
+
+    It names the exception, passes ``repro obs validate``, folds into
+    an ``"aborted"`` snapshot and is summarised with an ``ABORTED``
+    line.
+    """
+    from repro.cli import main
+    from repro.obs import CampaignStateReducer, validate_snapshot
+    from repro.obs.events import CampaignAborted, read_events
+    from repro.obs.summary import summarize_events_file
+
+    events = [parsed.event for parsed in read_events(events_path)]
+    assert events[-1] == CampaignAborted(reason=reason)
+    assert sum(isinstance(event, CampaignAborted) for event in events) == 1
+    assert main(["obs", "validate", str(events_path)]) == 0
+    snapshot = CampaignStateReducer.from_events_file(events_path).snapshot()
+    assert snapshot["state"] == "aborted"
+    validate_snapshot(snapshot)
+    assert f"ABORTED: {reason}" in summarize_events_file(events_path)

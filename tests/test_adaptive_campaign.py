@@ -23,6 +23,8 @@ from repro.injection.estimator import estimate_matrix
 from repro.model.errors import CampaignError
 from repro.verify.generators import generate_system
 
+from tests.conftest import assert_aborted_stream
+
 CASES = {"w0": None}
 
 #: Baseline grid: 2 instants x 4 bits = 8 trials per (case, target).
@@ -301,8 +303,12 @@ def test_adaptive_crash_keeps_retired_rows_stored(tmp_path):
             raise RuntimeError("injected crash")
 
     store = str(tmp_path / "store")
+    crash_path = tmp_path / "crash.jsonl"
+    observer = CampaignObserver.to_files(events_path=crash_path)
     with pytest.raises(RuntimeError, match="injected crash"):
-        _campaign(gen, **ADAPTIVE, store=store).execute(inspector=crash)
+        _campaign(gen, observer, **ADAPTIVE, store=store).execute(inspector=crash)
+    observer.close()
+    assert_aborted_stream(crash_path, "RuntimeError: injected crash")
     resumed = _campaign(gen, **ADAPTIVE, store=store)
     result = resumed.execute()
     stats = resumed.last_store_stats

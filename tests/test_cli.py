@@ -78,6 +78,35 @@ class TestCampaignAndAnalyze:
         assert "Table 2." in capsys.readouterr().out
 
 
+    def test_interrupted_campaign_flushes_its_stream(
+        self, tmp_path, monkeypatch
+    ):
+        """The observer is closed on every exit path of ``campaign``."""
+        from repro.injection.campaign import InjectionCampaign
+        from tests.conftest import assert_aborted_stream
+
+        def interrupt(self, case_id, case):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(InjectionCampaign, "_golden_for_case", interrupt)
+        events_path = tmp_path / "events.jsonl"
+        # ``excinfo`` keeps the campaign's frames, and so its unclosed
+        # sink, alive: only an explicit close puts the tail on disk.
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            main(
+                [
+                    "campaign",
+                    "--cases", "1",
+                    "--times", "1",
+                    "--bits", "1",
+                    "--duration", "5600",
+                    "--events", str(events_path),
+                ]
+            )
+        assert_aborted_stream(events_path, "KeyboardInterrupt: ")
+        assert excinfo.traceback
+
+
 class TestWorkersFlag:
     def test_workers_flag(self):
         args = build_parser().parse_args(["campaign", "--workers", "4"])

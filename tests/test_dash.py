@@ -516,6 +516,35 @@ class TestCli:
         assert "campaign started" in lines[0]
         assert "campaign finished" in lines[1]
 
+    def test_obs_tail_rejects_unknown_types(self, tmp_path, capsys):
+        from repro.cli import main
+
+        _result, events_path = _run_recorded(tmp_path)
+        rc = main(
+            ["obs", "tail", str(events_path), "--type", "RunFinished,InjectionFired"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown event type(s) InjectionFired" in captured.err
+        assert "RunFinished" in captured.err.split("known types:")[1]
+
+    def test_obs_tail_stops_at_another_schema_version(self, tmp_path, capsys):
+        from repro.cli import main
+
+        _result, events_path = _run_recorded(tmp_path)
+        lines = events_path.read_text(encoding="utf-8").splitlines()
+        stale = json.loads(lines[1])
+        stale["v"] = 1
+        lines[1] = json.dumps(stale)
+        events_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["obs", "tail", str(events_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1  # the line before it
+        assert "unsupported event schema version 1" in captured.err
+        assert "damaged" not in captured.err
+
     def test_campaign_dash_flag(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -27,7 +27,7 @@ from repro.model.examples import build_fig2_system, fig2_permeabilities
 from repro.obs import CampaignObserver
 from repro.obs.events import LintReported, decode_event, encode_event
 
-from tests.conftest import build_toy_model, build_toy_run
+from tests.conftest import assert_aborted_stream, build_toy_model, build_toy_run
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +362,21 @@ class TestCampaignGate:
         with pytest.raises(CampaignError, match="R001"):
             campaign.execute()
         assert calls == []  # aborted before any Golden Run
+
+    def test_refusal_ends_the_stream_in_campaign_aborted(self, tmp_path):
+        events_path = tmp_path / "events.jsonl"
+        observer = CampaignObserver.to_files(events_path=events_path)
+        campaign = InjectionCampaign(
+            _broken_system(),
+            lambda case: build_toy_run(),
+            [None],
+            _tiny_config(),
+            observer=observer,
+        )
+        with pytest.raises(CampaignError, match="R001") as excinfo:
+            campaign.execute()
+        observer.close()
+        assert_aborted_stream(events_path, f"CampaignError: {excinfo.value}")
 
     def test_no_lint_bypasses_the_gate(self):
         sentinel = RuntimeError("factory reached")

@@ -12,11 +12,12 @@ from repro.cli import main, make_progress_printer
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
 from repro.injection.error_models import bit_flip_models
 from repro.injection.estimator import estimate_matrix
+from repro.injection.outcomes import ArcTally, InjectionOutcome
 from repro.obs import CampaignObserver
 from repro.obs.events import (
     CampaignFinished,
     CampaignStarted,
-    OutcomeClassified,
+    RunFinished,
     read_events,
     validate_events,
 )
@@ -170,11 +171,17 @@ class TestSummary:
                 campaign.execute()
             observer.close()
             events = list(read_events(events_path))
+            tally = ArcTally.of_manifest(events[0].event.manifest)
             propagated.append(
                 [
-                    (parsed.event.module, parsed.event.propagated_outputs)
+                    (
+                        parsed.event.outcome["module"],
+                        tally.add_outcome(
+                            InjectionOutcome.from_jsonable(parsed.event.outcome)
+                        ),
+                    )
                     for parsed in events
-                    if isinstance(parsed.event, OutcomeClassified)
+                    if isinstance(parsed.event, RunFinished)
                 ]
             )
             summary = summarize_events(events)

@@ -10,19 +10,20 @@ import pytest
 
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
 from repro.injection.error_models import bit_flip_models
+from repro.injection.golden_run import GoldenRunComparison
+from repro.injection.outcomes import InjectionOutcome
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
+    CampaignAborted,
     CampaignFinished,
     CampaignStarted,
-    CheckpointReused,
     ChunkCompleted,
     EventStream,
-    InjectionFired,
     JsonlSink,
     MultiSink,
-    OutcomeClassified,
     PrettyPrintSink,
     RingBufferSink,
+    RunFinished,
     RunStarted,
     build_manifest,
     decode_event,
@@ -34,31 +35,60 @@ from repro.obs.events import (
 from tests.conftest import build_toy_model, toy_factory
 
 
-def sample_outcome_event() -> OutcomeClassified:
-    return OutcomeClassified(
+def sample_outcome() -> InjectionOutcome:
+    return InjectionOutcome(
         case_id="case00",
         module="FILT",
-        signal="src",
-        time_ms=100,
+        input_signal="src",
+        scheduled_time_ms=100,
+        fired_at_ms=100,
         error_model="bitflip[9]",
-        fired=True,
-        outcome="propagated",
-        diverged={"filt": 100, "out": 100},
-        propagated_outputs=("filt",),
+        comparison=GoldenRunComparison(
+            case_id="case00",
+            first_divergence_ms={"src": None, "filt": 100, "out": 100},
+        ),
+        reconverged_at_ms=300,
+        frames_fast_forwarded=200,
     )
+
+
+def sample_outcome_event(cached: bool = False) -> RunFinished:
+    return RunFinished(outcome=sample_outcome().to_jsonable(), cached=cached)
 
 
 class TestEnvelope:
     def test_encode_decode_round_trip(self):
-        event = sample_outcome_event()
+        event = sample_outcome_event(cached=True)
         record = encode_event(event, seq=7, ts=123.5)
         assert record["v"] == EVENT_SCHEMA_VERSION
-        assert record["type"] == "OutcomeClassified"
+        assert record["type"] == "RunFinished"
         parsed = decode_event(json.loads(json.dumps(record)))
         assert parsed.seq == 7
         assert parsed.ts == 123.5
         assert parsed.event == event
-        assert isinstance(parsed.event.propagated_outputs, tuple)
+        assert parsed.event.cached is True
+
+    def test_run_finished_carries_the_outcome_record(self):
+        """The payload is the store's codec; ``cached`` sits beside it."""
+        outcome = sample_outcome()
+        record = encode_event(sample_outcome_event(), seq=0, ts=0.0)
+        assert record["data"] == {
+            "outcome": outcome.to_jsonable(),
+            "cached": False,
+        }
+        parsed = decode_event(json.loads(json.dumps(record)))
+        assert InjectionOutcome.from_jsonable(parsed.event.outcome) == outcome
+
+    def test_rejects_v1_envelope(self):
+        record = encode_event(RunStarted("c"), seq=0, ts=0.0)
+        record["v"] = 1
+        with pytest.raises(ValueError, match="schema version 1"):
+            decode_event(record)
+
+    def test_campaign_aborted_round_trip(self):
+        event = CampaignAborted(reason="CampaignError: lint found 1 error")
+        parsed = decode_event(encode_event(event, seq=3, ts=1.0))
+        assert parsed.event == event
 
     def test_rejects_unregistered_event(self):
         @dataclasses.dataclass(frozen=True)
@@ -69,29 +99,34 @@ class TestEnvelope:
             encode_event(Rogue(1), seq=0, ts=0.0)
 
     def test_rejects_future_schema_version(self):
-        record = encode_event(RunStarted("c", "golden"), seq=0, ts=0.0)
+        record = encode_event(RunStarted("c"), seq=0, ts=0.0)
         record["v"] = EVENT_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema version"):
             decode_event(record)
 
     def test_rejects_unknown_type(self):
-        record = encode_event(RunStarted("c", "golden"), seq=0, ts=0.0)
+        record = encode_event(RunStarted("c"), seq=0, ts=0.0)
         record["type"] = "MysteryEvent"
         with pytest.raises(ValueError, match="unknown event type"):
             decode_event(record)
 
     def test_rejects_unknown_fields(self):
-        record = encode_event(RunStarted("c", "golden"), seq=0, ts=0.0)
+        record = encode_event(RunStarted("c"), seq=0, ts=0.0)
         record["data"]["surprise"] = 1
         with pytest.raises(ValueError, match="unexpected fields"):
             decode_event(record)
 
     def test_rejects_missing_fields(self):
-        record = encode_event(
-            CheckpointReused("c", time_ms=100, skipped_ms=100), seq=0, ts=0.0
-        )
-        del record["data"]["skipped_ms"]
-        with pytest.raises(ValueError, match="CheckpointReused"):
+        record = encode_event(sample_outcome_event(), seq=0, ts=0.0)
+        del record["data"]["cached"]
+        with pytest.raises(ValueError, match="RunFinished"):
+            decode_event(record)
+
+    def test_rejects_removed_per_run_fields(self):
+        """A v1 golden ``RunStarted`` payload no longer decodes."""
+        record = encode_event(RunStarted("c"), seq=0, ts=0.0)
+        record["data"]["kind"] = "golden"
+        with pytest.raises(ValueError, match="unexpected fields \\['kind'\\]"):
             decode_event(record)
 
 
@@ -99,24 +134,29 @@ class TestSinks:
     def test_jsonl_sink_and_read_events(self, tmp_path):
         path = tmp_path / "events.jsonl"
         stream = EventStream(JsonlSink(path))
-        stream.emit(RunStarted("case00", "golden"))
+        stream.emit(RunStarted("case00"))
         stream.emit(sample_outcome_event())
         stream.close()
         events = list(read_events(path))
         assert [parsed.type_name for parsed in events] == [
-            "RunStarted", "OutcomeClassified",
+            "RunStarted", "RunFinished",
         ]
         assert [parsed.seq for parsed in events] == [0, 1]
         assert validate_events(path) == 2
 
     def test_read_events_reports_line_numbers(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        path.write_text('{"v": 1, "seq": 0, "ts": 0, "type": "Nope", "data": {}}\n')
+        path.write_text(
+            json.dumps(
+                {"v": EVENT_SCHEMA_VERSION, "seq": 0, "ts": 0, "type": "Nope", "data": {}}
+            )
+            + "\n"
+        )
         with pytest.raises(ValueError, match="events.jsonl:1"):
             list(read_events(path))
 
     def test_validate_rejects_drifted_payload(self, tmp_path):
-        record = encode_event(RunStarted("c", "golden"), seq=0, ts=0.0)
+        record = encode_event(RunStarted("c"), seq=0, ts=0.0)
         record["extra_envelope_key"] = True  # writer/parser drift
         path = tmp_path / "events.jsonl"
         path.write_text(json.dumps(record) + "\n")
@@ -127,7 +167,7 @@ class TestSinks:
         sink = RingBufferSink(capacity=2)
         stream = EventStream(sink)
         for index in range(4):
-            stream.emit(RunStarted(f"case{index:02d}", "golden"))
+            stream.emit(RunStarted(f"case{index:02d}"))
         assert [record["seq"] for record in sink.records] == [2, 3]
         assert [parsed.event.case_id for parsed in sink.events()] == [
             "case02", "case03",
@@ -137,7 +177,7 @@ class TestSinks:
         sink = RingBufferSink(capacity=None)
         stream = EventStream(sink)
         for index in range(2000):
-            stream.emit(RunStarted(f"case{index}", "golden"))
+            stream.emit(RunStarted(f"case{index}"))
         assert len(sink.records) == 2000
 
     def test_ring_buffer_rejects_bad_capacity(self):
@@ -153,7 +193,7 @@ class TestSinks:
                 runs_per_target=4, mode="serial",
             )
         )
-        stream.emit(RunStarted("case00", "golden"))  # not narrated
+        stream.emit(RunStarted("case00"))  # not narrated
         stream.emit(CampaignFinished(n_runs=8, n_fired=8, elapsed_s=1.0))
         text = buffer.getvalue()
         assert "campaign started: 8 runs" in text

@@ -8,7 +8,8 @@ reproduce every counter and gauge the campaign embedded in
 ``CampaignFinished``; only what is measured rather than counted (the
 wall clock, ring-buffer drops and the lane kernel's own ``kernel.*``
 instruments) is exempt.  The metrics catalog in docs/OBSERVABILITY.md
-must name every instrument the campaign writes.
+must name every instrument the campaign writes.  Each injection run is
+one ``RunFinished`` carrying exactly the outcome the result holds.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import pytest
 
 from repro.injection.campaign import InjectionCampaign
 from repro.injection.error_models import BitFlip
+from repro.injection.outcomes import InjectionOutcome
 from repro.obs import CampaignObserver, CampaignStateReducer
-from repro.obs.events import CampaignFinished, read_events
+from repro.obs.events import CampaignFinished, RunFinished, read_events
 from repro.simulation.backend import available_backends
 from repro.verify import default_campaign, generate_system
 
@@ -148,3 +150,78 @@ def test_catalog_names_every_metric(recorded):
         if not any(pattern.fullmatch(name) for pattern in patterns)
     ]
     assert not missing, f"docs/OBSERVABILITY.md does not catalog {missing}"
+
+
+def _outcome_key(outcome: InjectionOutcome) -> tuple:
+    return (
+        outcome.case_id,
+        outcome.module,
+        outcome.input_signal,
+        outcome.scheduled_time_ms,
+        outcome.error_model,
+    )
+
+
+@pytest.mark.parametrize(
+    "mode", ["serial", "workers", "warm", "warm-partial", "adaptive", "batched"]
+)
+def test_one_run_finished_per_outcome(mode, tmp_path):
+    """Every outcome of the result is one ``RunFinished`` with its record.
+
+    ``cached`` is true exactly for the runs replayed from the store.
+    Cached replays of a case follow its executed runs, so a case mixing
+    both ("warm-partial") is compared run by run, not in order.
+    """
+    gen = generate_system(0)
+    config = dataclasses.replace(
+        default_campaign(gen).to_config(reuse=True, fast_forward=True),
+        error_models=(BitFlip(bit=0), BitFlip(bit=3)),
+    )
+    cases = {"a": None, "b": None}
+    if mode == "batched":
+        config = dataclasses.replace(config, backend="batched")
+    elif mode == "adaptive":
+        config = dataclasses.replace(config, adaptive=True, ci_width=0.3)
+    stored: set[tuple[str, str]] = set()
+    if mode.startswith("warm"):
+        config = dataclasses.replace(config, store=str(tmp_path / "store"))
+        cold = InjectionCampaign(gen.system, gen.run_factory, cases, config)
+        if mode == "warm-partial":
+            cold = InjectionCampaign(
+                gen.system,
+                gen.run_factory,
+                cases,
+                dataclasses.replace(config, targets=cold.targets[:1]),
+            )
+        stored = set(cold.targets)
+        cold.execute()
+    events_path = tmp_path / "events.jsonl"
+    observer = CampaignObserver.to_files(events_path=events_path)
+    campaign = InjectionCampaign(
+        gen.system, gen.run_factory, cases, config, observer=observer
+    )
+    if mode in ("workers", "adaptive"):
+        result = campaign.execute_parallel(max_workers=2)
+    else:
+        result = campaign.execute()
+    observer.close()
+
+    runs = [
+        parsed.event
+        for parsed in read_events(events_path)
+        if isinstance(parsed.event, RunFinished)
+    ]
+    recorded = [
+        (InjectionOutcome.from_jsonable(event.outcome), event.cached)
+        for event in runs
+    ]
+    expected = [
+        (outcome, (outcome.module, outcome.input_signal) in stored)
+        for outcome in result
+    ]
+    assert len(runs) == len(result) > 0
+    if mode == "warm-partial":
+        assert 0 < sum(cached for _, cached in expected) < len(expected)
+        recorded.sort(key=lambda pair: _outcome_key(pair[0]))
+        expected.sort(key=lambda pair: _outcome_key(pair[0]))
+    assert recorded == expected

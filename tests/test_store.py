@@ -36,6 +36,8 @@ from repro.verify.generators import (
     generate_system,
 )
 
+from tests.conftest import assert_aborted_stream
+
 CASES = {"w0": None}
 
 
@@ -627,10 +629,12 @@ class TestObservability:
 class TestPublishedAsFinished:
     def test_serial_crash_keeps_finished_cases_stored(self, tmp_path):
         """Rows of a case are stored as soon as the case is recomposed."""
+        from repro.obs import CampaignObserver
+
         gen = generate_system(11)
         cases = {"a": None, "b": None, "c": None}
 
-        def build(store=None):
+        def build(store=None, observer=None):
             config = CampaignConfig(
                 duration_ms=200,
                 injection_times_ms=(30, 110),
@@ -638,7 +642,9 @@ class TestPublishedAsFinished:
                 seed=5,
                 store=None if store is None else str(store),
             )
-            return InjectionCampaign(gen.system, gen.run_factory, cases, config)
+            return InjectionCampaign(
+                gen.system, gen.run_factory, cases, config, observer=observer
+            )
 
         clean = build().execute()
 
@@ -646,8 +652,12 @@ class TestPublishedAsFinished:
             if outcome.case_id == "c":
                 raise RuntimeError("injected crash")
 
+        events_path = tmp_path / "events.jsonl"
+        observer = CampaignObserver.to_files(events_path=events_path)
         with pytest.raises(RuntimeError, match="injected crash"):
-            build(tmp_path).execute(inspector=crash_on_c)
+            build(tmp_path, observer).execute(inspector=crash_on_c)
+        observer.close()
+        assert_aborted_stream(events_path, "RuntimeError: injected crash")
         executed = []
         resumed = build(tmp_path)
         result = resumed.execute(
