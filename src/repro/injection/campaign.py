@@ -51,15 +51,19 @@ error-lifetime measurement (:mod:`repro.injection.latency`).
 
 One worker protocol
 -------------------
-:meth:`InjectionCampaign.execute_parallel` hands every worker, once,
-through the pool initializer, the system, the config and each case
-with its :class:`~repro.injection.golden_run.GoldenRun` as recorded
-and its checkpoints stripped of their trace prefixes (rebuilt from the
-Golden Run); a task is then just ``(case_id, specs)``.  Workers return
-outcomes and emit nothing: the parent narrates every executed run
-from its outcome, through the same helper as the serial path, so one
-process stamps every event.  The outcomes cannot depend on which
-process ran a trial: every run executes in simulated time.
+A checkpoint holds runtime state only; the Golden Run holds the traces
+every injection run starts from.  :meth:`InjectionCampaign.execute_parallel`
+hands every worker, once, through the pool initializer, the system,
+the config and each case with its
+:class:`~repro.injection.golden_run.GoldenRun` and checkpoints as
+recorded; a task is then just ``(case_id, specs)``.  The parent and
+the workers inject through the same per-case object, ``_CaseContext``,
+which arms each trap, runs the injection run and compares it with the
+Golden Run.  Workers return outcomes and emit nothing: the parent
+narrates every executed run from its outcome, through the same helper
+as the serial path, so one process stamps every event.  The outcomes
+cannot depend on which process ran a trial: every run executes in
+simulated time.
 
 Pipeline
 --------
@@ -122,12 +126,7 @@ from repro.obs.events import (
     UnitReused,
 )
 from repro.simulation.backend import available_backends, get_backend
-from repro.simulation.runtime import (
-    GoldenReference,
-    RunCheckpoint,
-    RunResult,
-    SimulationRun,
-)
+from repro.simulation.runtime import RunCheckpoint, RunResult, SimulationRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import CampaignObserver
@@ -328,8 +327,8 @@ def _derive_seed(
 
 #: Per-worker state built by :func:`_worker_init` and reused across all
 #: slices the worker runs: the campaign payload (shipped once per worker
-#: through the pool initializer, not once per slice) plus each case's
-#: runtime, built on the case's first slice.
+#: through the pool initializer, not once per slice), the campaign's
+#: backend and each case's runtime, built on the case's first slice.
 _WORKER_STATE: dict | None = None
 
 
@@ -341,6 +340,7 @@ def _worker_init(payload: tuple) -> None:
         "system": system,
         "run_factory": run_factory,
         "config": config,
+        "backend": get_backend(config.backend),
         "observe": observe,
         "cases": cases,
         "runners": {},
@@ -354,12 +354,13 @@ def _run_shard(
 
     Each spec is ``(module, signal, time_ms, model_index)``; the
     parent's schedule decides the exact points, so no grid expansion
-    happens worker-side.  The case's Golden Run and stripped
-    checkpoints are already worker-resident; its runtime is built on
-    first use.  The worker emits no events: it returns the outcomes in
-    spec order (IR traces stay worker-local), the slice's timers when
-    the parent observes (``None`` otherwise) and the task's wall-clock
-    seconds, and the parent narrates each run from its outcome.
+    happens worker-side.  The case's Golden Run and checkpoints are
+    already worker-resident; its runtime is built on first use.  The
+    slice runs through a :class:`_CaseContext`, as in the parent.  The
+    worker emits no events: it returns the outcomes in spec order (IR
+    traces stay worker-local), the slice's timers when the parent
+    observes (``None`` otherwise) and the task's wall-clock seconds,
+    and the parent narrates each run from its outcome.
     """
     started = time.perf_counter()
     case_id, specs = task
@@ -371,27 +372,18 @@ def _run_shard(
         runner = state["runners"][case_id] = state["run_factory"](case)
         runner.clear_hooks()
     metrics = None
-    observer = None
     if state["observe"]:
         from repro.obs.metrics import MetricsRegistry
-        from repro.obs.observer import CampaignObserver
 
-        # Nothing emits into it: it only carries the slice's timers.
         metrics = MetricsRegistry()
-        observer = CampaignObserver(metrics=metrics)
     runner.set_metrics(metrics)
     try:
-        campaign = InjectionCampaign(
-            state["system"],
-            state["run_factory"],
-            {case_id: case},
-            state["config"],
-            observer=observer,
+        context = _CaseContext(
+            state["system"], state["config"], runner, golden, specs,
+            checkpoints, metrics,
         )
-        context = _CaseContext(campaign, runner, golden, specs, checkpoints)
         outcomes = [
-            outcome
-            for outcome, _ in campaign._exec_backend.case_injections(context)
+            outcome for outcome, _ in state["backend"].case_injections(context)
         ]
     finally:
         runner.set_metrics(None)
@@ -433,33 +425,38 @@ class _InjectionPoint:
 
 
 class _CaseContext:
-    """The campaign-side view a simulation backend works against.
+    """One test case's injection path, the same in the parent and a worker.
 
     Built from explicit ``(module, signal, time_ms, model_index)``
-    specs — a whole case grid or any subset a schedule picked — and
-    owns Golden-Run comparison and outcome records for one test case,
-    so backends only decide *how* runs execute (see
-    :mod:`repro.simulation.backend`).  ``keep_traces`` is set when an
-    inspector will read each run's traces; otherwise a backend that
-    compares runs while stepping may hand out none.
+    specs — a whole case grid or any subset a schedule picked.  It arms
+    each run's trap, executes the injection run from its Golden-Run
+    checkpoint and runs the Golden Run Comparison, so backends only
+    decide *how* runs execute (see :mod:`repro.simulation.backend`).
+    ``metrics`` times the runs and comparisons (``None``: untimed).
+    ``keep_traces`` is set when an inspector will read each run's
+    traces; otherwise a backend that compares runs while stepping may
+    hand out none.
     """
 
     def __init__(
         self,
-        campaign: "InjectionCampaign",
+        system: SystemModel,
+        config: CampaignConfig,
         runner: SimulationRun,
         golden: GoldenRun,
         specs: Sequence[tuple[str, str, int, int]],
         checkpoints: Mapping[int, RunCheckpoint],
+        metrics=None,
         keep_traces: bool = False,
     ) -> None:
-        self._campaign = campaign
+        self.system = system
+        self.config = config
         self.runner = runner
         self.golden = golden
         self.golden_ref = golden.reference
-        self.config = campaign.config
+        self.metrics = metrics
         self.keep_traces = keep_traces
-        models = self.config.error_models
+        models = config.error_models
         self._points = tuple(
             _InjectionPoint(
                 module,
@@ -471,31 +468,49 @@ class _CaseContext:
             for module, signal, time_ms, model_index in specs
         )
 
-    @property
-    def metrics(self):
-        """The observer's metrics registry, if observability is on."""
-        obs = self._campaign.observer
-        return None if obs is None else obs.metrics
-
     def injection_points(self) -> Iterator[_InjectionPoint]:
         """The case's planned injections, in spec order."""
         return iter(self._points)
 
+    def _timer(self, name: str):
+        """The metrics span ``name``, or a no-op without a registry."""
+        return nullcontext() if self.metrics is None else self.metrics.timer(name)
+
     def run_reference(
         self, point: _InjectionPoint
     ) -> tuple[InjectionOutcome, RunResult]:
-        """Execute one injection with the frame-stepping runtime."""
-        return self._campaign._one_injection(
-            self.runner,
-            self.golden,
-            self.golden.case_id,
-            point.module,
-            point.signal,
-            point.time_ms,
-            point.model,
-            point.checkpoint,
-            self.golden_ref,
+        """Arm one trap, execute one IR with the frame-stepping runtime
+        and record its outcome."""
+        runner = self.runner
+        if runner.hooks_installed:
+            raise CampaignError(
+                "runtime has hooks installed from a previous run; "
+                "refusing to arm a trap on a dirty runtime"
+            )
+        trap = InputInjectionTrap.for_system(
+            self.system,
+            module=point.module,
+            signal=point.signal,
+            time_ms=point.time_ms,
+            error_model=point.model,
+            seed=_derive_seed(
+                self.config.seed, self.golden.case_id, point.module,
+                point.signal, point.time_ms, point.model.name,
+            ),
         )
+        runner.add_read_interceptor(trap)
+        duration_ms = self.config.duration_ms
+        try:
+            with self._timer("phase.injection_run.seconds"):
+                if point.checkpoint is not None:
+                    injected = runner.run_from(
+                        point.checkpoint, duration_ms, self.golden_ref
+                    )
+                else:
+                    injected = runner.run(duration_ms, self.golden_ref)
+        finally:
+            runner.clear_hooks()
+        return self.record_result(point, injected, trap.fired_at_ms)
 
     def record_result(
         self,
@@ -503,10 +518,21 @@ class _CaseContext:
         injected: RunResult,
         fired_at_ms: int | None,
     ) -> tuple[InjectionOutcome, RunResult]:
-        """Fold a backend-computed run into the campaign record."""
-        return self._campaign._finish_injection(
-            self.golden, point, injected, fired_at_ms
+        """Compare an executed IR to its Golden Run and record the outcome."""
+        with self._timer("phase.comparison.seconds"):
+            comparison = compare_to_golden_run(self.golden, injected)
+        outcome = InjectionOutcome(
+            case_id=self.golden.case_id,
+            module=point.module,
+            input_signal=point.signal,
+            scheduled_time_ms=point.time_ms,
+            fired_at_ms=fired_at_ms,
+            error_model=point.model.name,
+            comparison=comparison,
+            reconverged_at_ms=injected.reconverged_at_ms,
+            frames_fast_forwarded=injected.frames_fast_forwarded,
         )
+        return outcome, injected
 
 
 #: One round of a schedule: target -> trials ``(case_id, time_ms,
@@ -699,13 +725,12 @@ class _AdaptiveSchedule:
 class _InlineExecutor:
     """Runs a round's trials in this process, case by case.
 
-    Golden Runs are recorded lazily, on a case's first batch.  Every
-    run is narrated from its outcome, then reaches the ``inspector``
-    with its full traces (recorded only when there is one) and
-    advances progress by one.  With
-    ``keep_cases`` off (a single-round schedule) a case's runtime and
-    checkpoints are dropped right after its batch, so a multi-case
-    campaign never holds every case's trace prefixes.
+    Golden Runs are recorded lazily, on a case's first batch, and each
+    case keeps its runtime, Golden Run and checkpoints (runtime state
+    only, a few kB) for later rounds.  Each batch runs through a
+    :class:`_CaseContext`.  Every run is narrated from its outcome,
+    then reaches the ``inspector`` with its full traces (recorded only
+    when there is one) and advances progress by one.
     """
 
     def __init__(
@@ -716,18 +741,13 @@ class _InlineExecutor:
         self._campaign = campaign
         self._inspector = inspector
         self._cases: dict[str, tuple] = {}
-        self._keep_cases = False
         self._advance: Callable[[int], None] = lambda n_runs: None
 
     def start(
-        self,
-        need_cases: Sequence[str],
-        advance: Callable[[int], None],
-        keep_cases: bool,
+        self, need_cases: Sequence[str], advance: Callable[[int], None]
     ) -> None:
         """Take the progress hook; case state is recorded lazily."""
         self._advance = advance
-        self._keep_cases = keep_cases
 
     def run(
         self, batches: Sequence[tuple[str, Sequence]]
@@ -740,16 +760,20 @@ class _InlineExecutor:
         self, case_id: str, specs: Sequence
     ) -> list[InjectionOutcome]:
         campaign = self._campaign
-        entry = self._cases.get(case_id) or campaign._golden_for_case(
-            case_id, campaign._test_cases[case_id]
-        )
+        entry = self._cases.get(case_id)
+        if entry is None:
+            entry = self._cases[case_id] = campaign._golden_for_case(
+                case_id, campaign._test_cases[case_id]
+            )
         runner, golden, checkpoints = entry
         context = _CaseContext(
-            campaign,
+            campaign._system,
+            campaign.config,
             runner,
             golden,
             specs,
             checkpoints,
+            campaign._metrics,
             keep_traces=self._inspector is not None,
         )
         outcomes = []
@@ -761,8 +785,6 @@ class _InlineExecutor:
                 self._inspector(outcome, injected, golden)
             outcomes.append(outcome)
             self._advance(1)
-        if self._keep_cases:
-            self._cases[case_id] = entry
         return outcomes
 
     def close(self) -> None:
@@ -776,7 +798,7 @@ class _PoolExecutor:
     :meth:`start` records the Golden Runs of the cases that may execute
     at all (rows the result store cannot fully answer) and starts the
     pool once, handing each worker every such case with its Golden Run
-    and stripped checkpoints; workers keep their per-case runtimes
+    and checkpoints as recorded; workers keep their per-case runtimes
     cached across rounds.  Each case's trials are cut into contiguous
     slices (:func:`_default_chunk_size`), so every worker has work even
     when the grid has one case.  Workers emit no events: the parent
@@ -794,10 +816,7 @@ class _PoolExecutor:
         self._advance: Callable[[int], None] = lambda n_runs: None
 
     def start(
-        self,
-        need_cases: Sequence[str],
-        advance: Callable[[int], None],
-        keep_cases: bool,
+        self, need_cases: Sequence[str], advance: Callable[[int], None]
     ) -> None:
         """Record the Golden Runs of ``need_cases``; start the pool."""
         self._advance = advance
@@ -806,14 +825,7 @@ class _PoolExecutor:
         for case_id in need_cases:
             case = campaign._test_cases[case_id]
             _, golden, checkpoints = campaign._golden_for_case(case_id, case)
-            cases[case_id] = (
-                case,
-                golden,
-                {
-                    time_ms: checkpoint.without_trace_prefix()
-                    for time_ms, checkpoint in checkpoints.items()
-                },
-            )
+            cases[case_id] = (case, golden, checkpoints)
         if cases:
             self._pool = campaign._worker_pool(self._max_workers, cases)
 
@@ -1181,8 +1193,7 @@ class InjectionCampaign:
     def _worker_pool(self, max_workers: int | None, cases: dict[str, tuple]):
         """A process pool whose workers receive the campaign payload once.
 
-        ``cases`` maps each case id to ``(case, GoldenRun, stripped
-        checkpoints)``.
+        ``cases`` maps each case id to ``(case, GoldenRun, checkpoints)``.
         """
         import concurrent.futures
 
@@ -1302,12 +1313,14 @@ class InjectionCampaign:
 
         The campaign-wide payload is shipped *once per worker* through
         the pool initializer, not once per slice: each case with its
-        Golden Run as recorded and its checkpoints stripped of their
-        trace prefixes (rebuilt worker-side from the Golden Run).  Each
-        worker builds a case's runtime on its first slice and keeps it
-        across slices.  A slice task is then just ``(case_id, specs)``;
-        it returns the outcomes, and the parent emits every run's
-        ``RunFinished`` from them.
+        Golden Run and checkpoints as recorded (a checkpoint holds
+        runtime state only; every run's trace prefix comes from the
+        Golden Run).  Each worker builds a case's runtime on its first
+        slice and keeps it across slices, and runs each slice through
+        the same per-case injection path as :meth:`execute`.  A slice
+        task is then just ``(case_id, specs)``; it returns the
+        outcomes, and the parent emits every run's ``RunFinished`` from
+        them.
 
         Produces bit-identical outcomes to :meth:`execute` (per-run
         seeds are derived from the configuration, not from execution
@@ -1419,7 +1432,7 @@ class InjectionCampaign:
                         ),
                     )
 
-            executor.start(need_cases, advance, keep_cases=not schedule.rows_final)
+            executor.start(need_cases, advance)
             while not schedule.finished:
                 # Schedule: regroup the round per case; split cached
                 # trials from the fresh specs the executor must run.
@@ -1501,12 +1514,15 @@ class InjectionCampaign:
             obs.campaign_finished(result, time.perf_counter() - started)
         return result
 
+    @property
+    def _metrics(self):
+        """The observer's metrics registry, ``None`` without one."""
+        return None if self._observer is None else self._observer.metrics
+
     def _timer(self, name: str):
         """The observer's metrics span ``name``, or a no-op without one."""
-        obs = self._observer
-        if obs is None or obs.metrics is None:
-            return nullcontext()
-        return obs.metrics.timer(name)
+        metrics = self._metrics
+        return nullcontext() if metrics is None else metrics.timer(name)
 
     def _golden_for_case(
         self, case_id: str, case: CaseT
@@ -1539,74 +1555,9 @@ class InjectionCampaign:
             case_id=case_id,
             result=golden_result,
             digests=recorded[2] if config.fast_forward else None,
-            initials=runner.store.initial_values(),
         )
         self._golden_runs[case_id] = golden
         return runner, golden, checkpoints
-
-    def _one_injection(
-        self,
-        runner: SimulationRun,
-        golden: GoldenRun,
-        case_id: str,
-        module: str,
-        signal: str,
-        time_ms: int,
-        model: ErrorModel,
-        checkpoint: RunCheckpoint | None = None,
-        golden_ref: GoldenReference | None = None,
-    ) -> tuple[InjectionOutcome, "RunResult"]:
-        """Arm one trap, execute one IR and record its outcome."""
-        if runner.hooks_installed:
-            raise CampaignError(
-                "runtime has hooks installed from a previous run; "
-                "refusing to arm a trap on a dirty runtime"
-            )
-        point = _InjectionPoint(module, signal, time_ms, model, checkpoint)
-        trap = InputInjectionTrap.for_system(
-            self._system,
-            module=module,
-            signal=signal,
-            time_ms=time_ms,
-            error_model=model,
-            seed=_derive_seed(
-                self._config.seed, case_id, module, signal, time_ms, model.name
-            ),
-        )
-        runner.add_read_interceptor(trap)
-        duration_ms = self._config.duration_ms
-        try:
-            with self._timer("phase.injection_run.seconds"):
-                if checkpoint is not None:
-                    injected = runner.run_from(checkpoint, duration_ms, golden_ref)
-                else:
-                    injected = runner.run(duration_ms, golden_ref)
-        finally:
-            runner.clear_hooks()
-        return self._finish_injection(golden, point, injected, trap.fired_at_ms)
-
-    def _finish_injection(
-        self,
-        golden: GoldenRun,
-        point: _InjectionPoint,
-        injected: "RunResult",
-        fired_at_ms: int | None,
-    ) -> tuple[InjectionOutcome, "RunResult"]:
-        """Compare an executed IR to its Golden Run and record the outcome."""
-        with self._timer("phase.comparison.seconds"):
-            comparison = compare_to_golden_run(golden, injected)
-        outcome = InjectionOutcome(
-            case_id=golden.case_id,
-            module=point.module,
-            input_signal=point.signal,
-            scheduled_time_ms=point.time_ms,
-            fired_at_ms=fired_at_ms,
-            error_model=point.model.name,
-            comparison=comparison,
-            reconverged_at_ms=injected.reconverged_at_ms,
-            frames_fast_forwarded=injected.frames_fast_forwarded,
-        )
-        return outcome, injected
 
     def _narrate_run(self, outcome: InjectionOutcome, cached: bool = False) -> None:
         """Emit one IR's ``RunFinished``, in this process, from its outcome.

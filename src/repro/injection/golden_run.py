@@ -39,9 +39,6 @@ class GoldenRun:
     #: the verification track of reconvergence fast-forward (``None``
     #: when the campaign ran with fast-forward disabled).
     digests: FrameDigests | None = None
-    #: Declared initial signal values of the run's store; a GR recorded
-    #: without them (legacy construction) has no fast-forward reference.
-    initials: Mapping[str, int] | None = None
 
     @property
     def duration_ms(self) -> int:
@@ -59,22 +56,16 @@ class GoldenRun:
         return self.traces[signal]
 
     @cached_property
-    def reference(self) -> GoldenReference | None:
-        """This Golden Run as a runtime fast-forward reference.
+    def reference(self) -> GoldenReference:
+        """This Golden Run as the runtime's :class:`GoldenReference`.
 
-        ``None`` when the GR was recorded without the store's initial
-        values (legacy construction); otherwise a
-        :class:`~repro.simulation.runtime.GoldenReference` — with frame
-        digests when they were recorded, enabling reconvergence
-        fast-forward, and without them still usable for reconstructing
-        stripped checkpoint prefixes.  Cached: the reference's lazy
-        per-frame row hashes are computed at most once per GR.
+        The source of every injection run's trace prefix, and with frame
+        digests (when they were recorded) the proof track of
+        reconvergence fast-forward; without them fast-forward is off.
+        Cached: the reference's lazy per-frame row hashes are computed
+        at most once per GR.
         """
-        if self.initials is None:
-            return None
-        return GoldenReference.from_result(
-            self.result, self.digests, self.initials
-        )
+        return GoldenReference.from_result(self.result, self.digests)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ class CaseContext(Protocol):
     ``injection_points()`` yields the case's planned injections in the
     campaign's canonical grid order; each item carries ``module``,
     ``signal``, ``time_ms``, ``model`` and ``checkpoint`` attributes.
-    ``runner`` is the case's live runtime, ``golden_ref`` its prepared
-    Golden-Run reference (``None`` without a recorded Golden Run),
+    ``runner`` is the case's live runtime, ``golden_ref`` its Golden
+    Run's :class:`~repro.simulation.runtime.GoldenReference`,
     ``config`` the campaign configuration and ``metrics`` the
     observer's metrics registry (``None`` without observability).
     ``keep_traces`` says whether anyone reads the runs' traces; when it

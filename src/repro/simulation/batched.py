@@ -79,7 +79,7 @@ than approximating them:
   as its reference twin.
 
 Whole cases that fail the preconditions (data-driven slot selector,
-non-lane-invariant environment, missing Golden-Run reference) and
+non-lane-invariant environment) and
 individual runs whose error model is not a pure XOR are executed
 through the reference path, so the backend is safe to enable globally
 (``REPRO_BACKEND=batched``).
@@ -351,9 +351,6 @@ class _CasePlan:
 def _case_plan(context: "CaseContext") -> _CasePlan | None:
     """Analyse one case; ``None`` means the whole case must fall back."""
     runner = context.runner
-    golden_ref = context.golden_ref
-    if golden_ref is None:
-        return None
     if runner.slot_signal is not None:
         # Data-driven slot selection couples scheduling to lane state.
         return None
@@ -364,7 +361,7 @@ def _case_plan(context: "CaseContext") -> _CasePlan | None:
         getattr(env, "lane_telemetry", None)
     ):
         return None
-    return _CasePlan(runner, golden_ref)
+    return _CasePlan(runner, context.golden_ref)
 
 
 class BatchedBackend:

@@ -38,7 +38,6 @@ read, recorded and compared against the Golden Run as one row per frame.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import struct
 from array import array
@@ -267,7 +266,9 @@ class GoldenReference:
     Holds the Golden Run's sample buffers (``array('q')`` or read-only
     ``memoryview`` of format ``'q'``, referenced, not copied), the
     per-frame state digests recorded alongside the Golden Run, and the
-    run's final store/telemetry so a fast-forwarded injection run can
+    run's final store/telemetry.  It is the only source of an injection
+    run's trace prefix (:meth:`SimulationRun.run_from` copies it from
+    here), and with digests it lets a fast-forwarded injection run
     splice the Golden-Run suffix and still report byte-identical
     results.
 
@@ -284,7 +285,6 @@ class GoldenReference:
         duration_ms: int,
         samples: Mapping[str, "array | memoryview"],
         digests: FrameDigests | None,
-        initials: Mapping[str, int],
         final_signals: Mapping[str, int],
         telemetry: Mapping[str, float],
     ) -> None:
@@ -292,7 +292,6 @@ class GoldenReference:
         self.duration_ms = duration_ms
         self.samples = dict(samples)
         self.digests = digests
-        self.initials = dict(initials)
         self.final_signals = dict(final_signals)
         self.telemetry = dict(telemetry)
         for signal in self.signals:
@@ -313,8 +312,7 @@ class GoldenReference:
     def from_result(
         cls,
         result: RunResult,
-        digests: FrameDigests | None,
-        initials: Mapping[str, int],
+        digests: FrameDigests | None = None,
     ) -> "GoldenReference":
         """Build a reference from a Golden :class:`RunResult`."""
         traces = result.traces
@@ -324,7 +322,6 @@ class GoldenReference:
             duration_ms=result.duration_ms,
             samples={trace.signal: trace.samples for trace in traces},
             digests=digests,
-            initials=initials,
             final_signals=result.final_signals,
             telemetry=result.telemetry,
         )
@@ -449,8 +446,9 @@ class RunCheckpoint:
     simulated milliseconds; resuming with
     :meth:`SimulationRun.run_from` produces results byte-for-byte
     identical to a full run, because the capture covers *all* mutable
-    state (store, clock, environment, every module) plus the trace
-    prefix recorded so far.
+    state (store, clock, environment, every module).  It holds no
+    traces: the run's first ``time_ms`` samples are the Golden Run's,
+    which the resume copies from its :class:`GoldenReference`.
 
     Checkpoints are plain picklable data, so they can be shipped to
     worker processes (the grid-sharded campaign path does exactly
@@ -468,21 +466,6 @@ class RunCheckpoint:
     environment: Any
     #: Per-module internal state, keyed by module name.
     modules: dict[str, Any]
-    #: Recorded samples up to ``time_ms``, per traced signal — or
-    #: ``None`` for a *stripped* checkpoint whose prefix is
-    #: reconstructed from the Golden-Run traces at resume time
-    #: (the IR prefix is bit-identical to the GR prefix by
-    #: construction, so shipping it per checkpoint is pure redundancy).
-    trace_prefix: tuple[tuple[str, array], ...] | None
-
-    def without_trace_prefix(self) -> "RunCheckpoint":
-        """A stripped copy for shipping alongside its Golden Run.
-
-        :meth:`SimulationRun.run_from` rebuilds the prefix from the
-        ``golden`` reference, so worker payloads need not repeat the
-        trace prefix once per checkpoint.
-        """
-        return dataclasses.replace(self, trace_prefix=None)
 
 
 class SimulationRun:
@@ -553,9 +536,6 @@ class SimulationRun:
         #: Optional metrics registry timing checkpoint save/restore
         #: (set via :meth:`set_metrics`; ``None`` means no overhead).
         self._metrics = None
-        #: Live per-signal sample sinks while a run is in progress
-        #: (checkpoints capture their prefix).
-        self._live_samples: list[tuple[str, array]] | None = None
         # --- precomputed dispatch tables (hot loop) -------------------
         #: Per-slot dispatch: (name, module instance, inputs tuple,
         #: width mask per declared output) for each activation.
@@ -778,14 +758,16 @@ class SimulationRun:
         self,
         cp: RunCheckpoint,
         duration_ms: int,
-        golden: GoldenReference | None = None,
+        golden: GoldenReference,
     ) -> RunResult:
         """Resume from ``cp`` and complete a ``duration_ms`` run.
 
-        Executes only the frames after ``cp.time_ms`` and stitches the
-        checkpoint's trace prefix onto the recorded suffix, so the
-        returned :class:`RunResult` is byte-for-byte identical to a
-        full :meth:`run` of the same experiment.
+        ``cp`` must be a checkpoint of the Golden Run that ``golden``
+        references.  Executes only the frames after ``cp.time_ms`` and
+        stitches the Golden Run's first ``cp.time_ms`` samples onto the
+        recorded suffix, so the returned :class:`RunResult` is
+        byte-for-byte identical to a full :meth:`run` of the same
+        experiment.
 
         With a ``golden`` reference carrying frame digests, the suffix
         itself may be cut short by reconvergence fast-forward: each
@@ -798,43 +780,17 @@ class SimulationRun:
         byte-for-byte identical to a full re-run, and
         :attr:`RunResult.reconverged_at_ms` records the instant the
         injected error's effect set became empty (its lifetime).
-
-        A stripped checkpoint (``trace_prefix is None``, see
-        :meth:`RunCheckpoint.without_trace_prefix`) requires ``golden``;
-        its prefix is reconstructed from the Golden-Run traces.
         """
         if duration_ms <= cp.time_ms:
             raise SimulationError(
                 f"duration {duration_ms} ms does not extend past the "
                 f"checkpoint at {cp.time_ms} ms"
             )
-        if cp.trace_prefix is None:
-            if golden is None:
-                raise SimulationError(
-                    "checkpoint was stripped of its trace prefix; resuming "
-                    "requires the golden reference it was stripped against"
-                )
-            self._check_golden(golden, duration_ms)
-            samples = [
-                (signal, golden.prefix_array(signal, cp.time_ms))
-                for signal in self._trace_signals
-            ]
-        else:
-            prefix_signals = tuple(signal for signal, _ in cp.trace_prefix)
-            if prefix_signals != self._trace_signals:
-                raise SimulationError(
-                    "checkpoint traces different signals than this run: "
-                    f"{prefix_signals} vs {self._trace_signals}"
-                )
-            for signal, prefix in cp.trace_prefix:
-                if len(prefix) != cp.time_ms:
-                    raise SimulationError(
-                        f"checkpoint trace prefix of {signal!r} has "
-                        f"{len(prefix)} samples, expected {cp.time_ms}"
-                    )
-            samples = [
-                (signal, array("q", prefix)) for signal, prefix in cp.trace_prefix
-            ]
+        self._check_golden(golden, duration_ms)
+        samples = [
+            (signal, golden.prefix_array(signal, cp.time_ms))
+            for signal in self._trace_signals
+        ]
         self.restore(cp)
         return self._execute_frames(samples, cp.time_ms, duration_ms, golden)
 
@@ -914,47 +870,42 @@ class SimulationRun:
         equal = True
         next_check = 0
         step = self.step_ms
-        self._live_samples = samples
-        try:
-            for now_ms in range(start_ms, duration_ms):
-                if now_ms == next_cp:
-                    _flush_rows(sinks, rows)
-                    captured[now_ms] = self.checkpoint()
-                    next_cp = next(pending, None)
-                step()
-                row = row_of(values)
-                rows.append(row)
-                if len(rows) == _FLUSH_ROWS:
-                    _flush_rows(sinks, rows)
-                if digests is not None:
-                    digests.append(self._state_digest())
-                if hooks_live:
-                    hooks_live = self._retire_fired_hooks()
-                if golden is None:
-                    continue
-                was_equal = equal
-                equal = hash(row) == gr_hashes[now_ms] and row == gr_row(now_ms)
-                if not equal or hooks_live:
-                    continue
-                if was_equal and now_ms < next_check:
-                    continue
-                if self._state_digest() != gr_digests.at(now_ms):
-                    # Hidden (module/plant) state still differs; one
-                    # scheduling cycle may flush it through the signals.
-                    next_check = now_ms + _DIGEST_RETRY_FRAMES
-                    continue
+        for now_ms in range(start_ms, duration_ms):
+            if now_ms == next_cp:
+                captured[now_ms] = self.checkpoint()
+                next_cp = next(pending, None)
+            step()
+            row = row_of(values)
+            rows.append(row)
+            if len(rows) == _FLUSH_ROWS:
                 _flush_rows(sinks, rows)
-                fast_forwarded = duration_ms - 1 - now_ms
-                for signal, sink in samples:
-                    sink.frombytes(golden.suffix_bytes(signal, now_ms + 1))
-                self._clock.advance_ms(fast_forwarded)
-                return self._build_result(
-                    duration_ms, samples, golden, now_ms, fast_forwarded
-                )
+            if digests is not None:
+                digests.append(self._state_digest())
+            if hooks_live:
+                hooks_live = self._retire_fired_hooks()
+            if golden is None:
+                continue
+            was_equal = equal
+            equal = hash(row) == gr_hashes[now_ms] and row == gr_row(now_ms)
+            if not equal or hooks_live:
+                continue
+            if was_equal and now_ms < next_check:
+                continue
+            if self._state_digest() != gr_digests.at(now_ms):
+                # Hidden (module/plant) state still differs; one
+                # scheduling cycle may flush it through the signals.
+                next_check = now_ms + _DIGEST_RETRY_FRAMES
+                continue
             _flush_rows(sinks, rows)
-            return self._build_result(duration_ms, samples)
-        finally:
-            self._live_samples = None
+            fast_forwarded = duration_ms - 1 - now_ms
+            for signal, sink in samples:
+                sink.frombytes(golden.suffix_bytes(signal, now_ms + 1))
+            self._clock.advance_ms(fast_forwarded)
+            return self._build_result(
+                duration_ms, samples, golden, now_ms, fast_forwarded
+            )
+        _flush_rows(sinks, rows)
+        return self._build_result(duration_ms, samples)
 
     def _state_digest(self) -> bytes:
         """Digest of the complete current runtime state (see snapshot)."""
@@ -1006,19 +957,10 @@ class SimulationRun:
 
         Covers store, clock, environment and every module (via their
         ``state_dict`` or the deepcopy fallback, see
-        :mod:`repro.simulation.snapshot`) plus the trace prefix of the
-        run in progress; outside a run the prefix is empty.  Installed
-        hooks are not captured.
+        :mod:`repro.simulation.snapshot`).  Traces and installed hooks
+        are not captured.
         """
         with self._timer("checkpoint.save.seconds"):
-            if self._live_samples is not None:
-                prefix = tuple(
-                    (signal, sink[:]) for signal, sink in self._live_samples
-                )
-            else:
-                prefix = tuple(
-                    (signal, array("q")) for signal in self._trace_signals
-                )
             return RunCheckpoint(
                 time_ms=self._clock.now_ms,
                 store=snapshot_state(self._store),
@@ -1028,7 +970,6 @@ class SimulationRun:
                     name: snapshot_state(module)
                     for name, module in self._modules.items()
                 },
-                trace_prefix=prefix,
             )
 
     def restore(self, cp: RunCheckpoint) -> None:
@@ -1048,7 +989,6 @@ class SimulationRun:
             restore_state(self._environment, cp.environment)
             for name, module in self._modules.items():
                 restore_state(module, cp.modules[name])
-            self._live_samples = None
 
     def _timer(self, name: str) -> Any:
         """The metrics registry's span ``name``, or a no-op without one."""

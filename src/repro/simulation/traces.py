@@ -31,11 +31,11 @@ class SignalTrace:
 
     Samples are stored in a compact ``array('q')`` (signed 64-bit, so
     every raw value of signals up to 63 bits wide fits): campaigns hold
-    a Golden Run trace set per test case plus checkpoint prefixes, and
-    the packed layout is ~8× smaller than a list of Python ints while
-    comparing at C speed.  Any iterable of ints is accepted at
-    construction; the sequence interface (indexing, slicing, ``len``,
-    ``append``, iteration) is unchanged.
+    a Golden Run trace set per test case, and the packed layout is ~8×
+    smaller than a list of Python ints while comparing at C speed.  Any
+    iterable of ints is accepted at construction; the sequence
+    interface (indexing, slicing, ``len``, ``append``, iteration) is
+    unchanged.
 
     A ``memoryview`` of format ``'q'`` is kept as-is instead of being
     copied: the batched backend hands out each injection run's traces

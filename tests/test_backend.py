@@ -305,7 +305,7 @@ def _plan(generated: GeneratedSystem) -> _CasePlan:
     runner = generated.build_run()
     golden = runner.run(8)
     runner.reset()
-    return _CasePlan(runner, GoldenReference.from_result(golden, None, {}))
+    return _CasePlan(runner, GoldenReference.from_result(golden))
 
 
 def _random_lanes(plan: _CasePlan, n_lanes: int, seed: int) -> np.ndarray:

@@ -24,10 +24,11 @@ from repro.arrestment.dist_s import DistanceSensorModule
 from repro.arrestment.pres_s import PressureSensorModule
 from repro.arrestment.testcases import ArrestmentTestCase
 from repro.arrestment.twonode import build_twonode_run
-from repro.injection.campaign import CampaignConfig, InjectionCampaign
+from repro.injection.campaign import CampaignConfig, InjectionCampaign, _CaseContext
 from repro.injection.error_models import BitFlip, RandomBitFlip
 from repro.injection.traps import InputInjectionTrap
 from repro.model.errors import CampaignError, SimulationError
+from repro.simulation.runtime import GoldenReference
 from repro.simulation.snapshot import Snapshotable, restore_state, snapshot_state
 
 from tests.conftest import build_toy_model, build_toy_run, toy_factory
@@ -63,9 +64,10 @@ class TestRuntimeCheckpoints:
         )
         assert_identical_results(traced, full)
         assert sorted(checkpoints) == sorted(self.TIMES)
+        golden = GoldenReference.from_result(full)
         for time_ms, checkpoint in checkpoints.items():
             assert checkpoint.time_ms == time_ms
-            resumed = runner.run_from(checkpoint, self.DURATION)
+            resumed = runner.run_from(checkpoint, self.DURATION, golden)
             assert_identical_results(resumed, full)
 
     def test_checkpoint_survives_multiple_restores(self):
@@ -74,13 +76,16 @@ class TestRuntimeCheckpoints:
         full = runner.run(self.DURATION)
         _, checkpoints = runner.run_with_checkpoints(self.DURATION, [100])
         checkpoint = checkpoints[100]
+        golden = GoldenReference.from_result(full)
         for _ in range(3):
-            assert_identical_results(runner.run_from(checkpoint, self.DURATION), full)
+            assert_identical_results(
+                runner.run_from(checkpoint, self.DURATION, golden), full
+            )
 
     def test_injected_suffix_matches_full_injected_run(self):
         """An IR resumed from a checkpoint equals the full IR, trap and all."""
         runner = build_arrestment_run()
-        _, checkpoints = runner.run_with_checkpoints(self.DURATION, [100])
+        golden, checkpoints = runner.run_with_checkpoints(self.DURATION, [100])
 
         def trap():
             return InputInjectionTrap.for_system(
@@ -94,7 +99,9 @@ class TestRuntimeCheckpoints:
 
         resumed_trap = trap()
         runner.add_read_interceptor(resumed_trap)
-        resumed = runner.run_from(checkpoints[100], self.DURATION)
+        resumed = runner.run_from(
+            checkpoints[100], self.DURATION, GoldenReference.from_result(golden)
+        )
         runner.clear_hooks()
 
         assert_identical_results(resumed, full)
@@ -109,7 +116,10 @@ class TestRuntimeCheckpoints:
         full = runner.run(self.DURATION)
         _, checkpoints = runner.run_with_checkpoints(self.DURATION, [100])
         revived = pickle.loads(pickle.dumps(checkpoints[100]))
-        assert_identical_results(runner.run_from(revived, self.DURATION), full)
+        golden = GoldenReference.from_result(full)
+        assert_identical_results(
+            runner.run_from(revived, self.DURATION, golden), full
+        )
 
     def test_pickled_checkpoint_digests_like_the_golden_run(self):
         """A checkpoint that crossed a process boundary still reconverges.
@@ -131,9 +141,9 @@ class TestRuntimeCheckpoints:
 
     def test_run_from_rejects_past_duration(self):
         runner = build_toy_run()
-        _, checkpoints = runner.run_with_checkpoints(50, [30])
+        golden, checkpoints = runner.run_with_checkpoints(50, [30])
         with pytest.raises(SimulationError):
-            runner.run_from(checkpoints[30], 30)
+            runner.run_from(checkpoints[30], 30, GoldenReference.from_result(golden))
 
     def test_checkpoint_times_validated(self):
         runner = build_toy_run()
@@ -242,11 +252,14 @@ class TestCampaignEquivalence:
                 runner.system, "FILT", "src", 5, BitFlip(3)
             )
         )
-        golden_runner, golden, checkpoints = campaign._golden_for_case("a", None)
+        _, golden, checkpoints = campaign._golden_for_case("a", None)
+        context = _CaseContext(
+            campaign._system, campaign.config, runner, golden,
+            [("FILT", "src", 5, 0)], checkpoints,
+        )
+        (point,) = context.injection_points()
         with pytest.raises(CampaignError):
-            campaign._one_injection(
-                runner, golden, "a", "FILT", "src", 5, BitFlip(3)
-            )
+            context.run_reference(point)
 
     def test_skipped_ms_accounting(self):
         campaign = self.toy_campaign(True)

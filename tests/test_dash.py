@@ -545,6 +545,37 @@ class TestCli:
         assert "unsupported event schema version 1" in captured.err
         assert "damaged" not in captured.err
 
+    def test_obs_tail_into_a_closed_pipe_exits_quietly(self, tmp_path):
+        """``repro obs tail ... | head -1``: no traceback, exit 1 (EPIPE)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        _result, events_path = _run_recorded(tmp_path)
+        lines = events_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # Far more output than a pipe buffers, so the writer hits EPIPE.
+        events_path.write_text("".join(lines * 200), encoding="utf-8")
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "obs", "tail", str(events_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr, stderr
+
     def test_campaign_dash_flag(self, tmp_path, capsys):
         from repro.cli import main
 

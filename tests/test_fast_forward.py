@@ -8,12 +8,14 @@ telemetry.  The property-based tests below assert that promise across
 random injection times, bit positions and targets on both the
 single-node arrestment system and the two-node configuration; the
 remaining tests pin the runtime mechanics (splice correctness,
-stripped-checkpoint resume, the armed-trap guard, lifetime fields).
+checkpoint resume from the Golden Run's prefix, the armed-trap guard,
+lifetime fields).
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from repro.injection.error_models import BitFlip
 from repro.injection.golden_run import GoldenRun
 from repro.injection.latency import lifetime_statistics, render_lifetime_table
 from repro.model.errors import SimulationError
-from repro.simulation.runtime import GoldenReference
+from repro.simulation.runtime import GoldenReference, RunCheckpoint
 
 from tests.conftest import build_toy_model, build_toy_run, toy_factory
 
@@ -228,12 +230,7 @@ def record_golden(runner, duration_ms, times=()):
     result, checkpoints, digests = runner.run_with_checkpoints(
         duration_ms, times, frame_digests=True
     )
-    golden = GoldenRun(
-        case_id="tc",
-        result=result,
-        digests=digests,
-        initials=runner.store.initial_values(),
-    )
+    golden = GoldenRun(case_id="tc", result=result, digests=digests)
     return golden, checkpoints
 
 
@@ -258,21 +255,12 @@ class TestRuntimeFastForward:
     def test_reference_without_digests_disables_fast_forward(self):
         runner = build_toy_run()
         result, _ = runner.run_with_checkpoints(50, ())
-        golden = GoldenRun(
-            case_id="tc", result=result,
-            initials=runner.store.initial_values(),
-        )
-        assert golden.reference is not None
+        golden = GoldenRun(case_id="tc", result=result)
         assert golden.reference.digests is None
         replay = runner.run(50, golden.reference)
         assert replay.reconverged_at_ms is None
         assert replay.frames_fast_forwarded == 0
         assert replay.traces.to_mapping() == result.traces.to_mapping()
-
-    def test_legacy_golden_run_has_no_reference(self):
-        runner = build_toy_run()
-        golden = GoldenRun(case_id="tc", result=runner.run(10))
-        assert golden.reference is None
 
     def test_armed_hook_blocks_splice(self):
         """An inert hook without ``fired`` keeps fast-forward disarmed."""
@@ -287,43 +275,51 @@ class TestRuntimeFastForward:
         assert replay.frames_fast_forwarded == 0
         assert replay.traces.to_mapping() == golden.result.traces.to_mapping()
 
-    def test_stripped_checkpoint_requires_golden(self):
+    def test_resume_takes_its_prefix_from_the_golden_run(self):
+        """A checkpoint holds state only; the reference supplies the prefix,
+        with or without the digests that enable fast-forward."""
         runner = build_toy_run()
         golden, checkpoints = record_golden(runner, 50, times=(20,))
-        stripped = checkpoints[20].without_trace_prefix()
-        assert stripped.trace_prefix is None
-        assert checkpoints[20].trace_prefix is not None  # original intact
-        with pytest.raises(SimulationError):
-            runner.run_from(stripped, 50)
-
-    def test_stripped_checkpoint_resume_identical(self):
-        runner = build_toy_run()
-        golden, checkpoints = record_golden(runner, 50, times=(20,))
-        stripped = checkpoints[20].without_trace_prefix()
-        resumed = runner.run_from(stripped, 50, golden.reference)
-        assert resumed.traces.to_mapping() == golden.result.traces.to_mapping()
-        assert resumed.final_signals == golden.result.final_signals
+        assert {f.name for f in fields(RunCheckpoint)} == {
+            "time_ms", "store", "clock", "environment", "modules",
+        }
+        for reference in (
+            golden.reference, GoldenReference.from_result(golden.result)
+        ):
+            resumed = runner.run_from(checkpoints[20], 50, reference)
+            assert resumed.traces.to_mapping() == golden.result.traces.to_mapping()
+            assert resumed.final_signals == golden.result.final_signals
 
     def test_duration_mismatch_rejected(self):
         runner = build_toy_run()
-        golden, _ = record_golden(runner, 50)
+        golden, checkpoints = record_golden(runner, 50, times=(20,))
         with pytest.raises(SimulationError):
             runner.run(60, golden.reference)
+        # A resume copies its prefix from the reference, so it checks the
+        # reference even when it carries no digests.
+        for reference in (
+            golden.reference, GoldenReference.from_result(golden.result)
+        ):
+            with pytest.raises(SimulationError):
+                runner.run_from(checkpoints[20], 60, reference)
 
     def test_signal_mismatch_rejected(self):
         runner = build_toy_run()
-        golden, _ = record_golden(runner, 50)
-        other = GoldenReference(
-            signals=("ghost",),
-            duration_ms=50,
-            samples={"ghost": array("q", [0] * 50)},
-            digests=golden.digests,
-            initials={"ghost": 0},
-            final_signals={"ghost": 0},
-            telemetry={},
-        )
-        with pytest.raises(SimulationError):
-            runner.run(50, other)
+        golden, checkpoints = record_golden(runner, 50, times=(20,))
+        for digests in (golden.digests, None):
+            other = GoldenReference(
+                signals=("ghost",),
+                duration_ms=50,
+                samples={"ghost": array("q", [0] * 50)},
+                digests=digests,
+                final_signals={"ghost": 0},
+                telemetry={},
+            )
+            if digests is not None:
+                with pytest.raises(SimulationError):
+                    runner.run(50, other)
+            with pytest.raises(SimulationError):
+                runner.run_from(checkpoints[20], 50, other)
 
     def test_reference_validates_sample_lengths(self):
         with pytest.raises(SimulationError):
@@ -332,7 +328,6 @@ class TestRuntimeFastForward:
                 duration_ms=5,
                 samples={"a": array("q", [0, 1])},
                 digests=None,
-                initials={"a": 0},
                 final_signals={"a": 1},
                 telemetry={},
             )
@@ -344,7 +339,6 @@ class TestRuntimeFastForward:
             duration_ms=10,
             samples={"a": samples},
             digests=None,
-            initials={"a": 0},
             final_signals={"a": 9},
             telemetry={},
         )

@@ -147,12 +147,22 @@ class TestWarmReplay:
         assert campaign.last_store_stats.runs_executed == 0
 
     def test_seed_change_invalidates_everything(self, tmp_path):
+        """Every config field an outcome record depends on is in the key."""
         gen = generate_system(11)
-        _campaign(gen, store=tmp_path, seed=5).execute()
-        campaign = _campaign(gen, store=tmp_path, seed=6)
-        campaign.execute()
-        stats = campaign.last_store_stats
-        assert stats.hits == 0 and stats.misses > 0
+        _campaign(gen, store=tmp_path).execute()
+        # Each change alters one field of the stored campaign, so any two
+        # changed campaigns differ in two fields and share no key either.
+        for change in (
+            {"seed": 6},
+            {"duration_ms": 240},
+            {"injection_times_ms": (40, 110)},
+            {"error_models": tuple(bit_flip_models(8)[4:])},
+            {"fast_forward": False},
+        ):
+            campaign = _campaign(gen, store=tmp_path, **change)
+            campaign.execute()
+            stats = campaign.last_store_stats
+            assert stats.hits == 0 and stats.misses > 0, change
 
 
 class TestInvalidation:
