@@ -110,7 +110,6 @@ from repro.injection import (
     InjectionOutcome,
     InputInjectionTrap,
     PermeabilityEstimator,
-    StoreInjectionTrap,
     bit_flip_models,
     compare_to_golden_run,
     estimate_matrix,
@@ -206,7 +205,6 @@ __all__ = [
     "SimulationRun",
     "SlotSchedule",
     "SoftwareModule",
-    "StoreInjectionTrap",
     "SystemBuilder",
     "SensitivityReport",
     "SystemModel",

@@ -6,7 +6,8 @@ analysis stays valid "assuming that the relative order of the modules
 and signals ... is maintained".  This module makes that assumption
 checkable:
 
-* per-pair deltas between two estimates of the same system;
+* per-pair deltas between two estimates of the same system
+  (:meth:`PermeabilityMatrix.diff <repro.core.permeability.PermeabilityMatrix.diff>`);
 * Spearman rank correlation of the module orderings under Eq. 2/3;
 * a rendered drift table for reports.
 
@@ -16,9 +17,9 @@ Used by the error-model and workload ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.core.permeability import PairKey, PermeabilityMatrix
+from repro.core.permeability import MatrixDiff, PermeabilityMatrix
 
 __all__ = ["MatrixComparison", "compare_matrices", "spearman_rank_correlation"]
 
@@ -72,76 +73,35 @@ def spearman_rank_correlation(
 class MatrixComparison:
     """Drift between two permeability estimates of the same system."""
 
-    #: Per-pair absolute differences.
-    deltas: Mapping[PairKey, float]
+    #: Per-pair differences, the first matrix measured against the second.
+    diff: MatrixDiff
     #: Spearman rho of the module ordering by Eq. 3.
     module_rank_correlation: float
     #: Spearman rho over the raw pair values.
     pair_rank_correlation: float
 
     @property
-    def max_abs_delta(self) -> float:
-        return max(self.deltas.values(), default=0.0)
-
-    @property
-    def mean_abs_delta(self) -> float:
-        if not self.deltas:
-            return 0.0
-        return sum(self.deltas.values()) / len(self.deltas)
-
-    @property
     def ordering_maintained(self) -> bool:
         """The paper's working assumption at the module level (rho >= 0.8)."""
         return self.module_rank_correlation >= 0.8
 
-    def drifted_pairs(self, threshold: float = 0.1) -> list[tuple[PairKey, float]]:
-        """Pairs whose estimates differ by more than ``threshold``."""
-        return sorted(
-            (
-                (pair, delta)
-                for pair, delta in self.deltas.items()
-                if delta > threshold
-            ),
-            key=lambda item: -item[1],
-        )
-
-    def render(self, threshold: float = 0.1) -> str:
-        from repro.core.report import format_table
-
-        rows = [
-            (f"{module}: {input_signal} -> {output_signal}", f"{delta:.3f}")
-            for (module, input_signal, output_signal), delta in self.drifted_pairs(
-                threshold
-            )
-        ]
-        table = format_table(
-            headers=("Pair", "|delta|"),
-            rows=rows,
-            title=f"Pairs drifting by more than {threshold:.2f}",
-        )
-        summary = (
-            f"max |delta| = {self.max_abs_delta:.3f}, "
-            f"mean |delta| = {self.mean_abs_delta:.3f}, "
+    def render(self) -> str:
+        """The diff's largest disagreements, then both correlations."""
+        return (
+            f"{self.diff.render()}\n"
             f"module-rank rho = {self.module_rank_correlation:.3f}, "
             f"pair-rank rho = {self.pair_rank_correlation:.3f}"
         )
-        return f"{table}\n{summary}"
 
 
 def compare_matrices(
     first: PermeabilityMatrix, second: PermeabilityMatrix
 ) -> MatrixComparison:
     """Quantify the drift between two complete estimates of one system."""
-    if first.system.name != second.system.name or set(
-        first.system.pair_index()
-    ) != set(second.system.pair_index()):
-        raise ValueError("matrices must describe the same system")
+    diff = first.diff(second)
     first.require_complete()
     second.require_complete()
     pairs = list(first.system.pair_index())
-    deltas = {
-        pair: abs(first.get(*pair) - second.get(*pair)) for pair in pairs
-    }
     modules = first.system.module_names()
     module_rho = spearman_rank_correlation(
         [first.nonweighted_relative_permeability(m) for m in modules],
@@ -152,7 +112,7 @@ def compare_matrices(
         [second.get(*pair) for pair in pairs],
     )
     return MatrixComparison(
-        deltas=deltas,
+        diff=diff,
         module_rank_correlation=module_rho,
         pair_rank_correlation=pair_rho,
     )

@@ -38,7 +38,7 @@ from repro.injection.outcomes import (
     PairCounts,
 )
 from repro.injection.selection import full_grid, paper_grid, paper_times, sampled_grid
-from repro.injection.traps import InputInjectionTrap, StoreInjectionTrap
+from repro.injection.traps import InputInjectionTrap
 
 __all__ = [
     "ArcTally",
@@ -60,7 +60,6 @@ __all__ = [
     "PermeabilityEstimator",
     "RandomBitFlip",
     "RandomReplacement",
-    "StoreInjectionTrap",
     "StuckAtOne",
     "StuckAtZero",
     "bit_flip_models",

@@ -51,19 +51,20 @@ error-lifetime measurement (:mod:`repro.injection.latency`).
 
 One worker protocol
 -------------------
-A checkpoint holds runtime state only; the Golden Run holds the traces
-every injection run starts from.  :meth:`InjectionCampaign.execute_parallel`
-hands every worker, once, through the pool initializer, the system,
-the config and each case with its
-:class:`~repro.injection.golden_run.GoldenRun` and checkpoints as
-recorded; a task is then just ``(case_id, specs)``.  The parent and
-the workers inject through the same per-case object, ``_CaseContext``,
-which arms each trap, runs the injection run and compares it with the
-Golden Run.  Workers return outcomes and emit nothing: the parent
-narrates every executed run from its outcome, through the same helper
-as the serial path, so one process stamps every event.  The outcomes
-cannot depend on which process ran a trial: every run executes in
-simulated time.
+An injection run needs its case's
+:class:`~repro.simulation.runtime.GoldenRun` and nothing else: the
+Golden Run carries the checkpoints (runtime state only) and the traces
+every injection run starts from and is compared against.
+:meth:`InjectionCampaign.execute_parallel` hands every worker, once,
+through the pool initializer, the system, the config and each case
+with its Golden Run as recorded; a task is then just
+``(case_id, specs)``.  The parent and the workers inject through the
+same per-case object, ``_CaseContext``, which arms each trap, runs the
+injection run and compares it with the Golden Run.  Workers return
+outcomes and emit nothing: the parent narrates every executed run from
+its outcome, through the same helper as the serial path, so one
+process stamps every event.  The outcomes cannot depend on which
+process ran a trial: every run executes in simulated time.
 
 Pipeline
 --------
@@ -126,7 +127,7 @@ from repro.obs.events import (
     UnitReused,
 )
 from repro.simulation.backend import available_backends, get_backend
-from repro.simulation.runtime import RunCheckpoint, RunResult, SimulationRun
+from repro.simulation.runtime import RunResult, SimulationRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import CampaignObserver
@@ -354,8 +355,8 @@ def _run_shard(
 
     Each spec is ``(module, signal, time_ms, model_index)``; the
     parent's schedule decides the exact points, so no grid expansion
-    happens worker-side.  The case's Golden Run and checkpoints are
-    already worker-resident; its runtime is built on first use.  The
+    happens worker-side.  The case's Golden Run (with its checkpoints)
+    is already worker-resident; its runtime is built on first use.  The
     slice runs through a :class:`_CaseContext`, as in the parent.  The
     worker emits no events: it returns the outcomes in spec order (IR
     traces stay worker-local), the slice's timers when the parent
@@ -366,7 +367,7 @@ def _run_shard(
     case_id, specs = task
     state = _WORKER_STATE
     assert state is not None, "worker used before _worker_init ran"
-    case, golden, checkpoints = state["cases"][case_id]
+    case, golden = state["cases"][case_id]
     runner = state["runners"].get(case_id)
     if runner is None:
         runner = state["runners"][case_id] = state["run_factory"](case)
@@ -379,8 +380,7 @@ def _run_shard(
     runner.set_metrics(metrics)
     try:
         context = _CaseContext(
-            state["system"], state["config"], runner, golden, specs,
-            checkpoints, metrics,
+            state["system"], state["config"], runner, golden, specs, metrics
         )
         outcomes = [
             outcome for outcome, _ in state["backend"].case_injections(context)
@@ -421,7 +421,6 @@ class _InjectionPoint:
     signal: str
     time_ms: int
     model: ErrorModel
-    checkpoint: RunCheckpoint | None
 
 
 class _CaseContext:
@@ -429,9 +428,10 @@ class _CaseContext:
 
     Built from explicit ``(module, signal, time_ms, model_index)``
     specs — a whole case grid or any subset a schedule picked.  It arms
-    each run's trap, executes the injection run from its Golden-Run
-    checkpoint and runs the Golden Run Comparison, so backends only
-    decide *how* runs execute (see :mod:`repro.simulation.backend`).
+    each run's trap, executes the injection run from the checkpoint the
+    Golden Run holds for its instant (from time zero when it holds none)
+    and runs the Golden Run Comparison, so backends only decide *how*
+    runs execute (see :mod:`repro.simulation.backend`).
     ``metrics`` times the runs and comparisons (``None``: untimed).
     ``keep_traces`` is set when an inspector will read each run's
     traces; otherwise a backend that compares runs while stepping may
@@ -445,7 +445,6 @@ class _CaseContext:
         runner: SimulationRun,
         golden: GoldenRun,
         specs: Sequence[tuple[str, str, int, int]],
-        checkpoints: Mapping[int, RunCheckpoint],
         metrics=None,
         keep_traces: bool = False,
     ) -> None:
@@ -453,18 +452,11 @@ class _CaseContext:
         self.config = config
         self.runner = runner
         self.golden = golden
-        self.golden_ref = golden.reference
         self.metrics = metrics
         self.keep_traces = keep_traces
         models = config.error_models
         self._points = tuple(
-            _InjectionPoint(
-                module,
-                signal,
-                time_ms,
-                models[model_index],
-                checkpoints.get(time_ms),
-            )
+            _InjectionPoint(module, signal, time_ms, models[model_index])
             for module, signal, time_ms, model_index in specs
         )
 
@@ -499,15 +491,13 @@ class _CaseContext:
             ),
         )
         runner.add_read_interceptor(trap)
-        duration_ms = self.config.duration_ms
+        checkpoint = self.golden.checkpoints.get(point.time_ms)
         try:
             with self._timer("phase.injection_run.seconds"):
-                if point.checkpoint is not None:
-                    injected = runner.run_from(
-                        point.checkpoint, duration_ms, self.golden_ref
-                    )
+                if checkpoint is not None:
+                    injected = runner.run_from(checkpoint, self.golden)
                 else:
-                    injected = runner.run(duration_ms, self.golden_ref)
+                    injected = runner.run(self.golden.duration_ms, self.golden)
         finally:
             runner.clear_hooks()
         return self.record_result(point, injected, trap.fired_at_ms)
@@ -726,9 +716,9 @@ class _InlineExecutor:
     """Runs a round's trials in this process, case by case.
 
     Golden Runs are recorded lazily, on a case's first batch, and each
-    case keeps its runtime, Golden Run and checkpoints (runtime state
-    only, a few kB) for later rounds.  Each batch runs through a
-    :class:`_CaseContext`.  Every run is narrated from its outcome,
+    case keeps its runtime and Golden Run (whose checkpoints hold
+    runtime state only, a few kB) for later rounds.  Each batch runs
+    through a :class:`_CaseContext`.  Every run is narrated from its outcome,
     then reaches the ``inspector`` with its full traces (recorded only
     when there is one) and advances progress by one.
     """
@@ -765,14 +755,13 @@ class _InlineExecutor:
             entry = self._cases[case_id] = campaign._golden_for_case(
                 case_id, campaign._test_cases[case_id]
             )
-        runner, golden, checkpoints = entry
+        runner, golden = entry
         context = _CaseContext(
             campaign._system,
             campaign.config,
             runner,
             golden,
             specs,
-            checkpoints,
             campaign._metrics,
             keep_traces=self._inspector is not None,
         )
@@ -788,7 +777,7 @@ class _InlineExecutor:
         return outcomes
 
     def close(self) -> None:
-        """Drop every kept case runtime and its checkpoints."""
+        """Drop every kept case runtime and Golden Run."""
         self._cases.clear()
 
 
@@ -798,8 +787,8 @@ class _PoolExecutor:
     :meth:`start` records the Golden Runs of the cases that may execute
     at all (rows the result store cannot fully answer) and starts the
     pool once, handing each worker every such case with its Golden Run
-    and checkpoints as recorded; workers keep their per-case runtimes
-    cached across rounds.  Each case's trials are cut into contiguous
+    (checkpoints included) as recorded; workers keep their per-case
+    runtimes cached across rounds.  Each case's trials are cut into contiguous
     slices (:func:`_default_chunk_size`), so every worker has work even
     when the grid has one case.  Workers emit no events: the parent
     narrates each slice's runs from their outcomes, merges the slice's
@@ -824,8 +813,8 @@ class _PoolExecutor:
         cases = {}
         for case_id in need_cases:
             case = campaign._test_cases[case_id]
-            _, golden, checkpoints = campaign._golden_for_case(case_id, case)
-            cases[case_id] = (case, golden, checkpoints)
+            _, golden = campaign._golden_for_case(case_id, case)
+            cases[case_id] = (case, golden)
         if cases:
             self._pool = campaign._worker_pool(self._max_workers, cases)
 
@@ -1193,7 +1182,7 @@ class InjectionCampaign:
     def _worker_pool(self, max_workers: int | None, cases: dict[str, tuple]):
         """A process pool whose workers receive the campaign payload once.
 
-        ``cases`` maps each case id to ``(case, GoldenRun, checkpoints)``.
+        ``cases`` maps each case id to ``(case, GoldenRun)``.
         """
         import concurrent.futures
 
@@ -1313,14 +1302,13 @@ class InjectionCampaign:
 
         The campaign-wide payload is shipped *once per worker* through
         the pool initializer, not once per slice: each case with its
-        Golden Run and checkpoints as recorded (a checkpoint holds
-        runtime state only; every run's trace prefix comes from the
-        Golden Run).  Each worker builds a case's runtime on its first
-        slice and keeps it across slices, and runs each slice through
-        the same per-case injection path as :meth:`execute`.  A slice
-        task is then just ``(case_id, specs)``; it returns the
-        outcomes, and the parent emits every run's ``RunFinished`` from
-        them.
+        Golden Run as recorded, which carries the checkpoints (runtime
+        state only) and the traces every run's prefix is copied from.
+        Each worker builds a case's runtime on its first slice and keeps
+        it across slices, and runs each slice through the same per-case
+        injection path as :meth:`execute`.  A slice task is then just
+        ``(case_id, specs)``; it returns the outcomes, and the parent
+        emits every run's ``RunFinished`` from them.
 
         Produces bit-identical outcomes to :meth:`execute` (per-run
         seeds are derived from the configuration, not from execution
@@ -1526,7 +1514,7 @@ class InjectionCampaign:
 
     def _golden_for_case(
         self, case_id: str, case: CaseT
-    ) -> tuple[SimulationRun, GoldenRun, dict[int, RunCheckpoint]]:
+    ) -> tuple[SimulationRun, GoldenRun]:
         """Build the runtime and record the Golden Run of one test case.
 
         With prefix reuse enabled, checkpoints are captured at every
@@ -1542,22 +1530,17 @@ class InjectionCampaign:
                 runner.set_metrics(obs.metrics)
             obs.emit(RunStarted(case_id=case_id))
         with self._timer("phase.golden_run.seconds"):
-            recorded = runner.run_with_checkpoints(
+            golden = runner.run_with_checkpoints(
                 config.duration_ms,
                 config.injection_times_ms if config.reuse_golden_prefix else (),
                 frame_digests=config.fast_forward,
+                case_id=case_id,
             )
-        golden_result, checkpoints = recorded[:2]
         if obs is not None:
-            for time_ms in sorted(checkpoints):
+            for time_ms in sorted(golden.checkpoints):
                 obs.emit(CheckpointSaved(case_id=case_id, time_ms=time_ms))
-        golden = GoldenRun(
-            case_id=case_id,
-            result=golden_result,
-            digests=recorded[2] if config.fast_forward else None,
-        )
         self._golden_runs[case_id] = golden
-        return runner, golden, checkpoints
+        return runner, golden
 
     def _narrate_run(self, outcome: InjectionOutcome, cached: bool = False) -> None:
         """Emit one IR's ``RunFinished``, in this process, from its outcome.

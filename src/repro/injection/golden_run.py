@@ -1,4 +1,4 @@
-"""Golden Run capture and Golden Run Comparison (GRC).
+"""The Golden Run and the Golden Run Comparison (GRC).
 
 "A Golden Run (GR) is a trace of the system executing without any
 injections being made, hence, this trace is used as reference and is
@@ -11,61 +11,20 @@ stopped as soon as the first difference between the GR trace and the IR
 trace was encountered" — exact equality is a valid criterion here
 because both runs execute "in simulated time, in a simulated
 environment, and on simulated hardware".
+
+:class:`GoldenRun` itself lives in :mod:`repro.simulation.runtime`,
+which resumes every injection run from it, and is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from repro.model.errors import TraceMismatchError
-from repro.simulation.runtime import GoldenReference, RunResult
-from repro.simulation.snapshot import FrameDigests
-from repro.simulation.traces import TraceSet
+from repro.simulation.runtime import GoldenRun, RunResult
 
 __all__ = ["GoldenRun", "GoldenRunComparison", "compare_to_golden_run"]
-
-
-@dataclass(frozen=True)
-class GoldenRun:
-    """The reference (injection-free) execution of one test case."""
-
-    #: Identifier of the workload/test case the GR belongs to.
-    case_id: str
-    #: The recorded reference execution.
-    result: RunResult
-    #: Per-frame complete-state digests recorded alongside the GR —
-    #: the verification track of reconvergence fast-forward (``None``
-    #: when the campaign ran with fast-forward disabled).
-    digests: FrameDigests | None = None
-
-    @property
-    def duration_ms(self) -> int:
-        return self.result.duration_ms
-
-    @property
-    def traces(self) -> TraceSet:
-        """The reference traces (a Golden Run always records them)."""
-        traces = self.result.traces
-        assert traces is not None, "a Golden Run always records its traces"
-        return traces
-
-    def signal_trace(self, signal: str):
-        """The reference trace of one signal."""
-        return self.traces[signal]
-
-    @cached_property
-    def reference(self) -> GoldenReference:
-        """This Golden Run as the runtime's :class:`GoldenReference`.
-
-        The source of every injection run's trace prefix, and with frame
-        digests (when they were recorded) the proof track of
-        reconvergence fast-forward; without them fast-forward is off.
-        Cached: the reference's lazy per-frame row hashes are computed
-        at most once per GR.
-        """
-        return GoldenReference.from_result(self.result, self.digests)
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,14 @@
 high-level software traps.  As a trap is reached during execution, an
 error is injected and/or data logged" (Section 7.3).
 
-Two trap flavours are provided, matching the runtime's two hook points:
-
-* :class:`InputInjectionTrap` — consumer-scoped: corrupts the value a
-  *specific module* reads from a *specific input signal*, leaving the
-  stored signal (and every other consumer) untouched.  This is the trap
-  used for permeability estimation: "injecting errors in the input
-  signals of the module and logging its output signals" (Section 6).
-* :class:`StoreInjectionTrap` — producer-scoped: corrupts the stored
-  value itself, visible to all consumers; used to model errors arising
-  in the producing computation or the shared memory.
-
-Both fire exactly once, at the first opportunity at or after their
-scheduled time ("although only at one time in each IR", Section 7.3);
-after firing they are inert, and they record when and what they changed.
+The trap is :class:`InputInjectionTrap`, on the runtime's one hook
+point: it corrupts the value a *specific module* reads from a
+*specific input signal*, leaving the stored signal (and every other
+consumer) untouched — "injecting errors in the input signals of the
+module and logging its output signals" (Section 6).  It fires exactly
+once, at the first matching read at or after its scheduled time
+("although only at one time in each IR", Section 7.3); after firing it
+is inert, and it records when and what it changed.
 """
 
 from __future__ import annotations
@@ -26,9 +20,8 @@ import random
 
 from repro.injection.error_models import ErrorModel
 from repro.model.system import SystemModel
-from repro.simulation.runtime import SignalStore
 
-__all__ = ["InputInjectionTrap", "StoreInjectionTrap"]
+__all__ = ["InputInjectionTrap"]
 
 
 class InputInjectionTrap:
@@ -117,55 +110,4 @@ class InputInjectionTrap:
         return (
             f"<InputInjectionTrap {self.module}.{self.signal} "
             f"t>={self.time_ms} {self.error_model.name} {state}>"
-        )
-
-
-class StoreInjectionTrap:
-    """One-shot producer-scoped injection on a stored signal value.
-
-    Implements the :class:`repro.simulation.runtime.StoreMutator`
-    protocol: fires at the start of the first millisecond at or after
-    ``time_ms``.
-    """
-
-    def __init__(
-        self,
-        signal: str,
-        time_ms: int,
-        error_model: ErrorModel,
-        width: int = 16,
-        seed: int = 0,
-    ) -> None:
-        if time_ms < 0:
-            raise ValueError(f"time_ms must be >= 0, got {time_ms}")
-        self.signal = signal
-        self.time_ms = time_ms
-        self.error_model = error_model
-        self.width = width
-        self._rng = random.Random(seed)
-        self.fired_at_ms: int | None = None
-        self.original_value: int | None = None
-        self.injected_value: int | None = None
-
-    @property
-    def fired(self) -> bool:
-        """Whether the trap has triggered."""
-        return self.fired_at_ms is not None
-
-    def apply(self, store: SignalStore, now_ms: int) -> None:
-        """StoreMutator hook: corrupt the stored value once."""
-        if self.fired or now_ms < self.time_ms:
-            return
-        value = store.read(self.signal)
-        corrupted = self.error_model.apply(value, self.width, self._rng)
-        store.write(self.signal, corrupted)
-        self.fired_at_ms = now_ms
-        self.original_value = value
-        self.injected_value = corrupted
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"fired@{self.fired_at_ms}" if self.fired else "armed"
-        return (
-            f"<StoreInjectionTrap {self.signal} t>={self.time_ms} "
-            f"{self.error_model.name} {state}>"
         )

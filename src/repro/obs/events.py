@@ -345,7 +345,11 @@ class ParsedEvent:
 
 
 def encode_event(event: Any, seq: int, ts: float) -> dict:
-    """Wrap a typed event in its versioned JSON envelope."""
+    """Wrap a typed event in its versioned JSON envelope.
+
+    ``data`` holds the event's field values themselves, not copies:
+    events are frozen, and no field holds a dataclass.
+    """
     name = type(event).__name__
     if name not in EVENT_TYPES:
         raise TypeError(f"{name} is not a registered campaign event")
@@ -354,7 +358,7 @@ def encode_event(event: Any, seq: int, ts: float) -> dict:
         "seq": seq,
         "ts": ts,
         "type": name,
-        "data": dataclasses.asdict(event),
+        "data": {f.name: getattr(event, f.name) for f in dataclasses.fields(event)},
     }
 
 
@@ -458,8 +462,7 @@ class JsonlSink:
     def emit(self, record: dict) -> None:
         if self._handle is None:
             self._handle = open(self._path, "w", encoding="utf-8")
-        json.dump(record, self._handle, separators=(",", ":"))
-        self._handle.write("\n")
+        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     def close(self) -> None:
         if self._handle is not None and not self._handle.closed:

@@ -23,12 +23,12 @@ from repro.simulation.registers import (
 )
 from repro.simulation.runtime import (
     Environment,
+    GoldenRun,
     ReadInterceptor,
     RunCheckpoint,
     RunResult,
     SignalStore,
     SimulationRun,
-    StoreMutator,
 )
 from repro.simulation.scheduler import SlotSchedule
 from repro.simulation.simtime import SimClock
@@ -39,6 +39,7 @@ __all__ = [
     "AdcRegister",
     "Environment",
     "FreeRunningCounter",
+    "GoldenRun",
     "HardwareRegister",
     "InputCapture",
     "OutputCompare",
@@ -54,7 +55,6 @@ __all__ = [
     "SimulationRun",
     "SlotSchedule",
     "Snapshotable",
-    "StoreMutator",
     "TraceSet",
     "UnknownBackendError",
     "available_backends",

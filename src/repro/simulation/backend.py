@@ -56,18 +56,19 @@ class CaseContext(Protocol):
 
     ``injection_points()`` yields the case's planned injections in the
     campaign's canonical grid order; each item carries ``module``,
-    ``signal``, ``time_ms``, ``model`` and ``checkpoint`` attributes.
-    ``runner`` is the case's live runtime, ``golden_ref`` its Golden
-    Run's :class:`~repro.simulation.runtime.GoldenReference`,
-    ``config`` the campaign configuration and ``metrics`` the
-    observer's metrics registry (``None`` without observability).
+    ``signal``, ``time_ms`` and ``model`` attributes.  ``runner`` is the
+    case's live runtime, ``golden`` its
+    :class:`~repro.simulation.runtime.GoldenRun`, whose checkpoints the
+    points resume from, ``config`` the campaign configuration and
+    ``metrics`` the observer's metrics registry (``None`` without
+    observability).
     ``keep_traces`` says whether anyone reads the runs' traces; when it
     is false a backend may return runs with ``traces=None`` that carry
     their ``first_divergence_ms`` instead.
     """
 
     runner: Any
-    golden_ref: Any
+    golden: Any
     config: Any
     metrics: Any
     keep_traces: bool

@@ -95,7 +95,7 @@ import numpy as np
 from repro.model.errors import SimulationError
 from repro.simulation.runtime import (
     _DIGEST_RETRY_FRAMES,
-    GoldenReference,
+    GoldenRun,
     RunCheckpoint,
     RunResult,
     SimulationRun,
@@ -231,9 +231,9 @@ def _apply(map_: _Map, state: np.ndarray) -> None:
 class _CasePlan:
     """Per-case vectorization analysis, shared by all lane batches."""
 
-    def __init__(self, runner: SimulationRun, golden_ref: GoldenReference):
+    def __init__(self, runner: SimulationRun, golden: GoldenRun):
         self.runner = runner
-        self.golden_ref = golden_ref
+        self.golden = golden
         system = runner.system
         self.signals: tuple[str, ...] = runner.store.signals
         self.sig_idx = {signal: i for i, signal in enumerate(self.signals)}
@@ -279,7 +279,7 @@ class _CasePlan:
         #: source of every trace buffer's prefix and retired suffixes.
         self.golden_traces = np.stack(
             [
-                np.frombuffer(golden_ref.samples[s], dtype="<i8")
+                np.frombuffer(golden.traces[s].samples, dtype="<i8")
                 for s in self.trace_signals
             ]
         )
@@ -337,11 +337,12 @@ class _CasePlan:
     def start_checkpoint(self, point: Any) -> RunCheckpoint:
         """The checkpoint a batch of ``point``'s instant resumes from.
 
-        The point's own Golden-Run checkpoint, or a synthetic frame-0
-        checkpoint for campaigns without prefix reuse.
+        The Golden Run's checkpoint at the point's instant, or a
+        synthetic frame-0 checkpoint for campaigns without prefix reuse.
         """
-        if point.checkpoint is not None:
-            return point.checkpoint
+        checkpoint = self.golden.checkpoints.get(point.time_ms)
+        if checkpoint is not None:
+            return checkpoint
         if self._zero_checkpoint is None:
             self.runner.reset()
             self._zero_checkpoint = self.runner.checkpoint()
@@ -361,7 +362,7 @@ def _case_plan(context: "CaseContext") -> _CasePlan | None:
         getattr(env, "lane_telemetry", None)
     ):
         return None
-    return _CasePlan(runner, context.golden_ref)
+    return _CasePlan(runner, context.golden)
 
 
 class BatchedBackend:
@@ -449,7 +450,7 @@ def _run_batch(
     per traced signal, and its traces only when ``context.keep_traces``.
     """
     runner = plan.runner
-    golden = plan.golden_ref
+    golden = plan.golden
     metrics = context.metrics
     cp = plan.start_checkpoint(lanes[0][1])
     start_ms = cp.time_ms
@@ -644,8 +645,8 @@ def _run_batch(
             )
         }
         if reconverged_at is not None:
-            final_signals = dict(golden.final_signals)
-            telemetry = dict(golden.telemetry)
+            final_signals = dict(golden.result.final_signals)
+            telemetry = dict(golden.result.telemetry)
             fast_forwarded = duration_ms - 1 - reconverged_at
         else:
             final_signals = unpack_state_row(state[:, lane], signals)
@@ -774,6 +775,6 @@ def _lane_digest_matches(
         env.lane_state_dict(values),
         module_payloads,
     )
-    digests = plan.golden_ref.digests
+    digests = plan.golden.digests
     assert digests is not None
     return state_digest(payload) == digests.at(t)

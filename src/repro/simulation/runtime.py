@@ -6,15 +6,13 @@ through signals, closed over an environment simulator that feeds the
 hardware input registers and consumes the actuator outputs, all in
 simulated time.
 
-The runtime also provides the two hook points used by the
-fault-injection environment (Section 7.3: "the target system was
-instrumented with high-level software traps"):
-
-* **read interceptors** see (and may replace) every value a module reads
-  from one of its input signals — consumer-scoped injection, so other
-  consumers of the same signal are unaffected;
-* **store mutators** run once at the start of every millisecond and may
-  rewrite stored signal values — producer-scoped injection.
+The runtime also provides the hook point used by the fault-injection
+environment (Section 7.3: "the target system was instrumented with
+high-level software traps"): **read interceptors** see (and may
+replace) every value a module reads from one of its input signals —
+consumer-scoped injection, so other consumers of the same signal are
+unaffected.  An injection run starts from, and is compared against, its
+test case's :class:`GoldenRun`.
 
 Tracing is built in: every signal (or a chosen subset) is sampled at
 the end of each millisecond into a :class:`~repro.simulation.traces.TraceSet`.
@@ -66,10 +64,9 @@ __all__ = [
     "SignalStore",
     "Environment",
     "ReadInterceptor",
-    "StoreMutator",
     "RunResult",
     "RunCheckpoint",
-    "GoldenReference",
+    "GoldenRun",
     "SimulationRun",
 ]
 
@@ -88,7 +85,7 @@ def _row_getter(signals: Sequence[str]) -> Any:
 
     A row is the tuple of the signals' values — or the bare value when
     exactly one signal is traced, as :func:`operator.itemgetter` returns
-    it.  :meth:`GoldenReference.row` builds rows of the same shape.
+    it.  :meth:`GoldenRun.row` builds rows of the same shape.
     """
     if not signals:
         return lambda values: ()
@@ -260,106 +257,6 @@ class SignalStore:
         return tuple(self._values)
 
 
-class GoldenReference:
-    """A Golden Run prepared for reconvergence fast-forward.
-
-    Holds the Golden Run's sample buffers (``array('q')`` or read-only
-    ``memoryview`` of format ``'q'``, referenced, not copied), the
-    per-frame state digests recorded alongside the Golden Run, and the
-    run's final store/telemetry.  It is the only source of an injection
-    run's trace prefix (:meth:`SimulationRun.run_from` copies it from
-    here), and with digests it lets a fast-forwarded injection run
-    splice the Golden-Run suffix and still report byte-identical
-    results.
-
-    Derived, never shipped: each process builds its own from a
-    :class:`~repro.injection.golden_run.GoldenRun`
-    (:attr:`GoldenRun.reference <repro.injection.golden_run.GoldenRun.reference>`,
-    cached per Golden Run), so pool workers receive the Golden Run
-    itself.
-    """
-
-    def __init__(
-        self,
-        signals: Sequence[str],
-        duration_ms: int,
-        samples: Mapping[str, "array | memoryview"],
-        digests: FrameDigests | None,
-        final_signals: Mapping[str, int],
-        telemetry: Mapping[str, float],
-    ) -> None:
-        self.signals = tuple(signals)
-        self.duration_ms = duration_ms
-        self.samples = dict(samples)
-        self.digests = digests
-        self.final_signals = dict(final_signals)
-        self.telemetry = dict(telemetry)
-        for signal in self.signals:
-            if len(self.samples[signal]) != duration_ms:
-                raise SimulationError(
-                    f"golden trace of {signal!r} has "
-                    f"{len(self.samples[signal])} samples, expected {duration_ms}"
-                )
-        if digests is not None and len(digests) != duration_ms:
-            raise SimulationError(
-                f"golden run records {len(digests)} frame digests for a "
-                f"{duration_ms} ms run"
-            )
-        self._columns = tuple(self.samples[signal] for signal in self.signals)
-        self._row_hashes: array | None = None
-
-    @classmethod
-    def from_result(
-        cls,
-        result: RunResult,
-        digests: FrameDigests | None = None,
-    ) -> "GoldenReference":
-        """Build a reference from a Golden :class:`RunResult`."""
-        traces = result.traces
-        assert traces is not None, "a Golden Run always records its traces"
-        return cls(
-            signals=traces.signals,
-            duration_ms=result.duration_ms,
-            samples={trace.signal: trace.samples for trace in traces},
-            digests=digests,
-            final_signals=result.final_signals,
-            telemetry=result.telemetry,
-        )
-
-    def row(self, frame: int) -> Any:
-        """The traced-signal row at ``frame``, shaped like the runtime's rows."""
-        values = tuple(column[frame] for column in self._columns)
-        return values[0] if len(values) == 1 else values
-
-    def row_hashes(self) -> array:
-        """``hash(row(t))`` for every frame: 8 bytes each, computed once.
-
-        The frame loop compares a run's row against the Golden Run's
-        through this hash first and confirms a match exactly with
-        :meth:`row`, so no per-frame row tuples are kept.
-        """
-        if self._row_hashes is None:
-            columns = self._columns
-            if len(columns) == 1:
-                rows: Any = columns[0]
-            elif columns:
-                rows = zip(*columns)
-            else:
-                rows = repeat((), self.duration_ms)
-            self._row_hashes = array("q", map(hash, rows))
-        return self._row_hashes
-
-    def suffix_bytes(self, signal: str, start_frame: int) -> memoryview:
-        """Byte view of a signal's samples from ``start_frame`` on."""
-        return memoryview(self.samples[signal])[start_frame:].cast("B")
-
-    def prefix_array(self, signal: str, n_frames: int) -> array:
-        """A mutable copy of a signal's first ``n_frames`` samples."""
-        prefix = array("q")
-        prefix.frombytes(memoryview(self.samples[signal])[:n_frames].cast("B"))
-        return prefix
-
-
 class Environment(Protocol):
     """The plant/environment simulator seen by the runtime.
 
@@ -394,17 +291,6 @@ class ReadInterceptor(Protocol):
 
     def on_read(self, module: str, signal: str, value: int, now_ms: int) -> int:
         """Return the value the module should observe."""
-
-
-class StoreMutator(Protocol):
-    """Hook run at the start of each millisecond; may rewrite the store.
-
-    The same ``fired`` contract as :class:`ReadInterceptor` applies: a
-    fired mutator must leave the store alone, and is no longer called.
-    """
-
-    def apply(self, store: SignalStore, now_ms: int) -> None:
-        """Mutate stored signals in place."""
 
 
 @dataclass
@@ -448,12 +334,13 @@ class RunCheckpoint:
     identical to a full run, because the capture covers *all* mutable
     state (store, clock, environment, every module).  It holds no
     traces: the run's first ``time_ms`` samples are the Golden Run's,
-    which the resume copies from its :class:`GoldenReference`.
+    which the resume copies from the :class:`GoldenRun` that carries
+    the checkpoint.
 
-    Checkpoints are plain picklable data, so they can be shipped to
-    worker processes (the grid-sharded campaign path does exactly
-    that).  Installed hooks are deliberately *not* part of a
-    checkpoint — traps are per-run instrumentation.
+    Checkpoints are plain picklable data, so a Golden Run ships to
+    worker processes with its checkpoints (the grid-sharded campaign
+    path does exactly that).  Installed hooks are deliberately *not*
+    part of a checkpoint — traps are per-run instrumentation.
     """
 
     #: Simulated milliseconds executed before the capture.
@@ -466,6 +353,107 @@ class RunCheckpoint:
     environment: Any
     #: Per-module internal state, keyed by module name.
     modules: dict[str, Any]
+
+
+@dataclass(frozen=True)
+class GoldenRun:
+    """The reference (injection-free) execution of one test case.
+
+    "A Golden Run (GR) is a trace of the system executing without any
+    injections being made, hence, this trace is used as reference"
+    (Section 6).  Every injection run of the case starts from it and is
+    compared against it: :meth:`SimulationRun.run_from` resumes one of
+    its :attr:`checkpoints` and copies the trace prefix from its
+    traces, and with :attr:`digests` a run may splice the rest of its
+    traces from them once it provably re-matches (reconvergence
+    fast-forward).  Recorded by :meth:`SimulationRun.run_with_checkpoints`;
+    plain picklable data, so pool workers receive it as recorded.
+    """
+
+    #: Identifier of the workload/test case the GR belongs to.
+    case_id: str
+    #: The recorded reference execution; a Golden Run records its traces.
+    result: RunResult
+    #: Mid-run states keyed by their time, one per injection instant
+    #: (empty when the campaign re-runs every IR from time zero).
+    checkpoints: Mapping[int, RunCheckpoint] = field(default_factory=dict)
+    #: One complete-state digest per frame — the verification track of
+    #: reconvergence fast-forward (``None`` disables fast-forward).
+    digests: FrameDigests | None = None
+
+    def __post_init__(self) -> None:
+        duration_ms = self.result.duration_ms
+        if self.result.traces is None:
+            raise SimulationError("a Golden Run records its traces")
+        for trace in self.result.traces:
+            if len(trace.samples) != duration_ms:
+                raise SimulationError(
+                    f"golden trace of {trace.signal!r} has "
+                    f"{len(trace.samples)} samples, expected {duration_ms}"
+                )
+        if self.digests is not None and len(self.digests) != duration_ms:
+            raise SimulationError(
+                f"golden run records {len(self.digests)} frame digests for a "
+                f"{duration_ms} ms run"
+            )
+
+    @property
+    def duration_ms(self) -> int:
+        return self.result.duration_ms
+
+    @property
+    def traces(self) -> TraceSet:
+        """The reference traces, in trace order."""
+        traces = self.result.traces
+        assert traces is not None  # checked on construction
+        return traces
+
+    @property
+    def signals(self) -> tuple[str, ...]:
+        """The traced signals, in trace order."""
+        return self.traces.signals
+
+    def signal_trace(self, signal: str) -> SignalTrace:
+        """The reference trace of one signal."""
+        return self.traces[signal]
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        return tuple(trace.samples for trace in self.traces)
+
+    def row(self, frame: int) -> Any:
+        """The traced-signal row at ``frame``, shaped like the runtime's rows."""
+        values = tuple(column[frame] for column in self._columns)
+        return values[0] if len(values) == 1 else values
+
+    @functools.cached_property
+    def row_hashes(self) -> array:
+        """``hash(row(t))`` for every frame: 8 bytes each, computed once.
+
+        The frame loop compares a run's row against the Golden Run's
+        through this hash first and confirms a match exactly with
+        :meth:`row`, so no per-frame row tuples are kept.
+        """
+        columns = self._columns
+        if len(columns) == 1:
+            rows: Any = columns[0]
+        elif columns:
+            rows = zip(*columns)
+        else:
+            rows = repeat((), self.duration_ms)
+        return array("q", map(hash, rows))
+
+    def suffix_bytes(self, signal: str, start_frame: int) -> memoryview:
+        """Byte view of a signal's samples from ``start_frame`` on."""
+        return memoryview(self.traces[signal].samples)[start_frame:].cast("B")
+
+    def prefix_array(self, signal: str, n_frames: int) -> array:
+        """A mutable copy of a signal's first ``n_frames`` samples."""
+        prefix = array("q")
+        prefix.frombytes(
+            memoryview(self.traces[signal].samples)[:n_frames].cast("B")
+        )
+        return prefix
 
 
 class SimulationRun:
@@ -528,11 +516,9 @@ class SimulationRun:
         self._store = SignalStore(system)
         self._clock = SimClock()
         self._read_interceptors: list[ReadInterceptor] = []
-        self._store_mutators: list[StoreMutator] = []
         #: The installed hooks :meth:`step_ms` still calls: the frame
         #: loop drops each one as it fires.
         self._live_interceptors: list[ReadInterceptor] = []
-        self._live_mutators: list[StoreMutator] = []
         #: Optional metrics registry timing checkpoint save/restore
         #: (set via :meth:`set_metrics`; ``None`` means no overhead).
         self._metrics = None
@@ -617,17 +603,10 @@ class SimulationRun:
         self._read_interceptors.append(interceptor)
         self._live_interceptors.append(interceptor)
 
-    def add_store_mutator(self, mutator: StoreMutator) -> None:
-        """Install a producer-scoped trap on the signal store."""
-        self._store_mutators.append(mutator)
-        self._live_mutators.append(mutator)
-
     def clear_hooks(self) -> None:
         """Remove all installed traps (between campaign runs)."""
         self._read_interceptors.clear()
-        self._store_mutators.clear()
         self._live_interceptors = []
-        self._live_mutators = []
 
     def set_metrics(self, registry) -> None:
         """Attach a metrics registry timing checkpoint save/restore.
@@ -642,12 +621,12 @@ class SimulationRun:
 
     @property
     def hooks_installed(self) -> bool:
-        """Whether any read interceptor or store mutator is installed.
+        """Whether any read interceptor is installed.
 
         Campaigns assert this is ``False`` before arming a trap, so a
         leaked hook from a previous run cannot contaminate the next.
         """
-        return bool(self._read_interceptors or self._store_mutators)
+        return bool(self._read_interceptors)
 
     # ------------------------------------------------------------------
     # Execution
@@ -673,8 +652,6 @@ class SimulationRun:
         store = self._store
         values = store._values
         self._environment.before_software(now_ms, store)
-        for mutator in self._live_mutators:
-            mutator.apply(store, now_ms)
         slot = (
             now_ms if self._slot_signal is None else values[self._slot_signal]
         ) % self._n_slots
@@ -698,42 +675,40 @@ class SimulationRun:
         clock._now_ms = now_ms + 1
 
     def run(
-        self, duration_ms: int, golden: GoldenReference | None = None
+        self, duration_ms: int, golden: GoldenRun | None = None
     ) -> RunResult:
         """Execute a complete run of ``duration_ms`` milliseconds.
 
         The runtime resets itself first, so each call is an independent
-        experiment (one Golden Run or one injection run).  With a
-        ``golden`` reference the run may reconverge-fast-forward: once
-        every installed trap has fired and the run's complete state
-        provably re-matches the Golden Run at a frame boundary, the
-        remaining frames are spliced from the Golden-Run traces instead
-        of being simulated (see :meth:`run_from` for the contract).
+        experiment (one Golden Run or one injection run).  Given its
+        case's Golden Run as ``golden``, the run may reconverge-fast-
+        forward: once every installed trap has fired and the run's
+        complete state provably re-matches the Golden Run at a frame
+        boundary, the remaining frames are spliced from the Golden-Run
+        traces instead of being simulated (see :meth:`run_from` for the
+        contract).
         """
         if duration_ms < 1:
             raise SimulationError(f"duration must be >= 1 ms, got {duration_ms}")
         self.reset()
-        samples = [(signal, array("q")) for signal in self._trace_signals]
-        return self._execute_frames(samples, 0, duration_ms, golden)
+        return self._execute_frames(0, duration_ms, golden)
 
     def run_with_checkpoints(
         self,
         duration_ms: int,
         checkpoint_times_ms: Sequence[int],
         frame_digests: bool = False,
-    ) -> tuple:
-        """Like :meth:`run`, additionally capturing mid-run checkpoints.
+        case_id: str = "",
+    ) -> GoldenRun:
+        """Record the Golden Run of test case ``case_id``.
 
-        A checkpoint requested for time ``t`` is captured *before* the
+        Like :meth:`run`, additionally capturing mid-run checkpoints.  A
+        checkpoint requested for time ``t`` is captured *before* the
         frame of millisecond ``t`` executes, i.e. after exactly ``t``
         simulated milliseconds — the state a one-shot trap scheduled at
-        ``t`` would find in a full run.  Returns the run result and the
-        checkpoints keyed by their time.
-
-        With ``frame_digests=True`` a third element is returned: a
-        :class:`~repro.simulation.snapshot.FrameDigests` holding one
-        complete-state digest per executed frame — the verification
-        track of reconvergence fast-forward.
+        ``t`` would find in a full run.  With ``frame_digests=True`` the
+        Golden Run also carries one complete-state digest per frame, the
+        verification track of reconvergence fast-forward.
         """
         if duration_ms < 1:
             raise SimulationError(f"duration must be >= 1 ms, got {duration_ms}")
@@ -743,68 +718,48 @@ class SimulationRun:
                 f"checkpoint times {wanted} must lie in [0, {duration_ms})"
             )
         self.reset()
-        samples = [(signal, array("q")) for signal in self._trace_signals]
         checkpoints: dict[int, RunCheckpoint] = {}
         digests: list[bytes] | None = [] if frame_digests else None
         result = self._execute_frames(
-            samples, 0, duration_ms,
-            checkpoints=(wanted, checkpoints), digests=digests,
+            0, duration_ms, checkpoints=(wanted, checkpoints), digests=digests
         )
-        if digests is not None:
-            return result, checkpoints, FrameDigests.join(digests)
-        return result, checkpoints
+        return GoldenRun(
+            case_id=case_id,
+            result=result,
+            checkpoints=checkpoints,
+            digests=None if digests is None else FrameDigests.join(digests),
+        )
 
-    def run_from(
-        self,
-        cp: RunCheckpoint,
-        duration_ms: int,
-        golden: GoldenReference,
-    ) -> RunResult:
-        """Resume from ``cp`` and complete a ``duration_ms`` run.
+    def run_from(self, cp: RunCheckpoint, golden: GoldenRun) -> RunResult:
+        """Resume from ``cp`` and complete a run as long as ``golden``.
 
-        ``cp`` must be a checkpoint of the Golden Run that ``golden``
-        references.  Executes only the frames after ``cp.time_ms`` and
-        stitches the Golden Run's first ``cp.time_ms`` samples onto the
-        recorded suffix, so the returned :class:`RunResult` is
-        byte-for-byte identical to a full :meth:`run` of the same
-        experiment.
+        ``cp`` must be a checkpoint of ``golden`` (one of its
+        :attr:`~GoldenRun.checkpoints`).  Executes only the frames after
+        ``cp.time_ms`` and stitches the Golden Run's first
+        ``cp.time_ms`` samples onto the recorded suffix, so the returned
+        :class:`RunResult` is byte-for-byte identical to a full
+        :meth:`run` of the same experiment.
 
-        With a ``golden`` reference carrying frame digests, the suffix
-        itself may be cut short by reconvergence fast-forward: each
-        frame's traced-signal row is compared against the Golden Run's
-        row at the same instant, and once the rows are equal after
-        every installed trap has fired, the complete runtime state is
-        digested and compared against the Golden Run's precomputed
-        digest for that frame.  On a match the remaining frames are
-        *spliced* from the Golden-Run traces — the result is still
-        byte-for-byte identical to a full re-run, and
+        With a Golden Run carrying frame digests, the suffix itself may
+        be cut short by reconvergence fast-forward: each frame's
+        traced-signal row is compared against the Golden Run's row at
+        the same instant, and once the rows are equal after every
+        installed trap has fired, the complete runtime state is digested
+        and compared against the Golden Run's precomputed digest for
+        that frame.  On a match the remaining frames are *spliced* from
+        the Golden-Run traces — the result is still byte-for-byte
+        identical to a full re-run, and
         :attr:`RunResult.reconverged_at_ms` records the instant the
         injected error's effect set became empty (its lifetime).
         """
-        if duration_ms <= cp.time_ms:
+        duration_ms = golden.duration_ms
+        if cp.time_ms >= duration_ms:
             raise SimulationError(
-                f"duration {duration_ms} ms does not extend past the "
-                f"checkpoint at {cp.time_ms} ms"
+                f"checkpoint at {cp.time_ms} ms does not lie inside the "
+                f"{duration_ms} ms Golden Run"
             )
-        self._check_golden(golden, duration_ms)
-        samples = [
-            (signal, golden.prefix_array(signal, cp.time_ms))
-            for signal in self._trace_signals
-        ]
         self.restore(cp)
-        return self._execute_frames(samples, cp.time_ms, duration_ms, golden)
-
-    def _check_golden(self, golden: GoldenReference, duration_ms: int) -> None:
-        if golden.duration_ms != duration_ms:
-            raise SimulationError(
-                f"golden reference covers {golden.duration_ms} ms, "
-                f"run lasts {duration_ms} ms"
-            )
-        if golden.signals != self._trace_signals:
-            raise SimulationError(
-                "golden reference traces different signals than this run: "
-                f"{golden.signals} vs {self._trace_signals}"
-            )
+        return self._execute_frames(cp.time_ms, duration_ms, golden)
 
     def _retire_fired_hooks(self) -> bool:
         """Stop calling hooks that have fired; whether any are still live."""
@@ -812,26 +767,23 @@ class SimulationRun:
             hook for hook in self._read_interceptors
             if not getattr(hook, "fired", False)
         ]
-        self._live_mutators = [
-            hook for hook in self._store_mutators
-            if not getattr(hook, "fired", False)
-        ]
-        return bool(self._live_interceptors or self._live_mutators)
+        return bool(self._live_interceptors)
 
     def _execute_frames(
         self,
-        samples: list[tuple[str, array]],
         start_ms: int,
         duration_ms: int,
-        golden: GoldenReference | None = None,
+        golden: GoldenRun | None = None,
         checkpoints: tuple[Sequence[int], dict[int, RunCheckpoint]] | None = None,
         digests: list[bytes] | None = None,
     ) -> RunResult:
         """The one frame loop behind every run entry point.
 
-        Simulates frames ``start_ms .. duration_ms-1``, reading the
+        Simulates frames ``start_ms .. duration_ms-1`` after the first
+        ``start_ms`` samples of every traced signal, copied from
+        ``golden`` (a resume from one of its checkpoints), reading the
         traced signals as one row per frame and appending the rows to
-        ``samples`` in blocks.  Hooks are dropped from the step as they
+        the traces in blocks.  Hooks are dropped from the step as they
         fire.  Three steps are optional:
 
         * ``checkpoints=(times, into)`` captures a checkpoint before
@@ -849,11 +801,25 @@ class SimulationRun:
           from the Golden-Run traces; a mismatch backs off for
           ``_DIGEST_RETRY_FRAMES`` frames while the row stays equal.
         """
+        if golden is not None:
+            if golden.duration_ms != duration_ms:
+                raise SimulationError(
+                    f"golden run covers {golden.duration_ms} ms, "
+                    f"run lasts {duration_ms} ms"
+                )
+            if golden.signals != self._trace_signals:
+                raise SimulationError(
+                    "golden run traces different signals than this run: "
+                    f"{golden.signals} vs {self._trace_signals}"
+                )
+        samples = [
+            (signal, golden.prefix_array(signal, start_ms) if start_ms else array("q"))
+            for signal in self._trace_signals
+        ]
         if golden is not None and golden.digests is None:
             golden = None
         if golden is not None:
-            self._check_golden(golden, duration_ms)
-            gr_hashes = golden.row_hashes()
+            gr_hashes = golden.row_hashes
             gr_row = golden.row
             gr_digests = golden.digests
             assert gr_digests is not None
@@ -924,7 +890,7 @@ class SimulationRun:
         self,
         duration_ms: int,
         samples: list[tuple[str, array]],
-        golden: GoldenReference | None = None,
+        golden: GoldenRun | None = None,
         reconverged_at_ms: int | None = None,
         frames_fast_forwarded: int = 0,
     ) -> RunResult:
@@ -932,8 +898,8 @@ class SimulationRun:
             assert golden is not None
             # The spliced run *is* the Golden Run from the reconvergence
             # instant on; report its final state, not the (older) store.
-            final_signals = dict(golden.final_signals)
-            telemetry = dict(golden.telemetry)
+            final_signals = dict(golden.result.final_signals)
+            telemetry = dict(golden.result.telemetry)
         else:
             final_signals = self._store.snapshot()
             telemetry = dict(self._environment.telemetry())

@@ -31,6 +31,11 @@ the rest of the repo relies on:
     Re-running the campaign against a warm :mod:`repro.store` result
     store executes zero injection runs yet recomposes outcomes and the
     estimate matrix byte-identical to the cold pass.
+``store-invalidation`` (generated systems)
+    Changing one result-relevant configuration field (seed, duration,
+    instants, error models, fast-forward) changes the store key of every
+    cacheable row; changing one field proven outcome-invariant (prefix
+    reuse, backend, static pruning) changes none.
 ``adaptive-soundness`` (generated systems)
     The confidence-driven campaign (``CampaignConfig(adaptive=True)``,
     see :mod:`repro.adaptive`) samples only outcomes that are
@@ -62,7 +67,7 @@ from repro.core.paths import paths_of_backtrack_tree
 from repro.core.permeability import PermeabilityEstimate, PermeabilityMatrix
 from repro.core.stats import wilson_interval
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
-from repro.injection.error_models import bit_flip_models
+from repro.injection.error_models import StuckAtZero, bit_flip_models
 from repro.injection.estimator import estimate_matrix, pair_trial_counts
 from repro.model.module import ModuleSpec
 from repro.model.system import SystemModel
@@ -79,6 +84,7 @@ __all__ = [
     "check_adaptive_soundness",
     "check_incremental_parity",
     "check_static_containment",
+    "check_store_invalidation",
     "default_campaign",
     "differential_oracle",
     "select_strategies",
@@ -568,6 +574,70 @@ def check_incremental_parity(
         )
 
 
+def check_store_invalidation(
+    generated: GeneratedSystem, campaign: VerifyCampaign
+) -> None:
+    """Each result-relevant config field is in every row's store key.
+
+    Works on the keys alone (no campaign runs): builds the case's unit
+    keys under the campaign's config, then with one field changed at a
+    time.  A stored row answers a campaign whose key matches, so a
+    field the outcomes depend on that leaves a key unchanged lets a
+    warm store replay results of another experiment; a field proven
+    outcome-invariant that changes a key only costs cache hits.
+    """
+    from repro.store import UnitKeyBuilder
+
+    config = campaign.to_config(reuse=True, fast_forward=True)
+    cases = {"gen": None}
+    targets = InjectionCampaign(
+        generated.system, generated.run_factory, cases, config
+    ).targets
+
+    def keys(changed: dict) -> dict:
+        builder = UnitKeyBuilder(
+            generated.system,
+            generated.run_factory,
+            dataclasses.replace(config, **changed),
+        )
+        return {
+            target: key.digest
+            for target, key in builder.keys_for_case("gen", None, targets).items()
+            if key.cacheable
+        }
+
+    base = keys({})
+    if not base:
+        raise OracleFailure(
+            "store-invalidation", f"no cacheable row on {generated.system.name!r}"
+        )
+    times = config.injection_times_ms
+    relevant = {
+        "seed": config.seed + 1,
+        "duration_ms": config.duration_ms + 1,
+        "injection_times_ms": (*times[:-1], times[-1] + 1),
+        "error_models": (*config.error_models[:-1], StuckAtZero(0)),
+        "fast_forward": not config.fast_forward,
+    }
+    invariant = {
+        "reuse_golden_prefix": not config.reuse_golden_prefix,
+        "backend": "batched" if config.backend == "reference" else "reference",
+        "static_prune": not config.static_prune,
+    }
+    for name, value in {**relevant, **invariant}.items():
+        changed = keys({name: value})
+        kept = [target for target in base if changed.get(target) == base[target]]
+        wrong = kept if name in relevant else sorted(set(base) - set(kept))
+        if wrong:
+            verb = "keeps" if name in relevant else "changes"
+            raise OracleFailure(
+                "store-invalidation",
+                f"changing {name} {verb} the store key of {len(wrong)} of "
+                f"{len(base)} row(s) on {generated.system.name!r}, "
+                f"e.g. {wrong[0]}",
+            )
+
+
 # ---------------------------------------------------------------------------
 # Adaptive stopping (generated systems)
 # ---------------------------------------------------------------------------
@@ -841,6 +911,7 @@ def verify_generated(
     measured = estimate_matrix(result, require_complete=campaign.targets is None)
     check_static_containment(generated, campaign, measured, analytical)
     check_incremental_parity(generated, campaign)
+    check_store_invalidation(generated, campaign)
     check_adaptive_soundness(generated, campaign, analytical)
     check_dead_sink_invariance(generated, analytical)
     check_prerr_scaling(generated, analytical)
@@ -850,6 +921,7 @@ def verify_generated(
             *report.checks,
             "static-containment",
             "incremental-parity",
+            "store-invalidation",
             "adaptive-soundness",
             "metamorphic-dead-sink",
             "metamorphic-prerr-scaling",

@@ -26,7 +26,6 @@ from repro.simulation.backend import (
     available_backends,
     get_backend,
 )
-from repro.simulation.runtime import GoldenReference
 from repro.verify.generators import (
     GeneratedModule,
     GeneratedSystem,
@@ -303,9 +302,9 @@ class TestBatchedIdentity:
 
 def _plan(generated: GeneratedSystem) -> _CasePlan:
     runner = generated.build_run()
-    golden = runner.run(8)
+    golden = runner.run_with_checkpoints(8, ())
     runner.reset()
-    return _CasePlan(runner, GoldenReference.from_result(golden))
+    return _CasePlan(runner, golden)
 
 
 def _random_lanes(plan: _CasePlan, n_lanes: int, seed: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from repro.injection.campaign import CampaignConfig, InjectionCampaign, _CaseCon
 from repro.injection.error_models import BitFlip, RandomBitFlip
 from repro.injection.traps import InputInjectionTrap
 from repro.model.errors import CampaignError, SimulationError
-from repro.simulation.runtime import GoldenReference
 from repro.simulation.snapshot import Snapshotable, restore_state, snapshot_state
 
 from tests.conftest import build_toy_model, build_toy_run, toy_factory
@@ -59,33 +58,27 @@ class TestRuntimeCheckpoints:
     def test_resumed_runs_bit_identical(self, build):
         runner = build()
         full = runner.run(self.DURATION)
-        traced, checkpoints = runner.run_with_checkpoints(
-            self.DURATION, self.TIMES
-        )
-        assert_identical_results(traced, full)
-        assert sorted(checkpoints) == sorted(self.TIMES)
-        golden = GoldenReference.from_result(full)
-        for time_ms, checkpoint in checkpoints.items():
+        golden = runner.run_with_checkpoints(self.DURATION, self.TIMES)
+        assert_identical_results(golden.result, full)
+        assert sorted(golden.checkpoints) == sorted(self.TIMES)
+        for time_ms, checkpoint in golden.checkpoints.items():
             assert checkpoint.time_ms == time_ms
-            resumed = runner.run_from(checkpoint, self.DURATION, golden)
+            resumed = runner.run_from(checkpoint, golden)
             assert_identical_results(resumed, full)
 
     def test_checkpoint_survives_multiple_restores(self):
         """The same checkpoint restores identically any number of times."""
         runner = build_arrestment_run()
         full = runner.run(self.DURATION)
-        _, checkpoints = runner.run_with_checkpoints(self.DURATION, [100])
-        checkpoint = checkpoints[100]
-        golden = GoldenReference.from_result(full)
+        golden = runner.run_with_checkpoints(self.DURATION, [100])
+        checkpoint = golden.checkpoints[100]
         for _ in range(3):
-            assert_identical_results(
-                runner.run_from(checkpoint, self.DURATION, golden), full
-            )
+            assert_identical_results(runner.run_from(checkpoint, golden), full)
 
     def test_injected_suffix_matches_full_injected_run(self):
         """An IR resumed from a checkpoint equals the full IR, trap and all."""
         runner = build_arrestment_run()
-        golden, checkpoints = runner.run_with_checkpoints(self.DURATION, [100])
+        golden = runner.run_with_checkpoints(self.DURATION, [100])
 
         def trap():
             return InputInjectionTrap.for_system(
@@ -99,9 +92,7 @@ class TestRuntimeCheckpoints:
 
         resumed_trap = trap()
         runner.add_read_interceptor(resumed_trap)
-        resumed = runner.run_from(
-            checkpoints[100], self.DURATION, GoldenReference.from_result(golden)
-        )
+        resumed = runner.run_from(golden.checkpoints[100], golden)
         runner.clear_hooks()
 
         assert_identical_results(resumed, full)
@@ -114,12 +105,9 @@ class TestRuntimeCheckpoints:
 
         runner = build_arrestment_run()
         full = runner.run(self.DURATION)
-        _, checkpoints = runner.run_with_checkpoints(self.DURATION, [100])
-        revived = pickle.loads(pickle.dumps(checkpoints[100]))
-        golden = GoldenReference.from_result(full)
-        assert_identical_results(
-            runner.run_from(revived, self.DURATION, golden), full
-        )
+        golden = runner.run_with_checkpoints(self.DURATION, [100])
+        revived = pickle.loads(pickle.dumps(golden.checkpoints[100]))
+        assert_identical_results(runner.run_from(revived, golden), full)
 
     def test_pickled_checkpoint_digests_like_the_golden_run(self):
         """A checkpoint that crossed a process boundary still reconverges.
@@ -132,18 +120,18 @@ class TestRuntimeCheckpoints:
         import pickle
 
         runner = build_arrestment_run()
-        _, checkpoints, digests = runner.run_with_checkpoints(
-            1000, [500], frame_digests=True
-        )
-        runner.restore(pickle.loads(pickle.dumps(checkpoints[500])))
+        golden = runner.run_with_checkpoints(1000, [500], frame_digests=True)
+        runner.restore(pickle.loads(pickle.dumps(golden.checkpoints[500])))
         runner.step_ms()
-        assert runner._state_digest() == digests.at(500)
+        assert runner._state_digest() == golden.digests.at(500)
 
     def test_run_from_rejects_past_duration(self):
+        """A checkpoint must lie inside the Golden Run it resumes on."""
         runner = build_toy_run()
-        golden, checkpoints = runner.run_with_checkpoints(50, [30])
+        golden = runner.run_with_checkpoints(50, [30])
+        shorter = runner.run_with_checkpoints(30, ())
         with pytest.raises(SimulationError):
-            runner.run_from(checkpoints[30], 30, GoldenReference.from_result(golden))
+            runner.run_from(golden.checkpoints[30], shorter)
 
     def test_checkpoint_times_validated(self):
         runner = build_toy_run()
@@ -155,10 +143,10 @@ class TestRuntimeCheckpoints:
     def test_foreign_checkpoint_rejected(self):
         """A checkpoint from a different system does not restore."""
         toy = build_toy_run()
-        _, checkpoints = toy.run_with_checkpoints(50, [10])
+        golden = toy.run_with_checkpoints(50, [10])
         arrestment = build_arrestment_run()
         with pytest.raises(SimulationError):
-            arrestment.restore(checkpoints[10])
+            arrestment.restore(golden.checkpoints[10])
 
     def test_hooks_installed_property(self):
         runner = build_toy_run()
@@ -252,10 +240,10 @@ class TestCampaignEquivalence:
                 runner.system, "FILT", "src", 5, BitFlip(3)
             )
         )
-        _, golden, checkpoints = campaign._golden_for_case("a", None)
+        _, golden = campaign._golden_for_case("a", None)
         context = _CaseContext(
             campaign._system, campaign.config, runner, golden,
-            [("FILT", "src", 5, 0)], checkpoints,
+            [("FILT", "src", 5, 0)],
         )
         (point,) = context.injection_points()
         with pytest.raises(CampaignError):

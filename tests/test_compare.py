@@ -47,20 +47,21 @@ class TestCompareMatrices:
         system = build_fig2_system()
         other = PermeabilityMatrix.from_dict(system, fig2_permeabilities())
         comparison = compare_matrices(fig2_matrix, other)
-        assert comparison.max_abs_delta == 0.0
-        assert comparison.mean_abs_delta == 0.0
+        assert comparison.diff.max_abs_delta == 0.0
+        assert comparison.diff.mean_abs_delta == 0.0
         assert comparison.module_rank_correlation == pytest.approx(1.0)
         assert comparison.ordering_maintained
-        assert comparison.drifted_pairs() == []
+        assert comparison.diff.exceeding(0.1) == ()
 
     def test_detects_drift(self, fig2_matrix):
         values = fig2_permeabilities()
         values[("C", "ext_c", "c1")] = 0.5  # was 1.0
         other = PermeabilityMatrix.from_dict(build_fig2_system(), values)
         comparison = compare_matrices(fig2_matrix, other)
-        assert comparison.max_abs_delta == pytest.approx(0.5)
-        drifted = comparison.drifted_pairs(threshold=0.1)
-        assert drifted[0][0] == ("C", "ext_c", "c1")
+        assert comparison.diff.max_abs_delta == pytest.approx(0.5)
+        drifted = comparison.diff.exceeding(0.1)
+        assert (drifted[0].module, drifted[0].input_signal) == ("C", "ext_c")
+        assert drifted[0].output_signal == "c1"
 
     def test_ordering_break_detected(self, fig2_matrix):
         # Invert the extremes: make A's single pair huge and B tiny.
@@ -91,5 +92,5 @@ class TestCompareMatrices:
         values[("D", "b1", "d1")] = 0.9  # was 0.4
         other = PermeabilityMatrix.from_dict(build_fig2_system(), values)
         text = compare_matrices(fig2_matrix, other).render()
-        assert "D: b1 -> d1" in text
+        assert "D.b1 -> d1" in text
         assert "rho" in text

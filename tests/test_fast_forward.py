@@ -15,7 +15,7 @@ lifetime fields).
 from __future__ import annotations
 
 from array import array
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,8 @@ from repro.injection.error_models import BitFlip
 from repro.injection.golden_run import GoldenRun
 from repro.injection.latency import lifetime_statistics, render_lifetime_table
 from repro.model.errors import SimulationError
-from repro.simulation.runtime import GoldenReference, RunCheckpoint
+from repro.simulation.runtime import RunCheckpoint, RunResult
+from repro.simulation.traces import SignalTrace, TraceSet
 
 from tests.conftest import build_toy_model, build_toy_run, toy_factory
 
@@ -227,11 +228,20 @@ class TestToyCampaigns:
 
 def record_golden(runner, duration_ms, times=()):
     """Golden Run with digests, as the campaign records it."""
-    result, checkpoints, digests = runner.run_with_checkpoints(
-        duration_ms, times, frame_digests=True
+    return runner.run_with_checkpoints(
+        duration_ms, times, frame_digests=True, case_id="tc"
     )
-    golden = GoldenRun(case_id="tc", result=result, digests=digests)
-    return golden, checkpoints
+
+
+def golden_of(samples, duration_ms, digests=None):
+    """A Golden Run over hand-made traces, without checkpoints."""
+    traces = TraceSet(SignalTrace(signal, column) for signal, column in samples.items())
+    result = RunResult(
+        traces=traces,
+        duration_ms=duration_ms,
+        final_signals={signal: column[-1] for signal, column in samples.items()},
+    )
+    return GoldenRun(case_id="tc", result=result, digests=digests)
 
 
 class _PassthroughTrap:
@@ -244,8 +254,8 @@ class _PassthroughTrap:
 class TestRuntimeFastForward:
     def test_uninjected_run_reconverges_immediately(self):
         runner = build_toy_run()
-        golden, _ = record_golden(runner, 50)
-        replay = runner.run(50, golden.reference)
+        golden = record_golden(runner, 50)
+        replay = runner.run(50, golden)
         assert replay.reconverged_at_ms == 0
         assert replay.frames_fast_forwarded == 49
         assert replay.traces.to_mapping() == golden.result.traces.to_mapping()
@@ -254,21 +264,20 @@ class TestRuntimeFastForward:
 
     def test_reference_without_digests_disables_fast_forward(self):
         runner = build_toy_run()
-        result, _ = runner.run_with_checkpoints(50, ())
-        golden = GoldenRun(case_id="tc", result=result)
-        assert golden.reference.digests is None
-        replay = runner.run(50, golden.reference)
+        golden = runner.run_with_checkpoints(50, ())
+        assert golden.digests is None
+        replay = runner.run(50, golden)
         assert replay.reconverged_at_ms is None
         assert replay.frames_fast_forwarded == 0
-        assert replay.traces.to_mapping() == result.traces.to_mapping()
+        assert replay.traces.to_mapping() == golden.result.traces.to_mapping()
 
     def test_armed_hook_blocks_splice(self):
         """An inert hook without ``fired`` keeps fast-forward disarmed."""
         runner = build_toy_run()
-        golden, _ = record_golden(runner, 50)
+        golden = record_golden(runner, 50)
         runner.add_read_interceptor(_PassthroughTrap())
         try:
-            replay = runner.run(50, golden.reference)
+            replay = runner.run(50, golden)
         finally:
             runner.clear_hooks()
         assert replay.reconverged_at_ms is None
@@ -276,74 +285,46 @@ class TestRuntimeFastForward:
         assert replay.traces.to_mapping() == golden.result.traces.to_mapping()
 
     def test_resume_takes_its_prefix_from_the_golden_run(self):
-        """A checkpoint holds state only; the reference supplies the prefix,
-        with or without the digests that enable fast-forward."""
+        """A checkpoint holds state only; the Golden Run supplies the
+        prefix, with or without the digests that enable fast-forward."""
         runner = build_toy_run()
-        golden, checkpoints = record_golden(runner, 50, times=(20,))
+        golden = record_golden(runner, 50, times=(20,))
         assert {f.name for f in fields(RunCheckpoint)} == {
             "time_ms", "store", "clock", "environment", "modules",
         }
-        for reference in (
-            golden.reference, GoldenReference.from_result(golden.result)
-        ):
-            resumed = runner.run_from(checkpoints[20], 50, reference)
+        for reference in (golden, replace(golden, digests=None)):
+            resumed = runner.run_from(golden.checkpoints[20], reference)
             assert resumed.traces.to_mapping() == golden.result.traces.to_mapping()
             assert resumed.final_signals == golden.result.final_signals
 
     def test_duration_mismatch_rejected(self):
         runner = build_toy_run()
-        golden, checkpoints = record_golden(runner, 50, times=(20,))
+        golden = record_golden(runner, 50)
         with pytest.raises(SimulationError):
-            runner.run(60, golden.reference)
-        # A resume copies its prefix from the reference, so it checks the
-        # reference even when it carries no digests.
-        for reference in (
-            golden.reference, GoldenReference.from_result(golden.result)
-        ):
-            with pytest.raises(SimulationError):
-                runner.run_from(checkpoints[20], 60, reference)
+            runner.run(60, golden)
 
     def test_signal_mismatch_rejected(self):
         runner = build_toy_run()
-        golden, checkpoints = record_golden(runner, 50, times=(20,))
+        golden = record_golden(runner, 50, times=(20,))
         for digests in (golden.digests, None):
-            other = GoldenReference(
-                signals=("ghost",),
-                duration_ms=50,
-                samples={"ghost": array("q", [0] * 50)},
-                digests=digests,
-                final_signals={"ghost": 0},
-                telemetry={},
-            )
+            other = golden_of({"ghost": array("q", [0] * 50)}, 50, digests)
             if digests is not None:
                 with pytest.raises(SimulationError):
                     runner.run(50, other)
             with pytest.raises(SimulationError):
-                runner.run_from(checkpoints[20], 50, other)
+                runner.run_from(golden.checkpoints[20], other)
 
     def test_reference_validates_sample_lengths(self):
         with pytest.raises(SimulationError):
-            GoldenReference(
-                signals=("a",),
-                duration_ms=5,
-                samples={"a": array("q", [0, 1])},
-                digests=None,
-                final_signals={"a": 1},
-                telemetry={},
-            )
+            golden_of({"a": array("q", [0, 1])}, 5)
+        digests = record_golden(build_toy_run(), 4).digests
+        with pytest.raises(SimulationError):
+            golden_of({"a": array("q", range(5))}, 5, digests)
 
     def test_suffix_and_prefix_round_trip(self):
-        samples = array("q", range(10))
-        reference = GoldenReference(
-            signals=("a",),
-            duration_ms=10,
-            samples={"a": samples},
-            digests=None,
-            final_signals={"a": 9},
-            telemetry={},
-        )
-        prefix = reference.prefix_array("a", 4)
+        golden = golden_of({"a": array("q", range(10))}, 10)
+        prefix = golden.prefix_array("a", 4)
         assert isinstance(prefix, array) and list(prefix) == [0, 1, 2, 3]
         suffix = array("q")
-        suffix.frombytes(reference.suffix_bytes("a", 4))
+        suffix.frombytes(golden.suffix_bytes("a", 4))
         assert list(prefix) + list(suffix) == list(range(10))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.injection.error_models import BitFlip
-from repro.injection.traps import InputInjectionTrap, StoreInjectionTrap
+from repro.injection.traps import InputInjectionTrap
 from repro.model.errors import SimulationError, UnknownSignalError
 from repro.model.module import SoftwareModule
 from repro.simulation.runtime import SignalStore, SimulationRun
@@ -236,17 +236,6 @@ class TestHooks:
         assert result.traces["out"][3] == 0xAA00
         assert result.traces["filt"][3] != 0xAA00
 
-    def test_store_mutator_visible_to_all(self, toy_run):
-        class ForceSrc:
-            def apply(self, store, now_ms):
-                if now_ms == 3:
-                    store.write("src", 0xFFFF)
-
-        toy_run.add_store_mutator(ForceSrc())
-        result = toy_run.run(5)
-        assert result.traces["src"][3] == 0xFFFF
-        assert result.traces["filt"][3] == 0xFF00
-
     def test_clear_hooks(self, toy_run):
         class Bomb:
             def on_read(self, module, signal, value, now_ms):
@@ -285,21 +274,6 @@ class TestHooks:
         assert trap.fired_at_ms == 3
         # Called on every read up to the firing frame, never after it.
         assert frames_called == [0, 0, 1, 1, 2, 2, 3, 3]
-
-    def test_fired_store_trap_gets_no_further_calls(self, toy_run):
-        frames_called = []
-
-        class CountingTrap(StoreInjectionTrap):
-            def apply(self, store, now_ms):
-                frames_called.append(now_ms)
-                super().apply(store, now_ms)
-
-        trap = CountingTrap("src", 2, BitFlip(15))
-        toy_run.add_store_mutator(trap)
-        result = toy_run.run(10)
-        assert trap.fired_at_ms == 2
-        assert frames_called == [0, 1, 2]
-        assert result.traces["src"][2] == (3 * 3) ^ 0x8000
 
     def test_hook_without_fired_is_called_on_every_read(self, toy_run):
         reads = []
@@ -343,8 +317,8 @@ class TestHooks:
         ]
 
     def test_hooks_installed_until_cleared(self, toy_run):
-        trap = StoreInjectionTrap("src", 0, BitFlip(0))
-        toy_run.add_store_mutator(trap)
+        trap = InputInjectionTrap("FILT", "src", 0, BitFlip(0))
+        toy_run.add_read_interceptor(trap)
         toy_run.run(3)
         assert trap.fired
         assert toy_run.hooks_installed

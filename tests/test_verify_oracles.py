@@ -15,9 +15,11 @@ from repro.verify import (
     generate_system,
     verify_generated,
 )
+from repro.store import UnitKeyBuilder
 from repro.verify.oracles import (
     check_dead_sink_invariance,
     check_prerr_scaling,
+    check_store_invalidation,
 )
 
 from tests.verify_cases import (
@@ -34,6 +36,7 @@ ALL_CHECKS = (
     "ci-containment",
     "static-containment",
     "incremental-parity",
+    "store-invalidation",
     "adaptive-soundness",
     "metamorphic-dead-sink",
     "metamorphic-prerr-scaling",
@@ -156,6 +159,42 @@ class TestOracleCatchesBugs:
         with pytest.raises(OracleFailure) as excinfo:
             verify_generated(GeneratedSystem(spec), campaign)
         assert excinfo.value.check == "ci-sanity"
+
+
+class TestStoreInvalidation:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_keys_follow_the_config(self, seed):
+        generated = generate_system(seed)
+        check_store_invalidation(generated, default_campaign(generated))
+
+    @pytest.mark.parametrize("field", ["duration_ms", "injection_times_ms"])
+    def test_key_blind_to_a_relevant_field_is_caught(self, monkeypatch, field):
+        """A warm store would answer a campaign of another duration."""
+        init = UnitKeyBuilder.__init__
+
+        def blind(self, system, run_factory, config):
+            init(self, system, run_factory, config)
+            del self._base["config"][field]
+
+        monkeypatch.setattr(UnitKeyBuilder, "__init__", blind)
+        generated = generate_system(0)
+        with pytest.raises(OracleFailure) as excinfo:
+            check_store_invalidation(generated, default_campaign(generated))
+        assert excinfo.value.check == "store-invalidation"
+        assert f"changing {field} keeps" in str(excinfo.value)
+
+    def test_key_on_an_invariant_field_is_caught(self, monkeypatch):
+        """Keying the backend would split one result across two keys."""
+        init = UnitKeyBuilder.__init__
+
+        def keyed(self, system, run_factory, config):
+            init(self, system, run_factory, config)
+            self._base["config"]["backend"] = config.backend
+
+        monkeypatch.setattr(UnitKeyBuilder, "__init__", keyed)
+        generated = generate_system(0)
+        with pytest.raises(OracleFailure, match="changing backend changes"):
+            check_store_invalidation(generated, default_campaign(generated))
 
 
 class TestMetamorphicRelations:
