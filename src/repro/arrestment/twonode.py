@@ -44,7 +44,6 @@ from repro.arrestment.v_reg import V_REG_SPEC, ValveRegulatorModule
 from repro.model.module import ModuleSpec, SoftwareModule
 from repro.model.signal import SignalSpec
 from repro.model.system import SystemModel
-from repro.simulation.registers import AdcRegister, FreeRunningCounter, InputCapture, PulseAccumulator
 from repro.simulation.runtime import SignalStore, SimulationRun
 from repro.simulation.scheduler import SlotSchedule
 
@@ -191,15 +190,12 @@ class TwoDrumPlant:
     Mirrors :class:`repro.arrestment.plant.ArrestmentPlant` with one
     pressure/valve/transducer state per drum.  Both ends see the same
     cable run-out, so the rotation sensors stay on the master drum.
+    The hardware registers are plain 16-bit ``int`` fields, as in
+    :class:`~repro.arrestment.plant.ArrestmentPlant`.
     """
 
     def __init__(self, config: PlantConfig) -> None:
         self._config = config
-        self._tcnt = FreeRunningCounter("TCNT", ticks_per_ms=config.ticks_per_ms)
-        self._pacnt = PulseAccumulator("PACNT")
-        self._tic1 = InputCapture("TIC1", counter=self._tcnt)
-        self._adc_master = AdcRegister("ADC", 0.0, config.supply_pressure_pa)
-        self._adc_slave = AdcRegister("ADCS", 0.0, config.supply_pressure_pa)
         self.reset()
 
     def reset(self) -> None:
@@ -212,14 +208,11 @@ class TwoDrumPlant:
         self._pulses_emitted = 0
         self._peak_decel_ms2 = 0.0
         self._stop_time_ms: int | None = None
-        for register in (
-            self._tcnt,
-            self._pacnt,
-            self._tic1,
-            self._adc_master,
-            self._adc_slave,
-        ):
-            register.reset()
+        self._tcnt = 0
+        self._pacnt = 0
+        self._tic1 = 0
+        self._adc_master = 0
+        self._adc_slave = 0
 
     def state_dict(self) -> dict:
         """Complete two-drum physical state, including the registers."""
@@ -232,11 +225,11 @@ class TwoDrumPlant:
             "pulses_emitted": self._pulses_emitted,
             "peak_decel_ms2": self._peak_decel_ms2,
             "stop_time_ms": self._stop_time_ms,
-            "tcnt": self._tcnt.state_dict(),
-            "pacnt": self._pacnt.state_dict(),
-            "tic1": self._tic1.state_dict(),
-            "adc_master": self._adc_master.state_dict(),
-            "adc_slave": self._adc_slave.state_dict(),
+            "tcnt": {"value": self._tcnt},
+            "pacnt": {"value": self._pacnt},
+            "tic1": {"value": self._tic1},
+            "adc_master": {"value": self._adc_master},
+            "adc_slave": {"value": self._adc_slave},
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -249,21 +242,21 @@ class TwoDrumPlant:
         self._pulses_emitted = state["pulses_emitted"]
         self._peak_decel_ms2 = state["peak_decel_ms2"]
         self._stop_time_ms = state["stop_time_ms"]
-        self._tcnt.load_state_dict(state["tcnt"])
-        self._pacnt.load_state_dict(state["pacnt"])
-        self._tic1.load_state_dict(state["tic1"])
-        self._adc_master.load_state_dict(state["adc_master"])
-        self._adc_slave.load_state_dict(state["adc_slave"])
+        self._tcnt = state["tcnt"]["value"]
+        self._pacnt = state["pacnt"]["value"]
+        self._tic1 = state["tic1"]["value"]
+        self._adc_master = state["adc_master"]["value"]
+        self._adc_slave = state["adc_slave"]["value"]
 
     # -- Environment protocol ------------------------------------------
 
     def before_software(self, now_ms: int, store: SignalStore) -> None:
         self._integrate_one_ms(now_ms)
-        store.write("PACNT", self._pacnt.read())
-        store.write("TIC1", self._tic1.read())
-        store.write("TCNT", self._tcnt.read())
-        store.write("ADC", self._adc_master.read())
-        store.write("ADCS", self._adc_slave.read())
+        store.write("PACNT", self._pacnt)
+        store.write("TIC1", self._tic1)
+        store.write("TCNT", self._tcnt)
+        store.write("ADC", self._adc_master)
+        store.write("ADCS", self._adc_slave)
 
     def after_software(self, now_ms: int, store: SignalStore) -> None:
         self._valve_fraction[0] = store.read("TOC2") / 0xFFFF
@@ -324,24 +317,29 @@ class TwoDrumPlant:
             self._velocity_ms = new_velocity
             self._pulse_position = self._position_m * config.pulses_per_metre
 
-        self._tcnt.advance_ms(1)
+        self._tcnt = (self._tcnt + config.ticks_per_ms) & 0xFFFF
         end_pulses = math.floor(self._pulse_position)
         new_pulses = end_pulses - self._pulses_emitted
         if new_pulses > 0:
-            self._pacnt.count(new_pulses)
+            self._pacnt = (self._pacnt + new_pulses) & 0xFFFF
             advance = self._pulse_position - start_position
             if advance > 0.0:
                 fraction = (end_pulses - start_position) / advance
                 fraction = min(1.0, max(0.0, fraction))
             else:  # pragma: no cover - defensive
                 fraction = 1.0
-            self._tic1.capture(
-                ticks_ago=round((1.0 - fraction) * config.ticks_per_ms)
-            )
+            ticks_ago = round((1.0 - fraction) * config.ticks_per_ms)
+            self._tic1 = (self._tcnt - ticks_ago) & 0xFFFF
             self._pulses_emitted = end_pulses
 
-        self._adc_master.convert(self._pressure_pa[0])
-        self._adc_slave.convert(self._pressure_pa[1])
+        # Pressure transducers: each converter spans 0 Pa to supply, clipped.
+        supply_pa = config.supply_pressure_pa
+        self._adc_master = round(
+            min(1.0, max(0.0, self._pressure_pa[0] / supply_pa)) * 0xFFFF
+        )
+        self._adc_slave = round(
+            min(1.0, max(0.0, self._pressure_pa[1] / supply_pa)) * 0xFFFF
+        )
 
 
 def build_twonode_run(

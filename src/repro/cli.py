@@ -269,6 +269,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"({stats.runs_reused} runs recomposed from cache), "
             f"{stats.misses} row(s) executed fresh"
             + (f", {stats.uncacheable} uncacheable" if stats.uncacheable else "")
+            + f"; {stats.runs_executed} run(s) executed"
             + (
                 f"; WARNING: {stats.rejected} corrupt artifact(s) re-executed"
                 if stats.rejected

@@ -73,7 +73,7 @@ Pipeline
 ``InjectionCampaign._execute``, in four parts:
 
 * **plan** — start events, the lint gate, static pruning and one
-  result-store lookup over every (case, module, input) row;
+  result-store lookup over every live (case, module, input) row;
 * **schedule** — rounds of ``{target: [(case_id, time_ms,
   model_index)]}``: one round holding the whole grid
   (``_ExhaustiveSchedule``), or confidence-driven rounds
@@ -84,7 +84,10 @@ Pipeline
   (``_PoolExecutor``, one worker entry :func:`_run_shard`);
 * **recompose** — folds cached and fresh outcomes into the result in
   schedule order (canonical grid order for the exhaustive schedule)
-  and publishes each row to the store as soon as it is final.
+  and, after each case's batch of a round, publishes every row that ran
+  a fresh trial.  A stored row is the result store's one unit of reuse
+  for both schedules: one key and any subset of its grid, every
+  outcome reusable at its own coordinates.
 """
 
 from __future__ import annotations
@@ -210,9 +213,12 @@ class CampaignConfig:
         Optional directory of a content-addressed campaign result
         store (CLI: ``--store DIR``, see docs/INCREMENTAL.md).  Each
         (case, module, signal) target row is keyed on a content hash
-        of everything its outcomes depend on; rows whose key is
-        already stored are *reused* instead of injected, and freshly
-        executed rows are published for the next campaign.  The
+        of everything its outcomes depend on, and its stored unit
+        holds any subset of the row's grid.  Every stored outcome at a
+        scheduled coordinate is *reused* instead of injected, whichever
+        schedule stored it, and after each round every row that ran
+        fresh trials is published with all its outcomes for the next
+        campaign.  Statically pruned targets store nothing.  The
         recomposed result is byte-identical to a cold run (pinned by
         the ``incremental-parity`` verify oracle).  The field is pure
         execution strategy and does not participate in the config hash
@@ -535,12 +541,8 @@ class _ExhaustiveSchedule:
 
     The round holds every unpruned trial; each target's trials run case
     by case, instant by instant, model by model, so regrouping the
-    round per case walks the canonical grid order.  Rows are final from
-    the start: each is published as soon as its case is recomposed.
+    round per case walks the canonical grid order.
     """
-
-    row_kind = "unit"
-    rows_final = True
 
     def __init__(
         self,
@@ -551,20 +553,13 @@ class _ExhaustiveSchedule:
         self._round = dict.fromkeys(live_targets, campaign._grid_trials())
         self.finished = not live_targets
 
-    def row_digest(self, base: str) -> str:
-        """Store key of a row: the unit key itself."""
-        return base
-
     def next_round(self) -> _Round:
         """The whole grid, once."""
         self.finished = True
         return self._round
 
-    def complete_round(
-        self, outcomes: Sequence[InjectionOutcome]
-    ) -> tuple[tuple[str, str], ...]:
-        """Nothing to measure; every row was final already."""
-        return ()
+    def complete_round(self, outcomes: Sequence[InjectionOutcome]) -> None:
+        """Nothing to measure."""
 
 
 class _AdaptiveSchedule:
@@ -574,12 +569,8 @@ class _AdaptiveSchedule:
     ``(case_id, time_ms, model_index)`` trials from a seeded permutation
     of its own exhaustive grid.  The schedule owns the Wilson
     measurements between rounds, the :class:`AdaptiveRow` records and
-    the adaptive observer events.  A row becomes final when its target
-    retires.
+    the adaptive observer events.
     """
-
-    row_kind = "adaptive-unit"
-    rows_final = False
 
     def __init__(
         self,
@@ -593,15 +584,11 @@ class _AdaptiveSchedule:
         self._system = campaign._system
         self._obs = campaign.observer
         self._result = result
-        # Resolved stopping parameters (store keys use the resolved
-        # values, so configs that only spell the defaults differently
-        # share adaptive rows).
         self._z = z = 1.96
         ci_width = config.ci_width if config.ci_width is not None else 0.05
         round_size = max(1, 2 * len(live_targets))
         pool = campaign._grid_trials()
         self._n_pool = len(pool)
-        self._key_params = {"ci_width": ci_width, "round_size": round_size, "z": z}
         self._controller: AdaptiveController[tuple[str, int, int]] = (
             AdaptiveController(
                 {target: pool for target in live_targets},
@@ -618,20 +605,12 @@ class _AdaptiveSchedule:
         """Whether every target has retired."""
         return self._controller.finished
 
-    def row_digest(self, base: str) -> str:
-        """Store key of an adaptive row: unit key plus stopping rule."""
-        from repro.store.fingerprints import content_digest
-
-        return content_digest({"kind": "adaptive", "base": base, **self._key_params})
-
     def next_round(self) -> _Round:
         """The controller's next allocation of trials."""
         return self._controller.next_round()
 
-    def complete_round(
-        self, outcomes: Sequence[InjectionOutcome]
-    ) -> tuple[tuple[str, str], ...]:
-        """Measure the round's outcomes; retire targets; return them.
+    def complete_round(self, outcomes: Sequence[InjectionOutcome]) -> None:
+        """Measure the round's outcomes and retire targets.
 
         A target's measurement is the widest Wilson half-width across
         its output arcs (and that arc's point estimate); a target that
@@ -709,7 +688,6 @@ class _AdaptiveSchedule:
                         n_targets=sum(unconverged.values()), reasons=unconverged
                     )
                 )
-        return tuple((retiree.module, retiree.signal) for retiree in retirees)
 
 
 class _InlineExecutor:
@@ -1055,17 +1033,14 @@ class InjectionCampaign:
         return store, builder, stats
 
     def _encode_unit(
-        self,
-        kind: str,
-        case_id: str,
-        module: str,
-        signal: str,
-        outcomes: Sequence[InjectionOutcome],
+        self, row: tuple[str, str, str], outcomes: Sequence[InjectionOutcome]
     ) -> dict:
-        """Store payload of one executed target row: its outcome records,
-        from which recomposition rebuilds :class:`CampaignResult`."""
+        """Store payload of the target row ``(case_id, module, signal)``:
+        its outcome records, from which recomposition rebuilds
+        :class:`CampaignResult`."""
+        case_id, module, signal = row
         return {
-            "kind": kind,
+            "kind": "unit",
             "case_id": case_id,
             "module": module,
             "signal": signal,
@@ -1074,27 +1049,24 @@ class InjectionCampaign:
         }
 
     def _fetch_unit(
-        self, store, digest: str, kind: str, row: tuple[str, str, str]
+        self, store, digest: str, row: tuple[str, str, str]
     ) -> list[InjectionOutcome] | None:
-        """Outcomes of the stored ``kind`` row ``(case_id, module,
-        signal)`` under ``digest``, or ``None`` when it cannot be reused.
+        """Stored outcomes of the row ``(case_id, module, signal)`` under
+        ``digest``, or ``None`` when there are none to reuse.
 
-        A ``"unit"`` is an exhaustive row: a payload whose outcome count
-        does not match this campaign's grid cannot recompose
-        byte-identically.  An ``"adaptive-unit"`` holds however many
-        trials the stopping rule needed; reuse stays sound at trial
-        granularity because recomposition only consumes cached outcomes
-        at exactly the scheduled grid coordinates, and per-run seeds
-        depend on coordinates alone.  Pruned records (no per-run data),
-        other kinds and payloads naming another row are misses.
+        A unit holds any subset of its row's grid: the whole grid after
+        an exhaustive campaign, the trials its stopping rule drew after
+        an adaptive one.  Reuse is sound at run granularity because
+        recomposition only consumes cached outcomes at exactly the
+        scheduled grid coordinates, and per-run seeds depend on
+        coordinates alone.  Empty units, other kinds and payloads naming
+        another row are misses.
         """
         payload = store.fetch(digest)
-        if payload is None or payload.get("kind") != kind:
+        if payload is None or payload.get("kind") != "unit":
             return None
         raw = payload.get("outcomes")
         if not isinstance(raw, list) or not raw:
-            return None
-        if kind == "unit" and len(raw) != self._config.runs_per_target():
             return None
         try:
             decoded = [InjectionOutcome.from_jsonable(entry) for entry in raw]
@@ -1106,23 +1078,15 @@ class InjectionCampaign:
         return decoded
 
     def _plan_store(
-        self,
-        session,
-        live_targets: Sequence[tuple[str, str]],
-        pruned: Sequence[tuple[str, str]],
-        schedule,
+        self, session, live_targets: Sequence[tuple[str, str]]
     ) -> tuple[dict, dict]:
-        """Key every row, fetch the reusable ones, publish pruned records.
+        """Key every live row and fetch its stored outcomes.
 
-        Returns ``(cache, row_keys)``.  ``cache`` maps each hit ``(case_id,
-        target)`` to ``(digest, {(time_ms, model name): outcome})``: a
-        stored exhaustive unit satisfies any request; failing that, an
-        adaptive schedule accepts its own earlier rows.  ``row_keys``
-        maps every cacheable live row to the key its fresh result is
-        published under.  A pruned record shares its key with the full
-        unit the target would produce if executed (the key excludes
-        ``static_prune``), so it is only written where nothing is stored
-        yet — a full unit is never clobbered by the poorer pruned form.
+        Returns ``(cache, row_keys)``.  ``cache`` maps each row
+        ``(case_id, module, signal)`` with stored outcomes to
+        ``{(time_ms, model name): outcome}``; ``row_keys`` maps every
+        cacheable row to its unit key, which it is both read from and
+        published under, whichever schedule runs.
         """
         cache: dict = {}
         row_keys: dict = {}
@@ -1131,25 +1095,17 @@ class InjectionCampaign:
         store, builder, stats = session
         obs = self._observer
         for case_id, case in self._test_cases.items():
-            keys = builder.keys_for_case(
-                case_id, case, (*live_targets, *pruned)
-            )
+            keys = builder.keys_for_case(case_id, case, live_targets)
             for target in live_targets:
                 key = keys[target]
                 if not key.cacheable:
                     stats.uncacheable += 1
                     continue
                 row = (case_id, *target)
-                row_keys[(case_id, target)] = schedule.row_digest(key.digest)
+                row_keys[row] = key.digest
                 if self._config.no_cache:
                     continue
-                digest = key.digest
-                outcomes = self._fetch_unit(store, digest, "unit", row)
-                if outcomes is None and schedule.row_kind != "unit":
-                    digest = row_keys[(case_id, target)]
-                    outcomes = self._fetch_unit(
-                        store, digest, schedule.row_kind, row
-                    )
+                outcomes = self._fetch_unit(store, key.digest, row)
                 if outcomes is None:
                     stats.misses += 1
                     if obs is not None:
@@ -1160,23 +1116,9 @@ class InjectionCampaign:
                         )
                     continue
                 stats.hits += 1
-                cache[(case_id, target)] = (
-                    digest,
-                    {(o.scheduled_time_ms, o.error_model): o for o in outcomes},
-                )
-            for module, signal in pruned:
-                key = keys[(module, signal)]
-                if key.cacheable and not store.contains(key.digest):
-                    store.put(
-                        key.digest,
-                        {
-                            "kind": "pruned",
-                            "case_id": case_id,
-                            "module": module,
-                            "signal": signal,
-                            "n_runs": self._config.runs_per_target(),
-                        },
-                    )
+                cache[row] = {
+                    (o.scheduled_time_ms, o.error_model): o for o in outcomes
+                }
         return cache, row_keys
 
     def _worker_pool(self, max_workers: int | None, cases: dict[str, tuple]):
@@ -1341,11 +1283,13 @@ class InjectionCampaign:
         See "Pipeline" in the module docstring.  Each round is regrouped
         per case (in case order); a case's cached trials come from the
         store plan, its fresh ones from ``executor`` in spec order, and
-        both fold into the result in schedule order.  A row is published
-        as soon as it is final: after its case is recomposed for the
-        exhaustive schedule, when its target retires for the adaptive
-        one.  An exception escaping after ``CampaignStarted`` is
-        narrated as one ``CampaignAborted`` and re-raised.
+        both fold into the result in schedule order.  Once a case's
+        batch is recomposed, each of its cacheable rows that ran a fresh
+        trial is published whole — its stored outcomes first, then the
+        fresh ones in schedule order — so a crash loses only the batches
+        not yet recomposed, and a stored row only grows.  An exception
+        escaping after ``CampaignStarted`` is narrated as one
+        ``CampaignAborted`` and re-raised.
         """
         obs = self._observer
         config = self._config
@@ -1388,37 +1332,24 @@ class InjectionCampaign:
                 _AdaptiveSchedule if config.adaptive else _ExhaustiveSchedule
             )(self, live_targets, result)
             session = self._store_session()
-            cache, row_keys = self._plan_store(
-                session, live_targets, pruned, schedule
-            )
+            cache, row_keys = self._plan_store(session, live_targets)
             stats = session[2] if session is not None else None
             case_ids = self.case_ids()
             model_names = [model.name for model in config.error_models]
-            no_hit: tuple[None, dict] = (None, {})
+            no_hit: dict = {}
             need_cases = tuple(
                 case_id
                 for case_id in case_ids
                 if any(
-                    len(cache.get((case_id, target), no_hit)[1])
+                    len(cache.get((case_id, *target), no_hit))
                     < config.runs_per_target()
                     for target in live_targets
                 )
             )
-
-            # Every outcome so far of each cacheable row; a row is published
-            # only if it ran at least one fresh trial (``fresh_rows``).
-            achieved: dict[tuple[str, tuple[str, str]], list] = {}
-            fresh_rows: set[tuple[str, tuple[str, str]]] = set()
-
-            def publish(row: tuple[str, tuple[str, str]]) -> None:
-                outcomes = achieved.pop(row, None)
-                if outcomes is not None and row in fresh_rows:
-                    session[0].put(
-                        row_keys[row],
-                        self._encode_unit(
-                            schedule.row_kind, row[0], *row[1], outcomes
-                        ),
-                    )
+            # Every outcome so far of each cacheable row, stored ones first.
+            achieved = {
+                row: list(cache.get(row, no_hit).values()) for row in row_keys
+            }
 
             executor.start(need_cases, advance)
             while not schedule.finished:
@@ -1435,7 +1366,7 @@ class InjectionCampaign:
                     specs = []
                     n_reused: dict[tuple[str, str], int] = {}
                     for target, time_ms, model_index in per_case[case_id]:
-                        outcome = cache.get((case_id, target), no_hit)[1].get(
+                        outcome = cache.get((case_id, *target), no_hit).get(
                             (time_ms, model_names[model_index])
                         )
                         if outcome is None:
@@ -1448,7 +1379,8 @@ class InjectionCampaign:
                     if specs:
                         batches.append((case_id, tuple(specs)))
 
-                # Execute and recompose, case by case in schedule order.
+                # Execute and recompose, case by case in schedule order;
+                # then publish each row of the case that ran fresh trials.
                 fresh_runs = executor.run(batches)
                 round_outcomes: list[InjectionOutcome] = []
                 for case_id, entries, n_reused, has_fresh in plans:
@@ -1457,13 +1389,16 @@ class InjectionCampaign:
                         ran_case, fresh_outcomes = next(fresh_runs)
                         assert ran_case == case_id, (ran_case, case_id)
                     fresh = iter(fresh_outcomes)
+                    grown: dict[tuple[str, str, str], None] = {}
                     for target, outcome in entries:
-                        row = (case_id, target)
+                        row = (case_id, *target)
                         if outcome is None:
                             outcome = next(fresh)
-                            fresh_rows.add(row)
                             if stats is not None:
                                 stats.runs_executed += 1
+                            if row in row_keys:
+                                achieved[row].append(outcome)
+                                grown[row] = None
                         else:
                             # UnitReused precedes the row's replays this round.
                             n_cached = n_reused.pop(target, 0)
@@ -1475,22 +1410,19 @@ class InjectionCampaign:
                                             module=target[0],
                                             signal=target[1],
                                             n_runs=n_cached,
-                                            key=cache[row][0],
+                                            key=row_keys[row],
                                         )
                                     )
                                 stats.runs_reused += n_cached
                                 advance(n_cached)
                             self._narrate_run(outcome, cached=True)
-                        if row in row_keys:
-                            achieved.setdefault(row, []).append(outcome)
                         result.add(outcome)
                         round_outcomes.append(outcome)
-                    if schedule.rows_final:
-                        for target in live_targets:
-                            publish((case_id, target))
-                for target in schedule.complete_round(round_outcomes):
-                    for case_id in case_ids:
-                        publish((case_id, target))
+                    for row in grown:
+                        session[0].put(
+                            row_keys[row], self._encode_unit(row, achieved[row])
+                        )
+                schedule.complete_round(round_outcomes)
         except BaseException as exc:
             if obs is not None:
                 obs.emit(CampaignAborted(reason=f"{type(exc).__name__}: {exc}"))

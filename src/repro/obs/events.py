@@ -183,12 +183,14 @@ class UnitReused:
 
     Emitted (parent process only) before the row's replayed
     ``cached`` :class:`RunFinished` events when an incremental campaign
-    (``--store DIR``, see docs/INCREMENTAL.md) found the row's content
-    key already stored — its ``n_runs`` injection runs were skipped and
-    their recorded outcomes fed into the result instead.  An adaptive
-    campaign replays a row round by round, so one row can emit several
-    events, each counting the cached outcomes it supplied that round;
-    consumers count distinct ``(case_id, module, signal)`` rows.
+    (``--store DIR``, see docs/INCREMENTAL.md) found outcomes stored
+    under the row's content key — ``n_runs`` of its injection runs were
+    skipped and their recorded outcomes fed into the result instead; a
+    stored row may hold only part of the grid, and the rest executes.
+    An adaptive campaign replays a row round by round, so one row can
+    emit several events, each counting the cached outcomes it supplied
+    that round; consumers count distinct ``(case_id, module, signal)``
+    rows.
     """
 
     case_id: str

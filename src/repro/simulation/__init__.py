@@ -1,4 +1,4 @@
-"""Embedded-runtime substrate: simulated time, registers, scheduling.
+"""Embedded-runtime substrate: simulated time, signal store, scheduling.
 
 Reproduces the execution environment of the paper's target system
 (Section 7.1): a slot-based non-preemptive schedule of software modules
@@ -12,14 +12,6 @@ from repro.simulation.backend import (
     UnknownBackendError,
     available_backends,
     get_backend,
-)
-from repro.simulation.registers import (
-    AdcRegister,
-    FreeRunningCounter,
-    HardwareRegister,
-    InputCapture,
-    OutputCompare,
-    PulseAccumulator,
 )
 from repro.simulation.runtime import (
     Environment,
@@ -36,14 +28,8 @@ from repro.simulation.snapshot import Snapshotable, restore_state, snapshot_stat
 from repro.simulation.traces import SignalTrace, TraceSet
 
 __all__ = [
-    "AdcRegister",
     "Environment",
-    "FreeRunningCounter",
     "GoldenRun",
-    "HardwareRegister",
-    "InputCapture",
-    "OutputCompare",
-    "PulseAccumulator",
     "ReadInterceptor",
     "ReferenceBackend",
     "RunCheckpoint",

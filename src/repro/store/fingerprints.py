@@ -1,9 +1,9 @@
 """Content fingerprints for incremental campaigns (docs/INCREMENTAL.md).
 
-The unit of cacheable work is one *target row*: all injection runs of
+The unit of cacheable work is one *target row*: the injection runs of
 one ``(test case, module, input signal)`` triple across the campaign's
-``injection_times x error_models`` grid.  A row's outcomes are fully
-determined by
+``injection_times x error_models`` grid, any subset of which a stored
+row may hold.  A row's outcomes are fully determined by
 
 * the static system interface (module specs, signal specs — this pins
   the signal graph and the trace layout),

@@ -522,15 +522,18 @@ def check_incremental_parity(
     zero injection runs (every row a cache hit) yet recomposes outcomes
     and estimate matrix byte-identical to the cold pass — and to a
     store-less run, since the cold pass itself is compared against the
-    baseline fingerprints by ``strategy-identity`` conventions.
+    baseline fingerprints by ``strategy-identity`` conventions.  A third
+    pass checks reuse across schedules: after an adaptive campaign in
+    another fresh store, the exhaustive campaign executes exactly the
+    grid minus the adaptive trials, with the cold pass's outcomes.
     """
     import tempfile
 
     cases = {"gen": None}
 
-    def run(store_dir: str):
+    def run(store_dir: str, **overrides):
         config = campaign.to_config(reuse=True, fast_forward=True)
-        config = dataclasses.replace(config, store=store_dir)
+        config = dataclasses.replace(config, store=store_dir, **overrides)
         run_ = InjectionCampaign(
             generated.system, generated.run_factory, cases, config
         )
@@ -540,6 +543,9 @@ def check_incremental_parity(
     with tempfile.TemporaryDirectory(prefix="repro-store-") as store_dir:
         cold_result, cold_stats = run(store_dir)
         warm_result, warm_stats = run(store_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as store_dir:
+        adaptive_result, _ = run(store_dir, adaptive=True, ci_width=0.3)
+        mixed_result, mixed_stats = run(store_dir)
     if cold_stats.hits or not cold_stats.misses:
         raise OracleFailure(
             "incremental-parity",
@@ -558,6 +564,24 @@ def check_incremental_parity(
         raise OracleFailure(
             "incremental-parity",
             f"warm outcomes differ from cold on {generated.system.name!r}",
+        )
+    n_adaptive = len(adaptive_result)
+    if (
+        mixed_stats.runs_reused != n_adaptive
+        or mixed_stats.runs_executed != len(cold_result) - n_adaptive
+    ):
+        raise OracleFailure(
+            "incremental-parity",
+            f"exhaustive pass after {n_adaptive} adaptive trials on "
+            f"{generated.system.name!r} should execute "
+            f"{len(cold_result) - n_adaptive} of {len(cold_result)} runs: "
+            f"{mixed_stats.to_jsonable()}",
+        )
+    if [outcome.to_jsonable() for outcome in mixed_result] != cold_prints:
+        raise OracleFailure(
+            "incremental-parity",
+            f"outcomes after adaptive rows differ from cold on "
+            f"{generated.system.name!r}",
         )
     require_complete = campaign.targets is None
     cold_matrix = estimate_matrix(

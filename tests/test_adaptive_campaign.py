@@ -6,14 +6,13 @@ byte-identical to the exhaustive campaign's at the same coordinates,
 ``adaptive=False`` is byte-identical to the pre-adaptive engine under
 every backend and execution path, and the controller composes with
 static pruning (pruned arcs are never sampled) and the result store
-(exhaustive rows satisfy adaptive requests; warm replay executes zero
+(both schedules reuse each other's rows; warm replay executes zero
 runs).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -258,24 +257,22 @@ def test_exhaustive_store_rows_satisfy_adaptive_requests(tmp_path):
     assert _outs(result) == _outs(_campaign(gen, **ADAPTIVE).execute())
 
 
-def test_adaptive_store_rows_have_their_own_keys(tmp_path):
-    """Partial adaptive rows never masquerade as exhaustive units."""
+def test_exhaustive_campaign_reuses_adaptive_rows(tmp_path):
+    """Adaptive rows share the exhaustive rows' keys: an exhaustive
+    campaign executes only the grid minus the adaptive trials."""
     gen = generate_system(11)
-    _campaign(gen, **ADAPTIVE, store=str(tmp_path)).execute()
-    kinds = {
-        json.loads(path.read_text())["payload"]["kind"]
-        for path in sorted((tmp_path / "units").glob("*/*.json"))
-    }
-    assert "adaptive-unit" in kinds
-    # An exhaustive campaign over the same grid misses the adaptive
-    # rows and executes the full grid fresh.
+    adaptive = _campaign(gen, **ADAPTIVE, store=str(tmp_path)).execute()
     full = _campaign(gen, store=str(tmp_path))
     full_result = full.execute()
-    assert full.last_store_stats.runs_executed == len(full_result)
+    stats = full.last_store_stats
+    assert stats.runs_reused == len(adaptive)
+    assert stats.runs_executed == len(full_result) - len(adaptive)
+    assert _outs(full_result) == _outs(_campaign(gen).execute())
 
 
 def test_adaptive_crash_keeps_retired_rows_stored(tmp_path):
-    """A row is stored when its target retires, not at campaign end."""
+    """Rows are stored after every round, so a resumed campaign
+    executes only the trials of the rounds the crash cut."""
     from repro.obs import CampaignObserver
     from repro.obs.events import RoundCompleted, read_events
 
@@ -313,7 +310,7 @@ def test_adaptive_crash_keeps_retired_rows_stored(tmp_path):
     result = resumed.execute()
     stats = resumed.last_store_stats
     assert stats.hits > 0
-    assert 0 < stats.runs_executed < len(cold)
+    assert stats.runs_executed == len(cold) - budget
     assert _outs(result) == _outs(cold)
     assert _rows(result) == _rows(cold)
 

@@ -1,18 +1,10 @@
-"""Unit tests for the simulation substrate (clock, registers, scheduler)."""
+"""Unit tests for the simulation substrate (clock, scheduler)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.model.errors import ScheduleError
-from repro.simulation.registers import (
-    AdcRegister,
-    FreeRunningCounter,
-    HardwareRegister,
-    InputCapture,
-    OutputCompare,
-    PulseAccumulator,
-)
 from repro.simulation.scheduler import SlotSchedule
 from repro.simulation.simtime import SimClock
 
@@ -45,86 +37,6 @@ class TestSimClock:
     def test_bad_tick_rate_rejected(self):
         with pytest.raises(ValueError):
             SimClock(ticks_per_ms=0)
-
-
-class TestRegisters:
-    def test_base_register_wraps(self):
-        reg = HardwareRegister("r")
-        reg.write(0x1_0007)
-        assert reg.read() == 7
-
-    def test_base_register_reset(self):
-        reg = HardwareRegister("r", initial=42)
-        reg.write(7)
-        reg.reset()
-        assert reg.read() == 42
-
-    def test_pulse_accumulator_counts_and_wraps(self):
-        pacnt = PulseAccumulator("PACNT")
-        pacnt.count(0xFFFE)
-        pacnt.count(5)
-        assert pacnt.read() == 3
-
-    def test_pulse_accumulator_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PulseAccumulator("PACNT").count(-1)
-
-    def test_free_running_counter(self):
-        tcnt = FreeRunningCounter("TCNT", ticks_per_ms=2000)
-        tcnt.advance_ms(3)
-        assert tcnt.read() == 6000
-
-    def test_free_running_counter_wraps(self):
-        tcnt = FreeRunningCounter("TCNT", ticks_per_ms=2000)
-        tcnt.advance_ms(40)  # 80_000 ticks > 65_535
-        assert tcnt.read() == 80000 - 65536
-
-    def test_at_offset_ticks(self):
-        tcnt = FreeRunningCounter("TCNT")
-        tcnt.advance_ms(1)
-        assert tcnt.at_offset_ticks(-500) == 1500
-        assert tcnt.at_offset_ticks(-3000) == (2000 - 3000) & 0xFFFF
-
-    def test_input_capture(self):
-        tcnt = FreeRunningCounter("TCNT", ticks_per_ms=2000)
-        tic1 = InputCapture("TIC1", counter=tcnt)
-        tcnt.advance_ms(2)
-        tic1.capture(ticks_ago=300)
-        assert tic1.read() == 3700
-
-    def test_input_capture_holds_between_edges(self):
-        tcnt = FreeRunningCounter("TCNT")
-        tic1 = InputCapture("TIC1", counter=tcnt)
-        tcnt.advance_ms(1)
-        tic1.capture()
-        held = tic1.read()
-        tcnt.advance_ms(5)
-        assert tic1.read() == held
-
-    def test_adc_quantisation_and_clipping(self):
-        adc = AdcRegister("ADC", 0.0, 100.0)
-        adc.convert(50.0)
-        assert adc.read() == round(0.5 * 65535)
-        adc.convert(-10.0)
-        assert adc.read() == 0
-        adc.convert(200.0)
-        assert adc.read() == 65535
-
-    def test_adc_roundtrip(self):
-        adc = AdcRegister("ADC", 0.0, 20e6)
-        adc.convert(5e6)
-        assert adc.to_physical() == pytest.approx(5e6, rel=1e-3)
-
-    def test_adc_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            AdcRegister("ADC", 10.0, 10.0)
-
-    def test_output_compare_fraction(self):
-        toc2 = OutputCompare("TOC2")
-        toc2.write(0xFFFF)
-        assert toc2.command_fraction() == 1.0
-        toc2.write(0)
-        assert toc2.command_fraction() == 0.0
 
 
 class TestSlotSchedule:

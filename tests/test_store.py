@@ -378,8 +378,9 @@ class TestRobustness:
         assert store.fetch(keep) is None
 
     def test_pruned_records_interplay_with_full_units(self, tmp_path):
-        """Pruned-target records never clobber full units, and a full
-        unit satisfies a later unpruned campaign for the same row."""
+        """Pruned targets store nothing, so they never clobber full
+        units, and a full unit satisfies a later unpruned campaign for
+        the same row."""
         gen = generate_system(0)  # seed 0: 3 prunable targets at bit 0
         models = (BitFlip(0),)
         kw = dict(
@@ -388,7 +389,7 @@ class TestRobustness:
         )
         baseline = _campaign(gen, **dict(kw)).execute()
 
-        # Cold pruned campaign: pruned rows become "pruned" records.
+        # Cold pruned campaign: only the executed rows are stored.
         pruned = _campaign(gen, store=tmp_path, static_prune=True, **dict(kw))
         pruned_result = pruned.execute()
         assert pruned_result.n_pruned_runs() > 0
@@ -396,10 +397,10 @@ class TestRobustness:
             json.loads(path.read_text())["payload"]["kind"]
             for path in sorted((tmp_path / "units").glob("*/*.json"))
         }
-        assert kinds == {"unit", "pruned"}
+        assert kinds == {"unit"}
 
-        # An unpruned campaign treats a pruned record as a miss and
-        # replaces it with the full unit (same key, same outcomes).
+        # An unpruned campaign misses the pruned rows and stores their
+        # full units (same keys, same outcomes).
         full = _campaign(gen, store=tmp_path, **dict(kw))
         full_result = full.execute()
         stats = full.last_store_stats
@@ -407,7 +408,7 @@ class TestRobustness:
         assert _outs(full_result) == _outs(baseline)
 
         # The full units now satisfy *both* campaign flavours warm; the
-        # pruned campaign never overwrites them with pruned records.
+        # pruned campaign never overwrites them.
         warm_pruned = _campaign(
             gen, store=tmp_path, static_prune=True, **dict(kw)
         )
