@@ -49,6 +49,13 @@ byte-for-byte identical to a full re-run (see
 reconvergence instant is recorded on each outcome as the paper's
 error-lifetime measurement (:mod:`repro.injection.latency`).
 
+Fast-forward has a second reference: the earlier runs of the same case
+batch.  Without an inspector, each batch's runs share one
+:class:`~repro.simulation.runtime.StateMemo` of the complete states
+they reached; a run whose state matches one an earlier run had at the
+same instant is that run from then on and takes its outcome instead of
+stepping to the end.
+
 One worker protocol
 -------------------
 An injection run needs its case's
@@ -130,7 +137,7 @@ from repro.obs.events import (
     UnitReused,
 )
 from repro.simulation.backend import available_backends, get_backend
-from repro.simulation.runtime import RunResult, SimulationRun
+from repro.simulation.runtime import RunResult, SimulationRun, StateMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import CampaignObserver
@@ -224,9 +231,11 @@ class CampaignConfig:
         execution strategy and does not participate in the config hash
         or the unit keys.
     no_cache:
-        With a ``store`` configured, skip *reads* (every unit
-        re-executes) but still publish results — a forced refresh
-        (CLI: ``--no-cache``).  No effect without ``store``.
+        With a ``store`` configured, skip *reads* (every scheduled
+        trial re-executes) but still publish results — a forced refresh
+        (CLI: ``--no-cache``).  A published row keeps its stored
+        outcomes at the coordinates this campaign did not re-run.  No
+        effect without ``store``.
     adaptive:
         When ``True`` (CLI: ``--adaptive``), the campaign runs as a
         confidence-driven sequential-stopping experiment instead of the
@@ -438,10 +447,20 @@ class _CaseContext:
     Golden Run holds for its instant (from time zero when it holds none)
     and runs the Golden Run Comparison, so backends only decide *how*
     runs execute (see :mod:`repro.simulation.backend`).
-    ``metrics`` times the runs and comparisons (``None``: untimed).
+    ``metrics`` times the runs and comparisons (``None``: untimed) and
+    counts the runs spliced from the batch's memo.
     ``keep_traces`` is set when an inspector will read each run's
     traces; otherwise a backend that compares runs while stepping may
     hand out none.
+
+    Without ``keep_traces``, and with a Golden Run carrying digests
+    (fast-forward on), the context holds one
+    :class:`~repro.simulation.runtime.StateMemo` for its runs: a run
+    reaching a complete state an earlier run of the batch reached at
+    the same frame takes that run's outcome (see
+    :meth:`~repro.simulation.runtime.SimulationRun.run_from`).  The memo
+    lives as long as the context, one batch: a whole case grid, or one
+    slice in a pool worker.
     """
 
     def __init__(
@@ -460,6 +479,11 @@ class _CaseContext:
         self.golden = golden
         self.metrics = metrics
         self.keep_traces = keep_traces
+        self.memo = (
+            StateMemo()
+            if not keep_traces and golden.digests is not None
+            else None
+        )
         models = config.error_models
         self._points = tuple(
             _InjectionPoint(module, signal, time_ms, models[model_index])
@@ -498,14 +522,23 @@ class _CaseContext:
         )
         runner.add_read_interceptor(trap)
         checkpoint = self.golden.checkpoints.get(point.time_ms)
+        memo = self.memo
+        hits, frames = (memo.hits, memo.frames) if memo is not None else (0, 0)
         try:
             with self._timer("phase.injection_run.seconds"):
                 if checkpoint is not None:
-                    injected = runner.run_from(checkpoint, self.golden)
+                    injected = runner.run_from(checkpoint, self.golden, memo)
                 else:
-                    injected = runner.run(self.golden.duration_ms, self.golden)
+                    injected = runner.run(
+                        self.golden.duration_ms, self.golden, memo
+                    )
         finally:
             runner.clear_hooks()
+        if self.metrics is not None and memo is not None and memo.hits > hits:
+            self.metrics.counter("fast_forward.memo_hits").inc(memo.hits - hits)
+            self.metrics.counter("fast_forward.memo_frames").inc(
+                memo.frames - frames
+            )
         return self.record_result(point, injected, trap.fired_at_ms)
 
     def record_result(
@@ -1079,19 +1112,22 @@ class InjectionCampaign:
 
     def _plan_store(
         self, session, live_targets: Sequence[tuple[str, str]]
-    ) -> tuple[dict, dict]:
+    ) -> tuple[dict, dict, dict]:
         """Key every live row and fetch its stored outcomes.
 
-        Returns ``(cache, row_keys)``.  ``cache`` maps each row
+        Returns ``(cache, row_keys, stored)``.  ``stored`` maps each row
         ``(case_id, module, signal)`` with stored outcomes to
-        ``{(time_ms, model name): outcome}``; ``row_keys`` maps every
-        cacheable row to its unit key, which it is both read from and
-        published under, whichever schedule runs.
+        ``{(time_ms, model name): outcome}``; ``cache`` holds the rows
+        whose outcomes may be reused: ``stored`` itself, or nothing with
+        :attr:`CampaignConfig.no_cache`, where the stored outcomes only
+        seed each row's publication.  ``row_keys`` maps every cacheable
+        row to its unit key, which it is both read from and published
+        under, whichever schedule runs.
         """
-        cache: dict = {}
+        stored: dict = {}
         row_keys: dict = {}
         if session is None:
-            return cache, row_keys
+            return stored, row_keys, stored
         store, builder, stats = session
         obs = self._observer
         for case_id, case in self._test_cases.items():
@@ -1103,9 +1139,13 @@ class InjectionCampaign:
                     continue
                 row = (case_id, *target)
                 row_keys[row] = key.digest
+                outcomes = self._fetch_unit(store, key.digest, row)
+                if outcomes is not None:
+                    stored[row] = {
+                        (o.scheduled_time_ms, o.error_model): o for o in outcomes
+                    }
                 if self._config.no_cache:
                     continue
-                outcomes = self._fetch_unit(store, key.digest, row)
                 if outcomes is None:
                     stats.misses += 1
                     if obs is not None:
@@ -1116,10 +1156,7 @@ class InjectionCampaign:
                         )
                     continue
                 stats.hits += 1
-                cache[row] = {
-                    (o.scheduled_time_ms, o.error_model): o for o in outcomes
-                }
-        return cache, row_keys
+        return ({} if self._config.no_cache else stored), row_keys, stored
 
     def _worker_pool(self, max_workers: int | None, cases: dict[str, tuple]):
         """A process pool whose workers receive the campaign payload once.
@@ -1332,7 +1369,7 @@ class InjectionCampaign:
                 _AdaptiveSchedule if config.adaptive else _ExhaustiveSchedule
             )(self, live_targets, result)
             session = self._store_session()
-            cache, row_keys = self._plan_store(session, live_targets)
+            cache, row_keys, stored = self._plan_store(session, live_targets)
             stats = session[2] if session is not None else None
             case_ids = self.case_ids()
             model_names = [model.name for model in config.error_models]
@@ -1346,10 +1383,9 @@ class InjectionCampaign:
                     for target in live_targets
                 )
             )
-            # Every outcome so far of each cacheable row, stored ones first.
-            achieved = {
-                row: list(cache.get(row, no_hit).values()) for row in row_keys
-            }
+            # Every outcome so far of each cacheable row by coordinate,
+            # stored ones first; a fresh outcome replaces a stored one.
+            achieved = {row: dict(stored.get(row, no_hit)) for row in row_keys}
 
             executor.start(need_cases, advance)
             while not schedule.finished:
@@ -1397,7 +1433,9 @@ class InjectionCampaign:
                             if stats is not None:
                                 stats.runs_executed += 1
                             if row in row_keys:
-                                achieved[row].append(outcome)
+                                achieved[row][
+                                    (outcome.scheduled_time_ms, outcome.error_model)
+                                ] = outcome
                                 grown[row] = None
                         else:
                             # UnitReused precedes the row's replays this round.
@@ -1420,7 +1458,8 @@ class InjectionCampaign:
                         round_outcomes.append(outcome)
                     for row in grown:
                         session[0].put(
-                            row_keys[row], self._encode_unit(row, achieved[row])
+                            row_keys[row],
+                            self._encode_unit(row, list(achieved[row].values())),
                         )
                 schedule.complete_round(round_outcomes)
         except BaseException as exc:

@@ -99,9 +99,10 @@ def compare_to_golden_run(
 ) -> GoldenRunComparison:
     """Run the GRC of one injection run against its Golden Run.
 
-    A run whose backend compared it while stepping (a batched lane)
-    carries its own first divergences; any other run's traces are
-    scanned against the Golden Run's.
+    A run compared while stepping (a batched lane, or a reference run
+    that shared its batch's state memo) carries its own first
+    divergences; any other run's traces are scanned against the Golden
+    Run's.
     """
     divergences = injected.first_divergence_ms
     if divergences is None:

@@ -13,7 +13,8 @@ is the reducer's ``arcs``) and every counter and gauge of
 renders from the reducer into the optional
 :class:`~repro.obs.metrics.MetricsRegistry`.  The registry otherwise
 only measures: span timers, the batched kernel's ``kernel.*``
-instruments, ``chunk.seconds``, ``campaign.elapsed_seconds`` and
+instruments, the state memo's ``fast_forward.memo_*`` counters,
+``chunk.seconds``, ``campaign.elapsed_seconds`` and
 ``events.dropped``.  A live dashboard serves the same fold: the
 observer folds under the dashboard sink's lock instead of the sink
 folding each event again.

@@ -88,18 +88,19 @@ def _render_phases(metrics: Mapping) -> list[str]:
     ]
 
 
+def _value(metrics: Mapping, name: str) -> int:
+    """A counter or gauge's value in a metrics snapshot (0 if absent)."""
+    data = metrics.get(name)
+    if not data or "value" not in data:
+        return 0
+    return int(data["value"])
+
+
 def _render_kernel_line(metrics: Mapping) -> str | None:
     """One-line digest of the batched kernel's ``kernel.*`` metrics."""
-
-    def _value(name: str) -> int:
-        data = metrics.get(name)
-        if not data or "value" not in data:
-            return 0
-        return int(data["value"])
-
-    retired = _value("kernel.lanes.retired")
-    fallback_runs = _value("kernel.fallback.runs")
-    scalar_modules = _value("kernel.scalar_fallback.modules")
+    retired = _value(metrics, "kernel.lanes.retired")
+    fallback_runs = _value(metrics, "kernel.fallback.runs")
+    scalar_modules = _value(metrics, "kernel.scalar_fallback.modules")
     if not (retired or fallback_runs or scalar_modules):
         return None
     return (
@@ -176,6 +177,13 @@ def render_summary(summary: EventsSummary, top: int = 10) -> str:
             f"reconvergence fast-forward: {counts['ff.runs_reconverged']} runs "
             f"reconverged, {counts['ff.frames_fast_forwarded']} simulated ms "
             "spliced"
+        )
+    memo_hits = _value(summary.metrics, "fast_forward.memo_hits")
+    if memo_hits:
+        lines.append(
+            f"state memo: {memo_hits} runs took an earlier run's outcome, "
+            f"{_value(summary.metrics, 'fast_forward.memo_frames')} simulated "
+            "ms not stepped"
         )
     if counts["chunk.completed"]:
         lines.append(f"parallel chunks completed: {counts['chunk.completed']}")

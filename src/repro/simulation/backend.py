@@ -64,7 +64,10 @@ class CaseContext(Protocol):
     observability).
     ``keep_traces`` says whether anyone reads the runs' traces; when it
     is false a backend may return runs with ``traces=None`` that carry
-    their ``first_divergence_ms`` instead.
+    their ``first_divergence_ms`` instead, and ``run_reference`` does
+    so itself: its runs share the context's
+    :class:`~repro.simulation.runtime.StateMemo`, so a run may take an
+    earlier run's outcome once their states match.
     """
 
     runner: Any

@@ -12,7 +12,8 @@ high-level software traps"): **read interceptors** see (and may
 replace) every value a module reads from one of its input signals —
 consumer-scoped injection, so other consumers of the same signal are
 unaffected.  An injection run starts from, and is compared against, its
-test case's :class:`GoldenRun`.
+test case's :class:`GoldenRun`; with a :class:`StateMemo` it may also
+take the outcome of an earlier run of its batch whose state it reaches.
 
 Tracing is built in: every signal (or a chosen subset) is sampled at
 the end of each millisecond into a :class:`~repro.simulation.traces.TraceSet`.
@@ -58,7 +59,7 @@ from repro.simulation.snapshot import (
     snapshot_state,
     state_digest,
 )
-from repro.simulation.traces import SignalTrace, TraceSet
+from repro.simulation.traces import SignalTrace, TraceSet, first_difference
 
 __all__ = [
     "SignalStore",
@@ -67,6 +68,7 @@ __all__ = [
     "RunResult",
     "RunCheckpoint",
     "GoldenRun",
+    "StateMemo",
     "SimulationRun",
 ]
 
@@ -74,6 +76,12 @@ __all__ = [
 #: row stays equal to the Golden Run's but hidden (module/plant) state
 #: still differs — one 7 ms scheduling cycle of the paper's target.
 _DIGEST_RETRY_FRAMES = 7
+
+#: Frames of absolute time between two lookups of a run's complete
+#: state in its batch's :class:`StateMemo`: a 6 µs digest every 200
+#: frames costs under 1 % of the frames it interleaves, and a hit is
+#: found at most 200 frames late.
+_MEMO_FRAMES = 200
 
 #: Recorded rows held before they are transposed into the per-signal
 #: trace arrays, so a run's pending rows stay a few hundred KiB.
@@ -297,11 +305,12 @@ class ReadInterceptor(Protocol):
 class RunResult:
     """Everything recorded during one simulation run."""
 
-    #: Per-signal, per-millisecond traces.  The batched backend records
-    #: them only for a campaign inspector (``None`` otherwise: its lanes
-    #: carry :attr:`first_divergence_ms` instead), as read-only views
-    #: into a buffer shared by the whole lane batch: copy a trace's
-    #: samples to keep them without keeping the buffer.
+    #: Per-signal, per-millisecond traces.  A run given a
+    #: :class:`StateMemo` and the batched backend record them only for a
+    #: campaign inspector (``None`` otherwise: the run carries
+    #: :attr:`first_divergence_ms` instead); the batched ones are
+    #: read-only views into a buffer shared by the whole lane batch:
+    #: copy a trace's samples to keep them without keeping the buffer.
     traces: TraceSet | None
     #: Total simulated duration in milliseconds.
     duration_ms: int
@@ -319,8 +328,11 @@ class RunResult:
     frames_fast_forwarded: int = 0
     #: Per traced signal (trace order), the first frame whose sample
     #: differs from the Golden Run's, or ``None`` — the Golden Run
-    #: Comparison, when the backend ran it while stepping (the batched
-    #: kernel's lanes).  ``None`` when only the traces tell.
+    #: Comparison, when the run carries it instead of traces: a batched
+    #: lane compares while stepping, a run given a :class:`StateMemo`
+    #: over the frames it stepped (and, spliced from an earlier run,
+    #: takes that run's next divergence of each signal that had none).
+    #: ``None`` when only the traces tell.
     first_divergence_ms: dict[str, int | None] | None = None
 
 
@@ -454,6 +466,118 @@ class GoldenRun:
             memoryview(self.traces[signal].samples)[:n_frames].cast("B")
         )
         return prefix
+
+
+class _Donor:
+    """What one earlier run leaves in a :class:`StateMemo`.
+
+    ``following`` is mark-major: for the donor's ``j``-th entry, item
+    ``j * n_signals + k`` is the first frame, from that entry's frame
+    on, where traced signal ``k`` differs from the Golden Run (``-1``:
+    never).  The rest is the donor's result, shared by its entries.
+    """
+
+    __slots__ = (
+        "following",
+        "n_signals",
+        "reconverged_at_ms",
+        "frames_fast_forwarded",
+        "final_signals",
+        "telemetry",
+    )
+
+    def __init__(self, following: array, n_signals: int, result: RunResult) -> None:
+        self.following = following
+        self.n_signals = n_signals
+        self.reconverged_at_ms = result.reconverged_at_ms
+        self.frames_fast_forwarded = result.frames_fast_forwarded
+        self.final_signals = dict(result.final_signals)
+        self.telemetry = dict(result.telemetry)
+
+
+class StateMemo:
+    """Complete states the earlier injection runs of one batch reached.
+
+    The second reference of fast-forward, beside the Golden Run: a run
+    whose complete state at a frame equals the state an earlier run of
+    its batch had at the same frame is, from then on, the same
+    deterministic simulation, so it takes that run's outcome instead of
+    stepping to the end.  Keys are complete-state digests (which cover
+    the clock); each entry remembers, per traced signal, the earlier
+    run's next divergence from the Golden Run, and that run's
+    lifetime, final signals and telemetry.
+
+    :meth:`SimulationRun.run_from` and :meth:`SimulationRun.run` look
+    a run's state up every :data:`_MEMO_FRAMES` frames of absolute time
+    while it differs from the Golden Run after its hooks fired; a run
+    that finishes without a hit adds an entry per missed lookup.  One
+    memo serves one case batch in one process (the campaign's
+    ``_CaseContext``), so its memory is bounded by the batch: a few
+    hundred bytes per missed lookup.  :attr:`hits` and :attr:`frames`
+    count the runs spliced from it and the frames they did not step
+    that the Golden Run would not have spliced either.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[bytes, tuple[_Donor, int]] = {}
+        self.hits = 0
+        self.frames = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, digest: bytes) -> tuple[_Donor, int] | None:
+        """The entry recorded under a complete-state digest, if any."""
+        return self._entries.get(digest)
+
+    def donate(self, donor: _Donor, digests: Sequence[bytes]) -> None:
+        """Record the ``j``-th of ``digests`` as ``donor``'s entry ``j``."""
+        entries = self._entries
+        for j, digest in enumerate(digests):
+            entries.setdefault(digest, (donor, j))
+
+
+def _divergences(
+    samples: Sequence[tuple[str, array]],
+    golden: GoldenRun,
+    start_ms: int,
+    marks: Sequence[int],
+) -> tuple[dict[str, int | None], array]:
+    """The Golden Run Comparison over the frames a run stepped.
+
+    ``samples`` holds each traced signal's samples of frames
+    ``start_ms`` on.  Returns each signal's first frame differing from
+    the Golden Run (``None``: none) and, for each of the ascending
+    frames ``marks``, each signal's first differing frame from that
+    mark on (``-1``: none), mark-major as :class:`_Donor` stores it.
+    """
+    n_signals = len(samples)
+    following = array("q", [-1]) * (len(marks) * n_signals)
+    first: dict[str, int | None] = {}
+    for k, (signal, sink) in enumerate(samples):
+        n = len(sink)
+        mine = sink.tobytes()
+        theirs = golden.suffix_bytes(signal, start_ms)[: n * 8].tobytes()
+        at = first_difference(mine, theirs, 0, n)
+        first[signal] = None if at is None else start_ms + at
+        if at is None:
+            continue
+        later = -1
+        end = n
+        for j in range(len(marks) - 1, -1, -1):
+            lo = marks[j] - start_ms
+            if lo <= at:
+                # Nothing differs before ``at``: it follows every
+                # earlier mark too.
+                for i in range(j + 1):
+                    following[i * n_signals + k] = start_ms + at
+                break
+            found = first_difference(mine, theirs, lo, end)
+            if found is not None:
+                later = start_ms + found
+            following[j * n_signals + k] = later
+            end = lo
+    return first, following
 
 
 class SimulationRun:
@@ -675,7 +799,10 @@ class SimulationRun:
         clock._now_ms = now_ms + 1
 
     def run(
-        self, duration_ms: int, golden: GoldenRun | None = None
+        self,
+        duration_ms: int,
+        golden: GoldenRun | None = None,
+        memo: StateMemo | None = None,
     ) -> RunResult:
         """Execute a complete run of ``duration_ms`` milliseconds.
 
@@ -685,13 +812,14 @@ class SimulationRun:
         forward: once every installed trap has fired and the run's
         complete state provably re-matches the Golden Run at a frame
         boundary, the remaining frames are spliced from the Golden-Run
-        traces instead of being simulated (see :meth:`run_from` for the
-        contract).
+        traces instead of being simulated; with a ``memo`` it may also
+        take the outcome of an earlier run whose state it matches (see
+        :meth:`run_from` for the contract).
         """
         if duration_ms < 1:
             raise SimulationError(f"duration must be >= 1 ms, got {duration_ms}")
         self.reset()
-        return self._execute_frames(0, duration_ms, golden)
+        return self._execute_frames(0, duration_ms, golden, memo=memo)
 
     def run_with_checkpoints(
         self,
@@ -730,7 +858,12 @@ class SimulationRun:
             digests=None if digests is None else FrameDigests.join(digests),
         )
 
-    def run_from(self, cp: RunCheckpoint, golden: GoldenRun) -> RunResult:
+    def run_from(
+        self,
+        cp: RunCheckpoint,
+        golden: GoldenRun,
+        memo: StateMemo | None = None,
+    ) -> RunResult:
         """Resume from ``cp`` and complete a run as long as ``golden``.
 
         ``cp`` must be a checkpoint of ``golden`` (one of its
@@ -751,6 +884,20 @@ class SimulationRun:
         identical to a full re-run, and
         :attr:`RunResult.reconverged_at_ms` records the instant the
         injected error's effect set became empty (its lifetime).
+
+        A ``memo`` (the :class:`StateMemo` of the run's batch, used only
+        with a Golden Run carrying digests) is the second reference:
+        every :data:`_MEMO_FRAMES` frames of absolute time at which the
+        row differs from the Golden Run's after every hook has fired,
+        the complete state is digested and looked up in it.  On a hit
+        the run stops and takes the earlier run's outcome: per signal
+        its own first divergence if it has one, else the earlier run's
+        next one, and that run's ``reconverged_at_ms``,
+        ``frames_fast_forwarded``, final signals and telemetry — what
+        stepping to the end would have recorded.  A run given a memo
+        keeps no traces (``traces=None``): it copies no prefix, splices
+        no suffix and carries :attr:`RunResult.first_divergence_ms`
+        instead, computed over the frames it stepped.
         """
         duration_ms = golden.duration_ms
         if cp.time_ms >= duration_ms:
@@ -759,7 +906,7 @@ class SimulationRun:
                 f"{duration_ms} ms Golden Run"
             )
         self.restore(cp)
-        return self._execute_frames(cp.time_ms, duration_ms, golden)
+        return self._execute_frames(cp.time_ms, duration_ms, golden, memo=memo)
 
     def _retire_fired_hooks(self) -> bool:
         """Stop calling hooks that have fired; whether any are still live."""
@@ -776,6 +923,7 @@ class SimulationRun:
         golden: GoldenRun | None = None,
         checkpoints: tuple[Sequence[int], dict[int, RunCheckpoint]] | None = None,
         digests: list[bytes] | None = None,
+        memo: StateMemo | None = None,
     ) -> RunResult:
         """The one frame loop behind every run entry point.
 
@@ -784,7 +932,7 @@ class SimulationRun:
         ``golden`` (a resume from one of its checkpoints), reading the
         traced signals as one row per frame and appending the rows to
         the traces in blocks.  Hooks are dropped from the step as they
-        fire.  Three steps are optional:
+        fire.  Four steps are optional:
 
         * ``checkpoints=(times, into)`` captures a checkpoint before
           each frame in ``times`` into the dict ``into``;
@@ -800,6 +948,17 @@ class SimulationRun:
           frame.  Only on a match are the remaining frames spliced
           from the Golden-Run traces; a mismatch backs off for
           ``_DIGEST_RETRY_FRAMES`` frames while the row stays equal.
+        * ``memo``, with such a ``golden``, is fast-forward's second
+          reference.  At frames ``now_ms % _MEMO_FRAMES == 0`` whose row
+          differs from the Golden Run's after every hook has fired, the
+          complete state is looked up in it; a hit ends the run with
+          the earlier run's outcome, and a run that ends otherwise
+          records its missed lookups for later runs.  Lookups happen
+          only on row-diverged frames because there the back-off above
+          cannot shape any later frame: the next row-equal frame is
+          checked whatever ``next_check`` says, so two runs in equal
+          states behave alike from then on.  The run keeps no traces
+          and compares the frames it stepped (see :meth:`run_from`).
         """
         if golden is not None:
             if golden.duration_ms != duration_ms:
@@ -812,8 +971,11 @@ class SimulationRun:
                     "golden run traces different signals than this run: "
                     f"{golden.signals} vs {self._trace_signals}"
                 )
+        if golden is None or golden.digests is None:
+            memo = None  # the memo is part of fast-forward
+        copied = start_ms if memo is None else 0
         samples = [
-            (signal, golden.prefix_array(signal, start_ms) if start_ms else array("q"))
+            (signal, golden.prefix_array(signal, copied) if copied else array("q"))
             for signal in self._trace_signals
         ]
         if golden is not None and golden.digests is None:
@@ -835,6 +997,10 @@ class SimulationRun:
         # previous frame's rows count as equal.
         equal = True
         next_check = 0
+        lookup_every = _MEMO_FRAMES
+        # Frames and state digests of the memo lookups that missed.
+        marks: list[int] = []
+        keys: list[bytes] = []
         step = self.step_ms
         for now_ms in range(start_ms, duration_ms):
             if now_ms == next_cp:
@@ -853,8 +1019,21 @@ class SimulationRun:
                 continue
             was_equal = equal
             equal = hash(row) == gr_hashes[now_ms] and row == gr_row(now_ms)
-            if not equal or hooks_live:
+            if hooks_live:
                 continue
+            if not equal:
+                if memo is None or now_ms % lookup_every:
+                    continue
+                digest = self._state_digest()
+                entry = memo.lookup(digest)
+                if entry is None:
+                    marks.append(now_ms)
+                    keys.append(digest)
+                    continue
+                _flush_rows(sinks, rows)
+                return self._memo_result(
+                    duration_ms, samples, golden, start_ms, now_ms, memo, *entry
+                )
             if was_equal and now_ms < next_check:
                 continue
             if self._state_digest() != gr_digests.at(now_ms):
@@ -864,14 +1043,60 @@ class SimulationRun:
                 continue
             _flush_rows(sinks, rows)
             fast_forwarded = duration_ms - 1 - now_ms
-            for signal, sink in samples:
-                sink.frombytes(golden.suffix_bytes(signal, now_ms + 1))
+            if memo is None:
+                for signal, sink in samples:
+                    sink.frombytes(golden.suffix_bytes(signal, now_ms + 1))
             self._clock.advance_ms(fast_forwarded)
-            return self._build_result(
+            result = self._build_result(
                 duration_ms, samples, golden, now_ms, fast_forwarded
             )
-        _flush_rows(sinks, rows)
-        return self._build_result(duration_ms, samples)
+            break
+        else:
+            _flush_rows(sinks, rows)
+            result = self._build_result(duration_ms, samples)
+        if memo is None:
+            return result
+        assert golden is not None
+        result.first_divergence_ms, following = _divergences(
+            samples, golden, start_ms, marks
+        )
+        result.traces = None
+        if keys:
+            memo.donate(_Donor(following, len(samples), result), keys)
+        return result
+
+    def _memo_result(
+        self,
+        duration_ms: int,
+        samples: list[tuple[str, array]],
+        golden: GoldenRun,
+        start_ms: int,
+        now_ms: int,
+        memo: StateMemo,
+        donor: _Donor,
+        mark: int,
+    ) -> RunResult:
+        """The result of a run whose state at ``now_ms`` is ``donor``'s
+        state at its entry ``mark``: from then on it is that run."""
+        first, _ = _divergences(samples, golden, start_ms, ())
+        following = donor.following
+        base = mark * donor.n_signals
+        for k, (signal, at) in enumerate(first.items()):
+            if at is None and following[base + k] >= 0:
+                first[signal] = following[base + k]
+        skipped = duration_ms - 1 - now_ms
+        self._clock.advance_ms(skipped)
+        memo.hits += 1
+        memo.frames += skipped - donor.frames_fast_forwarded
+        return RunResult(
+            traces=None,
+            duration_ms=duration_ms,
+            final_signals=dict(donor.final_signals),
+            telemetry=dict(donor.telemetry),
+            reconverged_at_ms=donor.reconverged_at_ms,
+            frames_fast_forwarded=donor.frames_fast_forwarded,
+            first_divergence_ms=first,
+        )
 
     def _state_digest(self) -> bytes:
         """Digest of the complete current runtime state (see snapshot)."""

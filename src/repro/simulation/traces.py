@@ -20,7 +20,29 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.model.errors import TraceMismatchError
 
-__all__ = ["SignalTrace", "TraceSet"]
+__all__ = ["SignalTrace", "TraceSet", "first_difference"]
+
+
+def first_difference(mine: bytes, theirs: bytes, lo: int, hi: int) -> int | None:
+    """First sample in ``[lo, hi)`` where two packed ``'q'`` buffers differ.
+
+    ``None`` when they agree there.  Compares raw bytes: ``bytes``
+    equality is one memcmp, where a ``'q'`` memoryview comparison
+    unpacks element by element.
+    """
+    if mine[lo * 8 : hi * 8] == theirs[lo * 8 : hi * 8]:
+        # Most signals agree with the Golden Run in most injection runs.
+        return None
+    # Bisect on sample-aligned byte slices; the invariant is that the
+    # first differing sample lies in ``[lo, hi)``.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mine[lo * 8 : mid * 8] != theirs[lo * 8 : mid * 8]:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
 
 @dataclass
 class SignalTrace:
@@ -82,23 +104,9 @@ class SignalTrace:
                 f"trace of {self.signal!r}: length {len(self)} vs "
                 f"reference length {len(reference)}"
             )
-        # Compare raw bytes: ``bytes`` equality is one memcmp, where a
-        # ``'q'`` memoryview comparison unpacks element by element.
-        mine = bytes(self.samples)
-        theirs = bytes(reference.samples)
-        if mine == theirs:
-            # Most signals agree with the Golden Run in most injection runs.
-            return None
-        # Bisect on sample-aligned byte slices; the invariant is that the
-        # first differing sample lies in ``[lo, hi)``.
-        lo, hi = 0, len(self)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if mine[lo * 8 : mid * 8] != theirs[lo * 8 : mid * 8]:
-                hi = mid
-            else:
-                lo = mid
-        return lo
+        return first_difference(
+            bytes(self.samples), bytes(reference.samples), 0, len(self)
+        )
 
     def differs_from(self, reference: "SignalTrace") -> bool:
         """Whether any sample differs from ``reference``."""

@@ -203,10 +203,13 @@ class ResultStore:
             )
 
     def gc(self, max_age_days: float | None = None, now: float | None = None) -> list[Path]:
-        """Delete invalid artifacts, plus valid ones older than the cap.
+        """Delete invalid and dead artifacts, plus live ones older than the cap.
 
-        Returns the deleted paths.  Leftover temp files from crashed
-        writers are always collected.
+        An artifact is dead when its payload ``kind`` is not ``"unit"``,
+        the one kind campaigns read: the retired ``"adaptive-unit"`` and
+        ``"pruned"`` records of older stores.  Returns the deleted
+        paths.  Leftover temp files from crashed writers are always
+        collected.
         """
         if now is None:
             now = time.time()
@@ -221,7 +224,8 @@ class ResultStore:
                 max_age_days is not None
                 and now - record.mtime > max_age_days * 86400.0
             )
-            if not record.ok or expired:
+            dead = record.ok and record.payload.get("kind") != "unit"
+            if not record.ok or dead or expired:
                 record.path.unlink(missing_ok=True)
                 removed.append(record.path)
         return removed

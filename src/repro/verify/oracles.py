@@ -272,9 +272,11 @@ def differential_oracle(
     """Run the campaign under every strategy and cross-check the results.
 
     Every strategy runs with an inspector, so each run's traces are
-    compared too; a ``batched`` strategy runs once more without one,
-    the production path where lanes keep no traces and the kernel
-    compares them, and its outcomes must equal the baseline's.
+    compared too.  Each fast-forward strategy runs once more without
+    one, the production path: batched lanes keep no traces and the
+    kernel compares them, and reference runs share their batch's state
+    memo and may take an earlier run's outcome.  Every outcome record
+    of that pass, lifetimes included, must equal the inspected pass's.
     Returns ``(OracleReport, CampaignResult)`` — the result is the
     naive strategy's, for callers wanting further analysis.  Raises
     :class:`OracleFailure` on the first violated invariant.
@@ -305,9 +307,12 @@ def differential_oracle(
         )
         results[label] = result
         fingerprints[label] = (tuple(ir_prints), golden_prints)
-        if backend == "batched":
+        if fast_forward:
             bare = InjectionCampaign(system, run_factory, cases, config).execute()
-            uninspected[label] = tuple(_outcome_fingerprint(o) for o in bare)
+            uninspected[label] = (
+                [o.to_jsonable() for o in result],
+                [o.to_jsonable() for o in bare],
+            )
 
     reference_label = strategies[0][0]
     reference = fingerprints[reference_label]
@@ -318,16 +323,13 @@ def differential_oracle(
                 f"{label} diverged from {reference_label} on {system.name!r}: "
                 f"{_first_difference(reference, fingerprints[label])}",
             )
-    reference_outcomes = tuple(
-        _outcome_fingerprint(o) for o in results[reference_label]
-    )
-    for label, outcomes in uninspected.items():
-        if outcomes != reference_outcomes:
+    for label, (inspected, bare) in uninspected.items():
+        if bare != inspected:
             raise OracleFailure(
                 "strategy-identity",
-                f"{label} without an inspector diverged from "
-                f"{reference_label} on {system.name!r}: "
-                f"{_first_outcome_difference(reference_outcomes, outcomes)}",
+                f"{label} without an inspector diverged from its inspected "
+                f"pass on {system.name!r}: "
+                f"{_first_outcome_difference(inspected, bare)}",
             )
     checks.append("strategy-identity")
 

@@ -270,6 +270,35 @@ def test_exhaustive_campaign_reuses_adaptive_rows(tmp_path):
     assert _outs(full_result) == _outs(_campaign(gen).execute())
 
 
+def test_no_cache_refresh_keeps_rows_it_did_not_rerun(tmp_path):
+    """A forced adaptive refresh of an exhaustive store re-runs only its
+    sample: every row keeps its whole grid, the sample refreshed."""
+    from repro.store import ResultStore
+
+    gen = generate_system(11)
+    full = _campaign(gen, store=str(tmp_path)).execute()
+
+    def stored_runs():
+        return sum(
+            record.payload["n_runs"]
+            for record in ResultStore(tmp_path).iter_artifacts()
+            if record.ok and record.payload.get("kind") == "unit"
+        )
+
+    assert stored_runs() == len(full)
+    refresh = _campaign(
+        gen, adaptive=True, ci_width=0.4, store=str(tmp_path), no_cache=True
+    )
+    adaptive = refresh.execute()
+    stats = refresh.last_store_stats
+    assert 0 < len(adaptive) < len(full)
+    assert stats.runs_reused == 0 and stats.runs_executed == len(adaptive)
+    assert stored_runs() == len(full)
+    warm = _campaign(gen, store=str(tmp_path))
+    assert _outs(warm.execute()) == _outs(full)
+    assert warm.last_store_stats.runs_executed == 0
+
+
 def test_adaptive_crash_keeps_retired_rows_stored(tmp_path):
     """Rows are stored after every round, so a resumed campaign
     executes only the trials of the rounds the crash cut."""

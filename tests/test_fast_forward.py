@@ -22,13 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arrestment import build_arrestment_model, build_arrestment_run
+from repro.arrestment.testcases import ArrestmentTestCase
 from repro.arrestment.twonode import build_twonode_model, build_twonode_run
-from repro.injection.campaign import CampaignConfig, InjectionCampaign
+from repro.injection.campaign import CampaignConfig, InjectionCampaign, _CaseContext
 from repro.injection.error_models import BitFlip
 from repro.injection.golden_run import GoldenRun
 from repro.injection.latency import lifetime_statistics, render_lifetime_table
+from repro.injection.traps import InputInjectionTrap
 from repro.model.errors import SimulationError
-from repro.simulation.runtime import RunCheckpoint, RunResult
+from repro.obs import CampaignObserver
+from repro.obs.events import read_events
+from repro.obs.summary import render_summary, summarize_events
+from repro.simulation.runtime import RunCheckpoint, RunResult, StateMemo
 from repro.simulation.traces import SignalTrace, TraceSet
 
 from tests.conftest import build_toy_model, build_toy_run, toy_factory
@@ -328,3 +333,162 @@ class TestRuntimeFastForward:
         suffix = array("q")
         suffix.frombytes(golden.suffix_bytes("a", 4))
         assert list(prefix) + list(suffix) == list(range(10))
+
+
+# ---------------------------------------------------------------------------
+# The state memo: fast-forward onto earlier runs of the batch
+# ---------------------------------------------------------------------------
+
+#: A CALC.stopped flip at 500 ms whatever its bit: every bit but 0 reaches
+#: the state bit 0 reached at the first lookup after it (600 ms).
+MEMO_DURATION = 2000
+MEMO_TARGET = ("CALC", "stopped", 500)
+MEMO_CASES = {"case": ArrestmentTestCase(mass_kg=14000.0, velocity_ms=60.0)}
+
+
+def _memo_campaign(observer=None, **overrides):
+    """Two CALC inputs at two instants, both bytes' bits: most runs
+    take a bit-0 run's outcome."""
+    config = CampaignConfig(
+        duration_ms=MEMO_DURATION,
+        injection_times_ms=(500, 1000),
+        error_models=(BitFlip(0), BitFlip(4), BitFlip(12)),
+        targets=(("CALC", "stopped"), ("CALC", "slow_speed")),
+        seed=3,
+        **overrides,
+    )
+    return InjectionCampaign(
+        build_arrestment_model(), build_arrestment_run, MEMO_CASES, config,
+        observer=observer,
+    )
+
+
+class _CountingMemo(StateMemo):
+    """A memo counting its lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def lookup(self, digest):
+        self.lookups += 1
+        return super().lookup(digest)
+
+
+@pytest.fixture(scope="module")
+def arrestment_golden():
+    runner = build_arrestment_run(MEMO_CASES["case"])
+    golden = record_golden(runner, MEMO_DURATION, times=(MEMO_TARGET[2],))
+    return runner, golden
+
+
+def _inject(runner, golden, bit, memo=None, hook=None):
+    """One CALC.stopped injection run resumed from its checkpoint."""
+    module, signal, time_ms = MEMO_TARGET
+    runner.add_read_interceptor(
+        InputInjectionTrap.for_system(
+            runner.system, module, signal, time_ms, BitFlip(bit)
+        )
+    )
+    if hook is not None:
+        runner.add_read_interceptor(hook)
+    try:
+        return runner.run_from(golden.checkpoints[time_ms], golden, memo)
+    finally:
+        runner.clear_hooks()
+
+
+def _memo_view(result, golden):
+    """What a memo run carries, from a run with traces or without."""
+    divergences = result.first_divergence_ms
+    if divergences is None:
+        divergences = result.traces.first_divergences(golden.traces)
+    return (
+        divergences,
+        result.reconverged_at_ms,
+        result.frames_fast_forwarded,
+        result.final_signals,
+        result.telemetry,
+    )
+
+
+class TestStateMemo:
+    def test_second_run_takes_the_first_runs_outcome(self, arrestment_golden):
+        runner, golden = arrestment_golden
+        memo = StateMemo()
+        donor = _inject(runner, golden, 0, memo)
+        assert donor.traces is None and len(memo) > 0
+        assert memo.hits == 0
+        spliced = _inject(runner, golden, 4, memo)
+        assert spliced.traces is None
+        assert memo.hits == 1
+        assert memo.frames == MEMO_DURATION - 1 - 600 - spliced.frames_fast_forwarded
+        for bit, result in ((0, donor), (4, spliced)):
+            full = _inject(runner, golden, bit)
+            assert full.traces is not None and full.first_divergence_ms is None
+            assert _memo_view(result, golden) == _memo_view(full, golden)
+        # Some signal first diverges after the hit: only the donor's
+        # next divergence can tell when.
+        assert any(
+            at is not None and at > 600
+            for at in spliced.first_divergence_ms.values()
+        )
+
+    def test_not_consulted_while_a_hook_is_live(self, arrestment_golden):
+        runner, golden = arrestment_golden
+        memo = _CountingMemo()
+        for bit in (0, 4):
+            result = _inject(runner, golden, bit, memo, hook=_PassthroughTrap())
+            full = _inject(runner, golden, bit)
+            assert _memo_view(result, golden) == _memo_view(full, golden)
+        assert memo.lookups == 0 and len(memo) == 0 and memo.hits == 0
+
+    def test_not_consulted_without_golden_digests(self, arrestment_golden):
+        runner, golden = arrestment_golden
+        bare = replace(golden, digests=None)
+        memo = _CountingMemo()
+        for bit in (0, 4):
+            result = _inject(runner, bare, bit, memo)
+            assert result.traces is not None
+            assert result.first_divergence_ms is None
+            assert result.reconverged_at_ms is None
+        assert memo.lookups == 0 and memo.hits == 0
+
+    def test_case_context_memo_follows_fast_forward_and_inspector(self):
+        campaign = _memo_campaign(fast_forward=True)
+        runner, golden = campaign._golden_for_case("case", MEMO_CASES["case"])
+        spec = [("CALC", "stopped", 500, 0)]
+        config = campaign.config
+        context = _CaseContext(campaign._system, config, runner, golden, spec)
+        assert isinstance(context.memo, StateMemo)
+        for context in (
+            _CaseContext(
+                campaign._system, config, runner, golden, spec, keep_traces=True
+            ),
+            _CaseContext(
+                campaign._system, config, runner, replace(golden, digests=None),
+                spec,
+            ),
+        ):
+            assert context.memo is None
+
+    def test_campaign_records_equal_with_and_without_inspector(self, tmp_path):
+        events_path = tmp_path / "events.jsonl"
+        observer = CampaignObserver.to_files(
+            events_path=str(events_path), with_metrics=True
+        )
+        bare = _memo_campaign(observer=observer).execute()
+        observer.close()
+        runs = []
+        inspected = _memo_campaign().execute(
+            inspector=lambda outcome, injected, golden: runs.append(injected)
+        )
+        assert all(run.traces is not None for run in runs)
+        assert [o.to_jsonable() for o in bare] == [
+            o.to_jsonable() for o in inspected
+        ]
+        metrics = observer.metrics.to_dict()
+        hits = metrics["fast_forward.memo_hits"]["value"]
+        assert hits > 0 and metrics["fast_forward.memo_frames"]["value"] > 0
+        text = render_summary(summarize_events(read_events(events_path)))
+        assert f"state memo: {hits} runs took an earlier run's outcome" in text

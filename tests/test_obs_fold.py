@@ -6,10 +6,11 @@ stopping and the batched backend, run serially and over two workers.
 A fresh :class:`CampaignStateReducer` over its ``events.jsonl`` must
 reproduce every counter and gauge the campaign embedded in
 ``CampaignFinished``; only what is measured rather than counted (the
-wall clock, ring-buffer drops and the lane kernel's own ``kernel.*``
-instruments) is exempt.  The metrics catalog in docs/OBSERVABILITY.md
-must name every instrument the campaign writes.  Each injection run is
-one ``RunFinished`` carrying exactly the outcome the result holds.
+wall clock, ring-buffer drops, the state memo's hit counters and the
+lane kernel's own ``kernel.*`` instruments) is exempt.  The metrics
+catalog in docs/OBSERVABILITY.md must name every instrument the
+campaign writes.  Each injection run is one ``RunFinished`` carrying
+exactly the outcome the result holds.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from repro.verify import default_campaign, generate_system
 CATALOG = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
 
 #: Instruments a campaign measures rather than counts.
-MEASURED = ("campaign.elapsed_seconds", "events.dropped")
+MEASURED = (
+    "campaign.elapsed_seconds",
+    "events.dropped",
+    "fast_forward.memo_hits",
+    "fast_forward.memo_frames",
+)
 
 pytestmark = pytest.mark.skipif(
     "batched" not in available_backends(), reason="batched backend unavailable"

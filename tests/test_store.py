@@ -377,6 +377,23 @@ class TestRobustness:
         assert len(removed) == 1
         assert store.fetch(keep) is None
 
+    def test_gc_removes_dead_kinds(self, tmp_path):
+        """Valid artifacts of kinds no campaign reads are collected."""
+        store = ResultStore(tmp_path)
+        keep = content_digest("unit")
+        store.put(keep, {"kind": "unit", "n_runs": 1})
+        dead = {
+            content_digest(kind): {"kind": kind, "n_runs": 1}
+            for kind in ("adaptive-unit", "pruned")
+        }
+        dead[content_digest("no kind")] = {"n_runs": 1}
+        for key, payload in dead.items():
+            store.put(key, payload)
+        removed = store.gc()
+        assert sorted(removed) == sorted(store.path_for(key) for key in dead)
+        assert store.fetch(keep) is not None
+        assert [record.key for record in store.iter_artifacts()] == [keep]
+
     def test_pruned_records_interplay_with_full_units(self, tmp_path):
         """Pruned targets store nothing, so they never clobber full
         units, and a full unit satisfies a later unpruned campaign for
